@@ -329,11 +329,13 @@ def attention(
 
 
 def _dropout_keep(
-    rng: np.random.Generator, shape: tuple[int, ...], rate: float
+    rng: np.random.Generator, mask: np.ndarray, dim: int, rate: float
 ) -> np.ndarray:
     # Inverted dropout: multiply by keep/(1-rate) so eval needs no scaling.
-    keep = (rng.random(shape) >= rate).astype(np.float64)
-    return keep / (1.0 - rate)
+    # Drawn for every (B, T, dim) slot and then packed to the real tokens, so
+    # the rng stream is the same however the tokens are laid out.
+    keep = (rng.random(mask.shape + (dim,)) >= rate).astype(np.float64)
+    return keep[mask] / (1.0 - rate)
 
 
 def _layer_norm_forward(x, gain, offset):
@@ -357,14 +359,18 @@ def _layer_norm_backward(dy, gain, xhat, inv_std):
     return dx, dgain, doffset
 
 
-def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    b, t, d = x.shape
-    return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+def _pad_heads(x: np.ndarray, mask: np.ndarray, num_heads: int) -> np.ndarray:
+    """Scatter packed (N, d) token rows into zero-padded heads (B, H, T, d_h)."""
+    padded = np.zeros(mask.shape + x.shape[-1:])
+    padded[mask] = x
+    b, t, d = padded.shape
+    return padded.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
+def _pack_heads(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Gather heads (B, H, T, d_h) back into packed (N, d) token rows."""
     b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)[mask]
 
 
 def _forward_batch(
@@ -379,8 +385,10 @@ def _forward_batch(
     """Batched forward pass; returns (predictions, cache for backward).
 
     phone_ids: (B, T) int; speeds: (B,); mask: (B, T) bool with True at real
-    tokens. Padded key positions get exactly zero attention weight; padded
-    outputs are zeroed and carry no meaning.
+    tokens. The position-wise layers (projections, layer norms, FFN, dropout
+    and output head) run on the N real tokens packed into (N, d). Only the
+    attention scores and context use zero-padded (B, H, T, d_h) heads, where
+    padded keys get exactly zero weight. Padded outputs are 0.
     """
     batch, length = phone_ids.shape
     if length > cfg.max_seq_len:
@@ -390,18 +398,19 @@ def _forward_batch(
     if train and rng is None:
         raise DataError("training-mode forward needs an rng for dropout")
     dropping = train and cfg.dropout_rate > 0.0
+    d, h = cfg.embed_dim, cfg.num_heads
 
-    cache: dict = {"phone_ids": phone_ids, "speeds": speeds, "mask": mask}
-    pe = sinusoidal_encoding(length, cfg.embed_dim)
+    rows, cols = np.nonzero(mask)
+    cache: dict = {"phone_ids": phone_ids[rows, cols], "speeds": speeds[rows],
+                   "mask": mask}
     x = (
-        params.phone_embeddings[phone_ids]
-        + speeds[:, None, None] * params.speed_projection
-        + pe[None]
+        params.phone_embeddings[cache["phone_ids"]]
+        + cache["speeds"][:, None] * params.speed_projection
+        + sinusoidal_encoding(length, d)[cols]
     )
     if dropping:
-        keep = _dropout_keep(rng, x.shape, cfg.dropout_rate)
-        x = x * keep
-        cache["embed_keep"] = keep
+        cache["embed_keep"] = _dropout_keep(rng, mask, d, cfg.dropout_rate)
+        x = x * cache["embed_keep"]
 
     offsets_sq = (
         np.arange(length, dtype=np.float64)[:, None]
@@ -414,28 +423,26 @@ def _forward_batch(
     block_caches = []
     for block in params.blocks:
         c: dict = {"x_in": x}
-        q = _split_heads(x @ block.attn_query, cfg.num_heads)
-        k = _split_heads(x @ block.attn_key, cfg.num_heads)
-        v = _split_heads(x @ block.attn_value, cfg.num_heads)
+        q = _pad_heads(x @ block.attn_query, mask, h)
+        k = _pad_heads(x @ block.attn_key, mask, h)
+        v = _pad_heads(x @ block.attn_value, mask, h)
         sigma = np.exp(block.log_sigma)
         bias = -offsets_sq[None] / (sigma ** 2)[:, None, None]
         scores = q @ k.transpose(0, 1, 3, 2) * scale + bias[None] + key_bias
         probs = _softmax_last(scores)
-        context = _merge_heads(probs @ v)
+        context = _pack_heads(probs @ v, mask)
         attn_out = context @ block.attn_out
         if dropping:
-            keep = _dropout_keep(rng, attn_out.shape, cfg.dropout_rate)
-            attn_out = attn_out * keep
-            c["attn_keep"] = keep
+            c["attn_keep"] = _dropout_keep(rng, mask, d, cfg.dropout_rate)
+            attn_out = attn_out * c["attn_keep"]
         x1, c["ln1"] = _layer_norm_forward(x + attn_out, block.ln1_gain,
                                            block.ln1_offset)
         hidden = x1 @ block.ffn_in + block.ffn_in_bias
         relu = np.maximum(hidden, 0.0)
         ffn_out = relu @ block.ffn_out + block.ffn_out_bias
         if dropping:
-            keep = _dropout_keep(rng, ffn_out.shape, cfg.dropout_rate)
-            ffn_out = ffn_out * keep
-            c["ffn_keep"] = keep
+            c["ffn_keep"] = _dropout_keep(rng, mask, d, cfg.dropout_rate)
+            ffn_out = ffn_out * c["ffn_keep"]
         x2, c["ln2"] = _layer_norm_forward(x1 + ffn_out, block.ln2_gain,
                                            block.ln2_offset)
         c.update(q=q, k=k, v=v, sigma=sigma, probs=probs, context=context,
@@ -443,8 +450,8 @@ def _forward_batch(
         block_caches.append(c)
         x = x2
 
-    preds = (x @ params.out_weight)[..., 0] + params.out_bias[0]
-    preds = np.where(mask, preds, 0.0)
+    preds = np.zeros(mask.shape)
+    preds[mask] = (x @ params.out_weight)[:, 0] + params.out_bias[0]
     cache["blocks"] = block_caches
     cache["x_final"] = x
     return preds, cache
@@ -456,15 +463,19 @@ def _backward_batch(
     cache: dict,
     dpreds: np.ndarray,
 ) -> DurationNetParams:
-    """Gradients of a scalar loss given d(loss)/d(predictions)."""
+    """Gradients of a scalar loss given d(loss)/d(predictions).
+
+    Padded tokens carry no gradient, so every weight gradient is a plain
+    (N, a)^T @ (N, b) product over the packed real tokens.
+    """
     grads = zeros_like_params(params)
     mask = cache["mask"]
-    dpreds = dpreds * mask
+    dpreds = dpreds[mask]
     x_final = cache["x_final"]
 
     grads.out_bias[0] = dpreds.sum()
-    grads.out_weight[:, 0] = np.einsum("btd,bt->d", x_final, dpreds)
-    dx = dpreds[..., None] * params.out_weight[:, 0]
+    grads.out_weight[:, 0] = x_final.T @ dpreds
+    dx = dpreds[:, None] * params.out_weight[:, 0]
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
     offsets_sq = cache["offsets_sq"]
@@ -478,12 +489,12 @@ def _backward_batch(
         dffn_out = dsum2
         if "ffn_keep" in c:
             dffn_out = dffn_out * c["ffn_keep"]
-        g.ffn_out_bias[:] = dffn_out.sum(axis=(0, 1))
-        g.ffn_out[:] = np.einsum("btf,btd->fd", c["relu"], dffn_out)
+        g.ffn_out_bias[:] = dffn_out.sum(axis=0)
+        g.ffn_out[:] = c["relu"].T @ dffn_out
         drelu = dffn_out @ block.ffn_out.T
         dhidden = drelu * (c["hidden"] > 0)
-        g.ffn_in_bias[:] = dhidden.sum(axis=(0, 1))
-        g.ffn_in[:] = np.einsum("btd,btf->df", c["x1"], dhidden)
+        g.ffn_in_bias[:] = dhidden.sum(axis=0)
+        g.ffn_in[:] = c["x1"].T @ dhidden
         dx1 = dsum2 + dhidden @ block.ffn_in.T
 
         dsum1, g.ln1_gain[:], g.ln1_offset[:] = _layer_norm_backward(
@@ -492,40 +503,37 @@ def _backward_batch(
         dattn_out = dsum1
         if "attn_keep" in c:
             dattn_out = dattn_out * c["attn_keep"]
-        g.attn_out[:] = np.einsum("btd,bte->de", c["context"], dattn_out)
-        dcontext = dattn_out @ block.attn_out.T
-        dctx_heads = _split_heads(dcontext, cfg.num_heads)
+        g.attn_out[:] = c["context"].T @ dattn_out
+        dctx_heads = _pad_heads(dattn_out @ block.attn_out.T, mask,
+                                cfg.num_heads)
 
         probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
         dprobs = dctx_heads @ v.transpose(0, 1, 3, 2)
-        dv = probs.transpose(0, 1, 3, 2) @ dctx_heads
+        dv = _pack_heads(probs.transpose(0, 1, 3, 2) @ dctx_heads, mask)
         dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
         # d(bias)/d(log sigma) = 2*(j-k)^2/sigma^2, summed over batch rows
         dbias = dscores.sum(axis=0)
-        g.log_sigma[:] = np.einsum(
-            "hjk,jk->h", dbias, offsets_sq
-        ) * 2.0 / (c["sigma"] ** 2)
-        dq = dscores @ k * scale
-        dk = dscores.transpose(0, 1, 3, 2) @ q * scale
+        g.log_sigma[:] = (
+            (dbias * offsets_sq).sum(axis=(1, 2)) * 2.0 / (c["sigma"] ** 2)
+        )
+        dq = _pack_heads(dscores @ k, mask) * scale
+        dk = _pack_heads(dscores.transpose(0, 1, 3, 2) @ q, mask) * scale
 
         x_in = c["x_in"]
-        dq_full = _merge_heads(dq)
-        dk_full = _merge_heads(dk)
-        dv_full = _merge_heads(dv)
-        g.attn_query[:] = np.einsum("btd,bte->de", x_in, dq_full)
-        g.attn_key[:] = np.einsum("btd,bte->de", x_in, dk_full)
-        g.attn_value[:] = np.einsum("btd,bte->de", x_in, dv_full)
+        g.attn_query[:] = x_in.T @ dq
+        g.attn_key[:] = x_in.T @ dk
+        g.attn_value[:] = x_in.T @ dv
         dx = (
             dsum1
-            + dq_full @ block.attn_query.T
-            + dk_full @ block.attn_key.T
-            + dv_full @ block.attn_value.T
+            + dq @ block.attn_query.T
+            + dk @ block.attn_key.T
+            + dv @ block.attn_value.T
         )
 
     if "embed_keep" in cache:
         dx = dx * cache["embed_keep"]
     np.add.at(grads.phone_embeddings, cache["phone_ids"], dx)
-    grads.speed_projection[0] = np.einsum("b,btd->d", cache["speeds"], dx)
+    grads.speed_projection[0] = cache["speeds"] @ dx
     return grads
 
 
@@ -559,11 +567,12 @@ def masked_l1_and_grads(
     return loss, _backward_batch(params, cfg, cache, dpreds)
 
 
-def _as_batch(sample: DurationSample):
-    phone_ids = np.asarray([sample.phones], dtype=np.int64)
-    speeds = np.asarray([sample.speed], dtype=np.float64)
-    mask = np.ones_like(phone_ids, dtype=bool)
-    return phone_ids, speeds, mask
+def _as_batch(phones: Sequence[int], speed: float):
+    phone_ids = np.asarray(phones, dtype=np.int64)
+    if phone_ids.ndim != 1 or phone_ids.size == 0:
+        raise DataError("forward expects a non-empty 1-D phone sequence")
+    mask = np.ones((1, phone_ids.size), dtype=bool)
+    return phone_ids[None, :], np.asarray([speed], dtype=np.float64), mask
 
 
 def forward(
@@ -575,12 +584,7 @@ def forward(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Predicted duration (frames) for each phone of one sequence."""
-    phones = np.asarray(phones, dtype=np.int64)
-    if phones.ndim != 1 or phones.size == 0:
-        raise DataError("forward expects a non-empty 1-D phone sequence")
-    phone_ids = phones[None, :]
-    speeds = np.asarray([speed], dtype=np.float64)
-    mask = np.ones_like(phone_ids, dtype=bool)
+    phone_ids, speeds, mask = _as_batch(phones, speed)
     preds, _ = _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng)
     return preds[0]
 
@@ -598,7 +602,7 @@ def backward(
     With train=True the rng fixes the dropout masks, so an identically
     seeded rng reproduces the same stochastic loss surface.
     """
-    phone_ids, speeds, mask = _as_batch(sample)
+    phone_ids, speeds, mask = _as_batch(sample.phones, sample.speed)
     targets = np.asarray([sample.durations], dtype=np.float64)
     return masked_l1_and_grads(
         params, cfg, phone_ids, speeds, targets, mask, train=train, rng=rng

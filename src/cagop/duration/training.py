@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -226,18 +226,7 @@ def overfit_single(
     """
     if num_phones is None:
         num_phones = max(sample.phones) + 1
-    eval_cfg = DurationNetConfig(
-        embed_dim=cfg.embed_dim,
-        num_blocks=cfg.num_blocks,
-        num_heads=cfg.num_heads,
-        ffn_dim=cfg.ffn_dim,
-        dropout_rate=0.0,
-        max_seq_len=cfg.max_seq_len,
-        lr_scale=cfg.lr_scale,
-        warmup_steps=cfg.warmup_steps,
-        batch_size=1,
-        seed=cfg.seed,
-    )
+    eval_cfg = replace(cfg, dropout_rate=0.0, batch_size=1)
     rng = np.random.default_rng(eval_cfg.seed)
     params = init_params(eval_cfg, num_phones, rng)
     adam = _AdamState(params)

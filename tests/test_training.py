@@ -1,5 +1,7 @@
 """Learning-rate schedule and training-loop contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cagop.duration import (
     desk_config,
     evaluate_mae,
     full_config,
+    iter_tensors,
     noam_lr,
     overfit_single,
     train,
@@ -155,3 +158,44 @@ def test_overfit_trace_shrinks_loss():
     _, trace = overfit_single(sample, cfg, num_phones=6, max_steps=300)
     assert len(trace) <= 300
     assert trace[-1] < trace[0]
+
+
+# Recorded with the earlier implementation, which ran every layer on the
+# padded (B, T, d) batch and took weight gradients with einsum. Packing the
+# real tokens only reorders floating-point sums, and dropout masks are still
+# drawn at (B, T, d), so the seeded run must agree to 1e-12.
+PINNED_LOG = [
+    (8.91039390583545, 9.122448422207867),
+    (7.505788160949545, 6.456824752537158),
+    (5.086171755839438, 4.119561505148193),
+]
+# tensor name -> (sum, sum of absolute values) of the returned parameters
+PINNED_SUMS = {
+    "phone_embeddings": (-1.3600149763679368, 106.29088132081586),
+    "speed_projection": (1.2562296339849952, 9.992074573381025),
+    "blocks[0].attn_query": (-6.908421597864648, 446.39521963433236),
+    "blocks[0].ln1_gain": (63.98906593495641, 63.98906593495641),
+    "blocks[1].ffn_out": (12.06589111947319, 1120.8161305501833),
+    "blocks[1].log_sigma": (4.396087811834827, 4.396087811834827),
+    "out_weight": (-0.5781326221053047, 9.600343467511893),
+    "out_bias": (0.0018186827163275163, 0.0018186827163275163),
+}
+
+
+def test_desk_training_matches_pinned_trajectory():
+    rng = np.random.default_rng(11)
+    data = []
+    for _ in range(48):
+        t = int(rng.integers(1, 21))
+        data.append(DurationSample.from_durations(
+            rng.integers(0, 12, size=t).tolist(),
+            rng.integers(1, 15, size=t).astype(float).tolist(),
+        ))
+    cfg = dataclasses.replace(desk_config(seed=7), batch_size=8)
+    params, log = train(data[:40], cfg, data[40:], num_phones=12, epochs=3)
+    got_log = [(e.train_loss, e.val_mae) for e in log]
+    np.testing.assert_allclose(got_log, PINNED_LOG, rtol=1e-12, atol=1e-12)
+    tensors = dict(iter_tensors(params))
+    for name, sums in PINNED_SUMS.items():
+        got = (tensors[name].sum(), np.abs(tensors[name]).sum())
+        np.testing.assert_allclose(got, sums, rtol=1e-12, atol=1e-12, err_msg=name)
