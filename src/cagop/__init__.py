@@ -27,7 +27,6 @@ from .detector import (
     detect,
     detect_flags,
     score_utterance,
-    sentence_score,
     threshold_for,
 )
 from .model import (
@@ -41,7 +40,6 @@ from .model import (
     PhoneSet,
     Posteriorgram,
     ScoreReport,
-    Utterance,
     slice_segment,
     validate_posteriorgram,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "Posteriorgram",
     "ScoreReport",
     "ThresholdTable",
-    "Utterance",
     "VARIANTS",
     "align",
     "alignment_log_score",
@@ -89,7 +86,6 @@ __all__ = [
     "gop",
     "lookup_tolerance",
     "score_utterance",
-    "sentence_score",
     "slice_segment",
     "speed_bucket",
     "tascore",

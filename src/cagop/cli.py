@@ -20,9 +20,19 @@ from .detector import (
     DetectorConfig,
     calibrate_thresholds,
     detect,
+    detect_flags,
     score_utterance,
 )
-from .duration.net import desk_config, full_config, predict_durations, tiny_config
+# predict_durations stays importable here: benchmarks/tracing.py counts its
+# calls under this module name.
+from .duration.net import (  # noqa: F401
+    DurationSample,
+    desk_config,
+    full_config,
+    predict_durations,
+    predict_durations_batch,
+    tiny_config,
+)
 from .duration.training import train
 from .formats import (
     ScoreFile,
@@ -112,13 +122,22 @@ def _cmd_align(args) -> int:
     return EXIT_OK
 
 
-def _duration_predictor(checkpoint_path):
+def _predict_durations(checkpoint_path, samples):
+    """utt_id -> predictions for every (utt_id, sample), in one batched call."""
     params, net_cfg = read_checkpoint(checkpoint_path)
+    predicted = predict_durations_batch(
+        params, net_cfg, [(s.phones, s.speed) for _, s in samples]
+    )
+    return {utt_id: preds for (utt_id, _), preds in zip(samples, predicted)}
 
-    def predict(phones, speed):
-        return predict_durations(params, net_cfg, phones, speed)
 
-    return predict
+def _duration_samples(entries, phone_set):
+    """(utt_id, sample) for every CTM entry with a non-silence phone."""
+    return [
+        (utt_id, DurationSample.from_alignment(alignment, phone_set))
+        for utt_id, alignment in entries
+        if alignment.non_silence(phone_set)
+    ]
 
 
 def _cmd_score(args) -> int:
@@ -129,7 +148,7 @@ def _cmd_score(args) -> int:
         clamp_delta_at_zero=args.clamp_delta,
     )
     balance = None
-    predict = None
+    predicted = {}
     if cfg.needs_durations:
         if args.balance is None or args.checkpoint is None:
             raise UsageError(
@@ -137,7 +156,9 @@ def _cmd_score(args) -> int:
                 "--balance and --checkpoint"
             )
         balance = read_balance_table(args.balance, phone_set)
-        predict = _duration_predictor(args.checkpoint)
+        predicted = _predict_durations(
+            args.checkpoint, _duration_samples(entries, phone_set)
+        )
     thresholds = (
         read_thresholds(args.thresholds, phone_set)
         if args.thresholds is not None else None
@@ -148,14 +169,10 @@ def _cmd_score(args) -> int:
     for utt_id, alignment in entries:
         pg = _posteriorgram_for(utt_id, args.posteriors, len(entries) == 1)
         pg = validate_posteriorgram(pg, phone_set)
-        predicted = None
-        if predict is not None:
-            segments = alignment.non_silence(phone_set)
-            speed = float(np.mean([s.length for s in segments]))
-            predicted = predict([s.phone for s in segments], speed)
         report = score_utterance(
             pg, alignment, phone_set, cfg,
-            predicted_durations=predicted, balance=balance, utterance_id=utt_id,
+            predicted_durations=predicted.get(utt_id), balance=balance,
+            utterance_id=utt_id,
         )
         if thresholds is not None:
             report = detect(report, thresholds)
@@ -182,17 +199,7 @@ def _cmd_score(args) -> int:
 
 
 def _samples_from_ctm(entries, phone_set):
-    from .duration.net import DurationSample
-
-    samples = []
-    for _, alignment in entries:
-        segments = alignment.non_silence(phone_set)
-        if not segments:
-            continue
-        samples.append(DurationSample.from_durations(
-            [s.phone for s in segments],
-            [float(s.length) for s in segments],
-        ))
+    samples = [s for _, s in _duration_samples(entries, phone_set)]
     if not samples:
         raise DataError("alignment file has no non-silence phones")
     return samples
@@ -226,20 +233,17 @@ def _cmd_train_dur(args) -> int:
 
 def _cmd_predict_dur(args) -> int:
     phone_set = read_phone_set(args.phones)
-    entries = read_ctm(args.ctm, phone_set)
-    predict = _duration_predictor(args.checkpoint)
+    samples = _duration_samples(read_ctm(args.ctm, phone_set), phone_set)
+    predicted = _predict_durations(args.checkpoint, samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("utt\tpos\tphone\taligned\tpredicted\n")
-        for utt_id, alignment in entries:
-            segments = alignment.non_silence(phone_set)
-            if not segments:
-                continue
-            speed = float(np.mean([s.length for s in segments]))
-            preds = predict([s.phone for s in segments], speed)
-            for pos, (seg, pred) in enumerate(zip(segments, preds)):
+        for utt_id, sample in samples:
+            for pos, (phone, length, pred) in enumerate(
+                zip(sample.phones, sample.durations, predicted[utt_id])
+            ):
                 fh.write(
-                    f"{utt_id}\t{pos}\t{phone_set.label(seg.phone)}"
-                    f"\t{seg.length}\t{repr(float(pred))}\n"
+                    f"{utt_id}\t{pos}\t{phone_set.label(phone)}"
+                    f"\t{int(length)}\t{repr(float(pred))}\n"
                 )
     print(f"wrote duration predictions -> {args.out}")
     return EXIT_OK
@@ -247,21 +251,17 @@ def _cmd_predict_dur(args) -> int:
 
 def _cmd_fit_balance(args) -> int:
     phone_set = read_phone_set(args.phones)
-    entries = read_ctm(args.ctm, phone_set)
-    predict = _duration_predictor(args.checkpoint)
-    records = []
-    for _, alignment in entries:
-        segments = alignment.non_silence(phone_set)
-        if not segments:
-            continue
-        speed = float(np.mean([s.length for s in segments]))
-        preds = predict([s.phone for s in segments], speed)
-        records.append(BalanceRecord(
-            phones=tuple(s.phone for s in segments),
-            aligned=tuple(float(s.length) for s in segments),
-            predicted=tuple(float(p) for p in preds),
-            speed=speed,
-        ))
+    samples = _duration_samples(read_ctm(args.ctm, phone_set), phone_set)
+    predicted = _predict_durations(args.checkpoint, samples)
+    records = [
+        BalanceRecord(
+            phones=s.phones,
+            aligned=s.durations,
+            predicted=tuple(float(p) for p in predicted[utt_id]),
+            speed=s.speed,
+        )
+        for utt_id, s in samples
+    ]
     table = fit_balance_table(
         records, bucket_width=args.bucket_width, min_count=args.min_count
     )
@@ -273,26 +273,22 @@ def _cmd_fit_balance(args) -> int:
     return EXIT_OK
 
 
-def _join_labels(score_file, annotations):
+def _join_labels(rows, annotations, what="scored"):
+    """The rows that have an annotation label, and those labels, in order."""
     labels = annotations.phone_label_map()
-    phones, scores, truth = [], [], []
-    for row in score_file.rows:
-        key = (row.utt_id, row.position)
-        if key in labels:
-            phones.append(row.phone)
-            scores.append(row.score)
-            truth.append(labels[key])
-    if not phones:
-        raise DataError("no scored phones have annotation labels")
-    return phones, scores, truth
+    kept = [row for row in rows if (row.utt_id, row.position) in labels]
+    if not kept:
+        raise DataError(f"no {what} phones have annotation labels")
+    return kept, [labels[(row.utt_id, row.position)] for row in kept]
 
 
 def _cmd_calibrate(args) -> int:
     phone_set = read_phone_set(args.phones)
     score_file = read_score_file(args.scores, phone_set)
     annotations = read_annotations(args.annotations)
-    phones, scores, truth = _join_labels(score_file, annotations)
-    table = calibrate_thresholds(phones, scores, truth,
+    rows, truth = _join_labels(score_file.rows, annotations)
+    scores = [row.score for row in rows]
+    table = calibrate_thresholds([row.phone for row in rows], scores, truth,
                                  min_count=args.min_count)
     write_thresholds(args.out, table, phone_set)
     print(
@@ -306,35 +302,20 @@ def _cmd_evaluate(args) -> int:
     phone_set = read_phone_set(args.phones)
     score_file = read_score_file(args.scores, phone_set)
     annotations = read_annotations(args.annotations)
-    phones, scores, truth = _join_labels(score_file, annotations)
+    rows, truth = _join_labels(score_file.rows, annotations)
 
     if args.thresholds is not None:
         table = read_thresholds(args.thresholds, phone_set)
-        labels = annotations.phone_label_map()
-        flags = []
-        truth = []
-        for row in score_file.rows:
-            key = (row.utt_id, row.position)
-            if key not in labels:
-                continue
-            threshold = table.per_phone.get(row.phone, table.global_threshold)
-            flags.append(row.score < threshold)
-            truth.append(labels[key])
+        flags = detect_flags([row.phone for row in rows],
+                             [row.score for row in rows], table)
     else:
         flagged_rows = [r for r in score_file.rows if r.flag is not None]
         if not flagged_rows:
             raise UsageError(
                 "score file has no detection flags; pass --thresholds"
             )
-        labels = annotations.phone_label_map()
-        flags, truth = [], []
-        for row in flagged_rows:
-            key = (row.utt_id, row.position)
-            if key in labels:
-                flags.append(row.flag)
-                truth.append(labels[key])
-        if not flags:
-            raise DataError("no flagged phones have annotation labels")
+        rows, truth = _join_labels(flagged_rows, annotations, "flagged")
+        flags = [row.flag for row in rows]
 
     counts = confusion_counts(flags, truth)
     lines = [

@@ -15,15 +15,26 @@ import numpy as np
 
 from .balance import BalanceTable, lookup_tolerance
 from .balance import delta as duration_delta
+from .duration.net import DurationSample
 from .model import (
+    PROB_FLOOR,
     Alignment,
     DataError,
     PhoneScore,
+    PhoneSegment,
     PhoneSet,
     Posteriorgram,
     ScoreReport,
 )
-from .scoring import center_gop, gop, tascore
+# gop, center_gop and tascore are the per-segment oracles of _segment_scores;
+# benchmarks/tracing.py counts their calls under these module names.
+from .scoring import (  # noqa: F401
+    ENTROPY_FLOOR,
+    center_gop,
+    entropy_profile,
+    gop,
+    tascore,
+)
 
 VARIANTS = ("gop", "center_gop", "cagop", "cagop_minus_dur", "cagop_minus_ta")
 CALIBRATION_MIN_COUNT = 10
@@ -66,6 +77,37 @@ def cagop_score(
     return (1.0 - beta * delta) * ta_score
 
 
+def _segment_scores(
+    pg: Posteriorgram, segments: Sequence[PhoneSegment]
+) -> tuple[list[float], list[float], list[float]]:
+    """gop, center_gop and tascore of every segment in one pass.
+
+    The floored log posterior of each segment's phone is gathered once for
+    all segment frames and the row entropies once per utterance; segment
+    sums are taken with ``np.add.reduceat``. ``scoring.gop``,
+    ``center_gop`` and ``tascore`` are the per-segment definitions.
+    """
+    starts = np.array([s.start for s in segments])
+    lengths = np.array([s.length for s in segments])
+    ends = starts + lengths
+    if ends[-1] > pg.num_frames:
+        bad = segments[int(np.argmax(ends > pg.num_frames))]
+        raise DataError(
+            f"segment [{bad.start},{bad.end}) exceeds {pg.num_frames} frames"
+        )
+    firsts = np.cumsum(lengths) - lengths  # segment offsets within `frames`
+    frames = np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
+    phones = np.repeat([s.phone for s in segments], lengths)
+    log_post = np.log(np.maximum(pg.probs[frames, phones], PROB_FLOOR))
+    reciprocal = 1.0 / np.maximum(entropy_profile(pg)[frames], ENTROPY_FLOOR)
+    weights = reciprocal / np.repeat(np.add.reduceat(reciprocal, firsts), lengths)
+    return (
+        (np.add.reduceat(log_post, firsts) / lengths).tolist(),
+        log_post[firsts + lengths // 2].tolist(),
+        np.add.reduceat(weights * log_post, firsts).tolist(),
+    )
+
+
 def score_utterance(
     pg: Posteriorgram,
     alignment: Alignment,
@@ -97,7 +139,7 @@ def score_utterance(
                 f"{len(predicted_durations)} duration predictions for "
                 f"{len(segments)} aligned phones"
             )
-        speed = float(np.mean([seg.length for seg in segments]))
+        speed = DurationSample.from_alignment(alignment, phone_set).speed
         deltas = [
             duration_delta(
                 seg.length, pred, lookup_tolerance(balance, seg.phone, speed)
@@ -105,36 +147,29 @@ def score_utterance(
             for seg, pred in zip(segments, predicted_durations)
         ]
 
+    seg_gop, seg_center, seg_ta = _segment_scores(pg, segments)
+    base = {
+        "gop": seg_gop, "center_gop": seg_center, "cagop_minus_dur": seg_ta,
+        "cagop": seg_ta, "cagop_minus_ta": seg_gop,
+    }[cfg.variant]
+    fused = cfg.variant in ("cagop", "cagop_minus_ta")
     records = []
     for i, seg in enumerate(segments):
-        seg_gop = gop(pg, seg)
-        seg_center = center_gop(pg, seg)
-        seg_ta, _ = tascore(pg, seg)
         d = deltas[i] if deltas is not None else None
-        seg_cagop = None
-        if cfg.variant == "gop":
-            score = seg_gop
-        elif cfg.variant == "center_gop":
-            score = seg_center
-        elif cfg.variant == "cagop_minus_dur":
-            score = seg_ta
-        elif cfg.variant == "cagop":
-            seg_cagop = cagop_score(seg_ta, 0.0 if d is None else d, cfg.beta,
-                                    cfg.clamp_delta_at_zero)
-            score = seg_cagop
-        else:  # cagop_minus_ta: duration factor applied to plain gop
-            seg_cagop = cagop_score(seg_gop, 0.0 if d is None else d, cfg.beta,
-                                    cfg.clamp_delta_at_zero)
-            score = seg_cagop
+        seg_cagop = (
+            cagop_score(base[i], 0.0 if d is None else d, cfg.beta,
+                        cfg.clamp_delta_at_zero)
+            if fused else None
+        )
         records.append(PhoneScore(
             phone=seg.phone,
             segment=seg,
-            gop=seg_gop,
-            center_gop=seg_center,
-            tascore=seg_ta,
+            gop=seg_gop[i],
+            center_gop=seg_center[i],
+            tascore=seg_ta[i],
             delta=d,
             cagop=seg_cagop,
-            score=score,
+            score=seg_cagop if fused else base[i],
         ))
     sentence = float(np.mean([r.score for r in records]))
     return ScoreReport(
@@ -143,11 +178,6 @@ def score_utterance(
         per_phone=tuple(records),
         sentence_score=sentence,
     )
-
-
-def sentence_score(report: ScoreReport) -> float:
-    """Mean per-phone score of the report's variant."""
-    return float(np.mean([r.score for r in report.per_phone]))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..model import DataError
+from ..model import Alignment, DataError, PhoneSet
 
 LN_EPS = 1e-5
 MASK_NEG = -1e30
@@ -121,6 +121,21 @@ class DurationSample:
     ) -> "DurationSample":
         return cls(tuple(phones), tuple(durations), float(np.mean(durations)))
 
+    @classmethod
+    def from_alignment(
+        cls, alignment: Alignment, phone_set: PhoneSet
+    ) -> "DurationSample":
+        """Aligned non-silence phones with their segment lengths as targets.
+
+        The speed is therefore the mean non-silence segment length.
+        """
+        segments = alignment.non_silence(phone_set)
+        if not segments:
+            raise DataError("alignment has no non-silence phones")
+        return cls.from_durations(
+            [s.phone for s in segments], [float(s.length) for s in segments]
+        )
+
     def __len__(self) -> int:
         return len(self.phones)
 
@@ -189,34 +204,41 @@ def zeros_like_params(params: DurationNetParams) -> DurationNetParams:
     )
 
 
-def zeros_params(cfg: DurationNetConfig, num_phones: int) -> DurationNetParams:
-    """All-zero tensors with the shapes init_params would produce."""
+def block_shapes(cfg: DurationNetConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor of one block, in declaration order."""
+    d, f, h = cfg.embed_dim, cfg.ffn_dim, cfg.num_heads
+    return {
+        "attn_query": (d, d), "attn_key": (d, d), "attn_value": (d, d),
+        "attn_out": (d, d), "ffn_in": (d, f), "ffn_in_bias": (f,),
+        "ffn_out": (f, d), "ffn_out_bias": (d,), "ln1_gain": (d,),
+        "ln1_offset": (d,), "ln2_gain": (d,), "ln2_offset": (d,),
+        "log_sigma": (h,),
+    }
+
+
+def outer_shapes(
+    cfg: DurationNetConfig, num_phones: int
+) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor outside the blocks."""
     if num_phones < 1:
         raise DataError("need at least one phone")
-    d, f, h = cfg.embed_dim, cfg.ffn_dim, cfg.num_heads
+    d = cfg.embed_dim
+    return {
+        "phone_embeddings": (num_phones, d), "speed_projection": (1, d),
+        "out_weight": (d, 1), "out_bias": (1,),
+    }
+
+
+def zeros_params(cfg: DurationNetConfig, num_phones: int) -> DurationNetParams:
+    """All-zero tensors with the shapes init_params would produce."""
+    outer = outer_shapes(cfg, num_phones)
+    block = block_shapes(cfg)
     return DurationNetParams(
-        phone_embeddings=np.zeros((num_phones, d)),
-        speed_projection=np.zeros((1, d)),
         blocks=[
-            BlockParams(
-                attn_query=np.zeros((d, d)),
-                attn_key=np.zeros((d, d)),
-                attn_value=np.zeros((d, d)),
-                attn_out=np.zeros((d, d)),
-                ffn_in=np.zeros((d, f)),
-                ffn_in_bias=np.zeros(f),
-                ffn_out=np.zeros((f, d)),
-                ffn_out_bias=np.zeros(d),
-                ln1_gain=np.zeros(d),
-                ln1_offset=np.zeros(d),
-                ln2_gain=np.zeros(d),
-                ln2_offset=np.zeros(d),
-                log_sigma=np.zeros(h),
-            )
+            BlockParams(**{name: np.zeros(s) for name, s in block.items()})
             for _ in range(cfg.num_blocks)
         ],
-        out_weight=np.zeros((d, 1)),
-        out_bias=np.zeros(1),
+        **{name: np.zeros(s) for name, s in outer.items()},
     )
 
 
@@ -381,14 +403,17 @@ def _forward_batch(
     mask: np.ndarray,
     train: bool,
     rng: Optional[np.random.Generator],
-):
-    """Batched forward pass; returns (predictions, cache for backward).
+    cache: Optional[dict] = None,
+) -> np.ndarray:
+    """Batched forward pass; returns (B, T) predictions.
 
     phone_ids: (B, T) int; speeds: (B,); mask: (B, T) bool with True at real
     tokens. The position-wise layers (projections, layer norms, FFN, dropout
     and output head) run on the N real tokens packed into (N, d). Only the
     attention scores and context use zero-padded (B, H, T, d_h) heads, where
-    padded keys get exactly zero weight. Padded outputs are 0.
+    padded keys get exactly zero weight. Padded outputs are 0. Pass a dict
+    as ``cache`` to keep the activations ``_backward_batch`` needs; without
+    one, each block's activations are freed as soon as the next block runs.
     """
     batch, length = phone_ids.shape
     if length > cfg.max_seq_len:
@@ -401,28 +426,27 @@ def _forward_batch(
     d, h = cfg.embed_dim, cfg.num_heads
 
     rows, cols = np.nonzero(mask)
-    cache: dict = {"phone_ids": phone_ids[rows, cols], "speeds": speeds[rows],
-                   "mask": mask}
+    token_phones, token_speeds = phone_ids[rows, cols], speeds[rows]
     x = (
-        params.phone_embeddings[cache["phone_ids"]]
-        + cache["speeds"][:, None] * params.speed_projection
+        params.phone_embeddings[token_phones]
+        + token_speeds[:, None] * params.speed_projection
         + sinusoidal_encoding(length, d)[cols]
     )
+    embed_keep = None
     if dropping:
-        cache["embed_keep"] = _dropout_keep(rng, mask, d, cfg.dropout_rate)
-        x = x * cache["embed_keep"]
+        embed_keep = _dropout_keep(rng, mask, d, cfg.dropout_rate)
+        x = x * embed_keep
 
     offsets_sq = (
         np.arange(length, dtype=np.float64)[:, None]
         - np.arange(length, dtype=np.float64)[None, :]
     ) ** 2
-    cache["offsets_sq"] = offsets_sq
     key_bias = np.where(mask, 0.0, MASK_NEG)[:, None, None, :]
     scale = 1.0 / np.sqrt(cfg.head_dim)
 
     block_caches = []
     for block in params.blocks:
-        c: dict = {"x_in": x}
+        x_in = x
         q = _pad_heads(x @ block.attn_query, mask, h)
         k = _pad_heads(x @ block.attn_key, mask, h)
         v = _pad_heads(x @ block.attn_value, mask, h)
@@ -432,29 +456,36 @@ def _forward_batch(
         probs = _softmax_last(scores)
         context = _pack_heads(probs @ v, mask)
         attn_out = context @ block.attn_out
+        attn_keep = ffn_keep = None
         if dropping:
-            c["attn_keep"] = _dropout_keep(rng, mask, d, cfg.dropout_rate)
-            attn_out = attn_out * c["attn_keep"]
-        x1, c["ln1"] = _layer_norm_forward(x + attn_out, block.ln1_gain,
-                                           block.ln1_offset)
+            attn_keep = _dropout_keep(rng, mask, d, cfg.dropout_rate)
+            attn_out = attn_out * attn_keep
+        x1, ln1 = _layer_norm_forward(x + attn_out, block.ln1_gain,
+                                      block.ln1_offset)
         hidden = x1 @ block.ffn_in + block.ffn_in_bias
         relu = np.maximum(hidden, 0.0)
         ffn_out = relu @ block.ffn_out + block.ffn_out_bias
         if dropping:
-            c["ffn_keep"] = _dropout_keep(rng, mask, d, cfg.dropout_rate)
-            ffn_out = ffn_out * c["ffn_keep"]
-        x2, c["ln2"] = _layer_norm_forward(x1 + ffn_out, block.ln2_gain,
-                                           block.ln2_offset)
-        c.update(q=q, k=k, v=v, sigma=sigma, probs=probs, context=context,
-                 x1=x1, hidden=hidden, relu=relu)
-        block_caches.append(c)
-        x = x2
+            ffn_keep = _dropout_keep(rng, mask, d, cfg.dropout_rate)
+            ffn_out = ffn_out * ffn_keep
+        x, ln2 = _layer_norm_forward(x1 + ffn_out, block.ln2_gain,
+                                     block.ln2_offset)
+        if cache is not None:
+            block_caches.append(dict(
+                x_in=x_in, q=q, k=k, v=v, sigma=sigma, probs=probs,
+                context=context, attn_keep=attn_keep, ln1=ln1, x1=x1,
+                hidden=hidden, relu=relu, ffn_keep=ffn_keep, ln2=ln2,
+            ))
 
     preds = np.zeros(mask.shape)
     preds[mask] = (x @ params.out_weight)[:, 0] + params.out_bias[0]
-    cache["blocks"] = block_caches
-    cache["x_final"] = x
-    return preds, cache
+    if cache is not None:
+        cache.update(
+            phone_ids=token_phones, speeds=token_speeds, mask=mask,
+            embed_keep=embed_keep, offsets_sq=offsets_sq,
+            blocks=block_caches, x_final=x,
+        )
+    return preds
 
 
 def _backward_batch(
@@ -487,7 +518,7 @@ def _backward_batch(
             dx, block.ln2_gain, *c["ln2"]
         )
         dffn_out = dsum2
-        if "ffn_keep" in c:
+        if c["ffn_keep"] is not None:
             dffn_out = dffn_out * c["ffn_keep"]
         g.ffn_out_bias[:] = dffn_out.sum(axis=0)
         g.ffn_out[:] = c["relu"].T @ dffn_out
@@ -501,7 +532,7 @@ def _backward_batch(
             dx1, block.ln1_gain, *c["ln1"]
         )
         dattn_out = dsum1
-        if "attn_keep" in c:
+        if c["attn_keep"] is not None:
             dattn_out = dattn_out * c["attn_keep"]
         g.attn_out[:] = c["context"].T @ dattn_out
         dctx_heads = _pad_heads(dattn_out @ block.attn_out.T, mask,
@@ -530,7 +561,7 @@ def _backward_batch(
             + dv @ block.attn_value.T
         )
 
-    if "embed_keep" in cache:
+    if cache["embed_keep"] is not None:
         dx = dx * cache["embed_keep"]
     np.add.at(grads.phone_embeddings, cache["phone_ids"], dx)
     grads.speed_projection[0] = cache["speeds"] @ dx
@@ -559,7 +590,9 @@ def masked_l1_and_grads(
     rng: Optional[np.random.Generator] = None,
 ) -> tuple[float, DurationNetParams]:
     """Token-mean L1 loss over real tokens plus gradients for every tensor."""
-    preds, cache = _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng)
+    cache: dict = {}
+    preds = _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng,
+                           cache)
     count = mask.sum()
     diff = (preds - targets) * mask
     loss = float(np.abs(diff).sum() / count)
@@ -567,12 +600,21 @@ def masked_l1_and_grads(
     return loss, _backward_batch(params, cfg, cache, dpreds)
 
 
-def _as_batch(phones: Sequence[int], speed: float):
-    phone_ids = np.asarray(phones, dtype=np.int64)
-    if phone_ids.ndim != 1 or phone_ids.size == 0:
+def _pad_phones(phone_seqs: Sequence[Sequence[int]]):
+    """Zero-padded (B, T) phone ids and the (B, T) mask of real tokens."""
+    seqs = [np.asarray(p, dtype=np.int64) for p in phone_seqs]
+    if any(p.ndim != 1 or p.size == 0 for p in seqs):
         raise DataError("forward expects a non-empty 1-D phone sequence")
-    mask = np.ones((1, phone_ids.size), dtype=bool)
-    return phone_ids[None, :], np.asarray([speed], dtype=np.float64), mask
+    lengths = np.array([p.size for p in seqs])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    phone_ids = np.zeros(mask.shape, dtype=np.int64)
+    phone_ids[mask] = np.concatenate(seqs)
+    return phone_ids, mask
+
+
+def _as_batch(phones: Sequence[int], speed: float):
+    phone_ids, mask = _pad_phones([phones])
+    return phone_ids, np.asarray([speed], dtype=np.float64), mask
 
 
 def forward(
@@ -585,8 +627,7 @@ def forward(
 ) -> np.ndarray:
     """Predicted duration (frames) for each phone of one sequence."""
     phone_ids, speeds, mask = _as_batch(phones, speed)
-    preds, _ = _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng)
-    return preds[0]
+    return _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng)[0]
 
 
 def backward(
@@ -609,6 +650,29 @@ def backward(
     )
 
 
+def predict_durations_batch(
+    params: DurationNetParams,
+    cfg: DurationNetConfig,
+    sequences: Sequence[tuple[Sequence[int], float]],
+) -> list[np.ndarray]:
+    """Eval-mode predictions for many (phones, speed) sequences.
+
+    Sequences are zero-padded in chunks of ``cfg.batch_size``, in input
+    order, and each prediction is clamped to at least one frame.
+    """
+    out: list[np.ndarray] = []
+    for start in range(0, len(sequences), cfg.batch_size):
+        chunk = sequences[start : start + cfg.batch_size]
+        phone_ids, mask = _pad_phones([phones for phones, _ in chunk])
+        speeds = np.asarray([speed for _, speed in chunk], dtype=np.float64)
+        preds = np.maximum(
+            _forward_batch(params, cfg, phone_ids, speeds, mask, False, None),
+            1.0,
+        )
+        out.extend(row[:n] for row, n in zip(preds, mask.sum(axis=1)))
+    return out
+
+
 def predict_durations(
     params: DurationNetParams,
     cfg: DurationNetConfig,
@@ -616,4 +680,4 @@ def predict_durations(
     speed: float,
 ) -> np.ndarray:
     """Eval-mode duration predictions, clamped to at least one frame."""
-    return np.maximum(forward(params, cfg, phones, speed), 1.0)
+    return predict_durations_batch(params, cfg, [(phones, speed)])[0]

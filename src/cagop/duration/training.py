@@ -13,6 +13,7 @@ from .net import (
     DurationNetParams,
     DurationSample,
     _forward_batch,
+    _pad_phones,
     backward,
     clone_params,
     init_params,
@@ -69,18 +70,10 @@ class _AdamState:
 
 
 def _pad_batch(samples: Sequence[DurationSample]):
-    length = max(len(s) for s in samples)
-    batch = len(samples)
-    phone_ids = np.zeros((batch, length), dtype=np.int64)
-    targets = np.zeros((batch, length), dtype=np.float64)
-    mask = np.zeros((batch, length), dtype=bool)
-    speeds = np.zeros(batch, dtype=np.float64)
-    for i, s in enumerate(samples):
-        n = len(s)
-        phone_ids[i, :n] = s.phones
-        targets[i, :n] = s.durations
-        mask[i, :n] = True
-        speeds[i] = s.speed
+    phone_ids, mask = _pad_phones([s.phones for s in samples])
+    targets = np.zeros(mask.shape, dtype=np.float64)
+    targets[mask] = np.concatenate([s.durations for s in samples])
+    speeds = np.array([s.speed for s in samples], dtype=np.float64)
     return phone_ids, speeds, targets, mask
 
 
@@ -97,7 +90,7 @@ def evaluate_mae(
     for start in range(0, len(samples), cfg.batch_size):
         chunk = samples[start : start + cfg.batch_size]
         phone_ids, speeds, targets, mask = _pad_batch(chunk)
-        preds, _ = _forward_batch(
+        preds = _forward_batch(
             params, cfg, phone_ids, speeds, mask, train=False, rng=None
         )
         total += float(np.abs((preds - targets) * mask).sum())

@@ -8,6 +8,7 @@ fixed magics.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -19,7 +20,9 @@ from .detector import ThresholdTable
 from .duration.net import (
     DurationNetConfig,
     DurationNetParams,
+    block_shapes,
     iter_tensors,
+    outer_shapes,
     zeros_params,
 )
 from .duration.training import TrainLogEntry
@@ -510,6 +513,11 @@ def write_checkpoint(
             fh.write(tensor.astype("<f8").tobytes())
 
 
+def _stored_tensor_bytes(shapes) -> int:
+    """Bytes write_checkpoint spends on tensors of these shapes."""
+    return sum(4 + 4 * len(shape) + 8 * math.prod(shape) for shape in shapes)
+
+
 def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
     try:
         with open(path, "rb") as fh:
@@ -532,9 +540,21 @@ def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
             lr_scale=lr_scale, warmup_steps=warmup, batch_size=batch,
             seed=seed,
         )
-        params = zeros_params(cfg, num_phones)
+        expected = (
+            _stored_tensor_bytes(outer_shapes(cfg, num_phones).values())
+            + num_blocks * _stored_tensor_bytes(block_shapes(cfg).values())
+        )
     except DataError as exc:
         raise FormatError(f"bad checkpoint header: {exc}", path=path) from exc
+    # Checked before anything is allocated, so a corrupt header cannot ask
+    # for more memory than the file could fill.
+    if len(blob) - offset < expected:
+        raise FormatError(
+            f"truncated: header implies {expected} tensor bytes, "
+            f"file has {len(blob) - offset}",
+            path=path,
+        )
+    params = zeros_params(cfg, num_phones)
     for name, tensor in iter_tensors(params):
         if len(blob) < offset + 4:
             raise FormatError(f"truncated before tensor {name}", path=path)

@@ -162,31 +162,6 @@ class Alignment:
 
 
 @dataclass(frozen=True)
-class Utterance:
-    """One scoring unit: reference phones plus acoustic evidence."""
-
-    id: str
-    reference_phones: tuple[int, ...]
-    posteriorgram: Posteriorgram
-    alignment: Optional[Alignment] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "reference_phones", tuple(self.reference_phones))
-        if not self.reference_phones:
-            raise DataError(f"utterance {self.id!r} has no reference phones")
-
-    def validate(self, phone_set: PhoneSet) -> "Utterance":
-        for p in self.reference_phones:
-            if not 0 <= p < len(phone_set):
-                raise DataError(f"utterance {self.id!r}: phone index {p} out of range")
-            if phone_set.is_silence(p):
-                raise DataError(
-                    f"utterance {self.id!r}: silence in reference phones"
-                )
-        return self
-
-
-@dataclass(frozen=True)
 class PhoneScore:
     """Per-phone scoring record. ``score`` is the configured variant's value."""
 

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from cagop import Alignment, FormatError, PhoneSegment, Posteriorgram
 from cagop.cli import main
 from cagop.formats import (
+    CKPT_MAGIC,
+    _CKPT_HEADER,
     read_annotations,
     read_balance_table,
     read_checkpoint,
@@ -16,6 +19,8 @@ from cagop.formats import (
     read_score_file,
     read_thresholds,
     read_training_log,
+    write_ctm,
+    write_posteriorgram_binary,
 )
 from cagop.scoring import entropy_profile
 from cagop.synth import read_text_manifest
@@ -286,3 +291,48 @@ def test_single_posteriors_file_with_multiple_utts_exits_two(
                  "--out", str(tmp_path / "out.ctm")])
     assert code == 2
     assert "single file" in capsys.readouterr().err
+
+
+def test_oversized_checkpoint_header_is_rejected_before_allocation(
+        pipeline, tmp_path, capsys):
+    # embed_dim 2**20 implies 8 TiB per attention matrix; the file is tiny
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(CKPT_MAGIC + _CKPT_HEADER.pack(
+        2 ** 20, 2, 4, 256, 0.1, 100, 1.0, 400, 64, 0, 40) + b"\x00" * 64)
+    with pytest.raises(FormatError, match="header implies"):
+        read_checkpoint(bad)
+    code = main(["predict-dur",
+                 "--checkpoint", str(bad),
+                 "--ctm", str(pipeline["ctm"]),
+                 "--phones", str(pipeline["phones"]),
+                 "--out", str(tmp_path / "preds.tsv")])
+    assert code == 2
+    assert "header implies" in capsys.readouterr().err
+
+
+def test_score_rejects_utterance_longer_than_the_duration_net(
+        pipeline, tmp_path, capsys):
+    ps = read_phone_set(pipeline["phones"])
+    first = read_ctm(pipeline["ctm"], ps)[0]
+    post = tmp_path / "post"
+    post.mkdir()
+    (post / f"{first[0]}.pgm").write_bytes(
+        (pipeline["post"] / f"{first[0]}.pgm").read_bytes())
+    speech = [p for p in range(len(ps)) if not ps.is_silence(p)]
+    n = 101
+    long_al = Alignment(tuple(
+        PhoneSegment(speech[i % len(speech)], i, 1) for i in range(n)))
+    write_posteriorgram_binary(
+        post / "long.pgm",
+        Posteriorgram(np.full((n, len(ps)), 1.0 / len(ps)), 30.0))
+    write_ctm(tmp_path / "long.ctm", [first, ("long", long_al)], ps)
+    code = main(["score",
+                 "--posteriors", str(post),
+                 "--ctm", str(tmp_path / "long.ctm"),
+                 "--phones", str(pipeline["phones"]),
+                 "--variant", "cagop", "--beta", "0.1",
+                 "--balance", str(pipeline["balance"]),
+                 "--checkpoint", str(pipeline["ckpt"]),
+                 "--out", str(tmp_path / "scores.tsv")])
+    assert code == 2
+    assert f"sequence length {n} exceeds 100" in capsys.readouterr().err

@@ -9,13 +9,18 @@ from cagop import (
     DetectorConfig,
     PhoneSet,
     align,
+    Alignment,
+    PhoneSegment,
     cagop_score,
     calibrate_thresholds,
+    center_gop,
+    delta,
     detect,
     detect_flags,
     fit_balance_table,
+    gop,
+    lookup_tolerance,
     score_utterance,
-    sentence_score,
     tascore,
     threshold_for,
 )
@@ -143,13 +148,89 @@ def test_report_tascore_matches_scoring_module():
     rng = np.random.default_rng(7)
     pg = random_pg(rng, 12, 4)
     al = align(pg, [1, 2, 3], AlignConfig(min_segment_frames=2))
+    # segment sums are taken by np.add.reduceat, which may associate them
+    # differently from np.sum over the segment's slice
     for r, seg in zip(rep.per_phone, al.segments):
-        assert r.tascore == tascore(pg, seg)[0]
+        assert r.tascore == pytest.approx(tascore(pg, seg)[0], rel=1e-12, abs=0)
+
+
+def _random_segmentation(rng, num_frames, num_phones):
+    """Ordered segments with gaps and silences; may stop short of the end."""
+    segments, start = [], 0
+    while start < num_frames:
+        start += int(rng.integers(0, 3)) if rng.random() < 0.3 else 0
+        length = int(rng.integers(1, 6))
+        if start + length > num_frames:
+            break
+        segments.append(PhoneSegment(int(rng.integers(0, num_phones)), start,
+                                     length))
+        start += length
+    return segments
+
+
+def test_one_pass_scorer_matches_per_segment_oracle():
+    ps = PhoneSet(("SIL", "A", "B", "C", "D"), silence_index=0)
+    balance = fit_balance_table([
+        BalanceRecord((p,) * 6, (5.0, 4.0, 6.0, 5.0, 3.0, 7.0), (4.0,) * 6, 5.0)
+        for p in (1, 2, 3)
+    ])
+    rng = np.random.default_rng(2024)
+    checked = one_frame = ends_at_last = 0
+    while checked < 200:
+        num_frames = int(rng.integers(1, 40))
+        segments = _random_segmentation(rng, num_frames, len(ps))
+        speech = [s for s in segments if s.phone != 0]
+        if not speech:
+            continue
+        checked += 1
+        one_frame += any(s.length == 1 for s in speech)
+        ends_at_last += speech[-1].end == num_frames
+        pg = random_pg(rng, num_frames, len(ps))
+        preds = [float(p) for p in rng.uniform(0.5, 8.0, size=len(speech))]
+        speed = float(np.mean([s.length for s in speech]))
+        for variant in ("gop", "center_gop", "cagop", "cagop_minus_dur",
+                        "cagop_minus_ta"):
+            cfg = DetectorConfig(variant=variant, beta=0.3,
+                                 clamp_delta_at_zero=bool(checked % 2))
+            rep = score_utterance(
+                pg, Alignment(tuple(segments)), ps, cfg,
+                predicted_durations=preds, balance=balance,
+            )
+            assert [r.segment for r in rep.per_phone] == speech
+            for r, seg, pred in zip(rep.per_phone, speech, preds):
+                want_ta = tascore(pg, seg)[0]
+                assert r.phone == seg.phone
+                assert r.gop == pytest.approx(gop(pg, seg), rel=1e-12, abs=0)
+                assert r.center_gop == center_gop(pg, seg)
+                assert r.tascore == pytest.approx(want_ta, rel=1e-12, abs=0)
+                want = {"gop": gop(pg, seg), "center_gop": center_gop(pg, seg),
+                        "cagop_minus_dur": want_ta}.get(variant)
+                if cfg.needs_durations:
+                    d = delta(seg.length, pred,
+                              lookup_tolerance(balance, seg.phone, speed))
+                    base = want_ta if variant == "cagop" else gop(pg, seg)
+                    want = cagop_score(base, d, cfg.beta, cfg.clamp_delta_at_zero)
+                    assert r.delta == d
+                    assert r.cagop == pytest.approx(want, rel=1e-12, abs=1e-300)
+                else:
+                    assert r.delta is None and r.cagop is None
+                assert r.score == pytest.approx(want, rel=1e-12, abs=1e-300)
+                assert r.detected_mispronounced is False
+    assert one_frame > 0 and ends_at_last > 0
+
+
+def test_segment_past_the_last_frame_is_rejected():
+    rng = np.random.default_rng(13)
+    ps = PhoneSet(("SIL", "A", "B"), silence_index=0)
+    pg = random_pg(rng, 6, 3)
+    al = Alignment((PhoneSegment(1, 0, 3), PhoneSegment(2, 3, 4)))
+    with pytest.raises(DataError, match=r"segment \[3,7\) exceeds 6 frames"):
+        score_utterance(pg, al, ps, DetectorConfig(variant="gop", beta=0.0))
 
 
 def test_sentence_score_is_the_mean():
     rep = scored_case(8, DetectorConfig(variant="gop", beta=0.0))
-    assert abs(sentence_score(rep) - np.mean(rep.scores)) <= 1e-12
+    assert abs(rep.sentence_score - np.mean(rep.scores)) <= 1e-12
 
 
 # --- calibration ------------------------------------------------------------

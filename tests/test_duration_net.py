@@ -18,6 +18,7 @@ from cagop.duration import (
     iter_tensors,
     l1_loss,
     predict_durations,
+    predict_durations_batch,
     sinusoidal_encoding,
     tiny_config,
     zeros_params,
@@ -315,3 +316,24 @@ def test_evaluate_mae_matches_per_sample_forward():
         expected_abs += float(np.abs(pred - np.asarray(s.durations)).sum())
         count += len(s)
     assert abs(evaluate_mae(params, cfg, samples) - expected_abs / count) <= 1e-9
+
+
+def test_batched_prediction_matches_per_sequence_forward():
+    # 100 sequences of lengths 1..100 in chunks of 9: eleven full chunks,
+    # then a final chunk of one sequence
+    cfg = small_cfg(batch_size=9, max_seq_len=100)
+    params = init_params(cfg, num_phones=6, rng=np.random.default_rng(11))
+    rng = np.random.default_rng(12)
+    sequences = [
+        ([int(p) for p in rng.integers(0, 6, size=t)], float(rng.uniform(2, 9)))
+        for t in rng.permutation(np.arange(1, 101))
+    ]
+    batched = predict_durations_batch(params, cfg, sequences)
+    assert len(batched) == len(sequences)
+    for (phones, speed), got in zip(sequences, batched):
+        want = np.maximum(forward(params, cfg, phones, speed), 1.0)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(predict_durations(params, cfg, phones, speed),
+                              predict_durations_batch(params, cfg,
+                                                      [(phones, speed)])[0])
