@@ -26,14 +26,14 @@ from .model import (
     Posteriorgram,
     ScoreReport,
 )
-# gop, center_gop and tascore are the per-segment oracles of _segment_scores;
+# gop and center_gop are the per-segment oracles of score_utterance;
 # benchmarks/tracing.py counts their calls under these module names.
 from .scoring import (  # noqa: F401
     ENTROPY_FLOOR,
+    FrameScores,
     center_gop,
     entropy_profile,
     gop,
-    tascore,
 )
 
 VARIANTS = ("gop", "center_gop", "cagop", "cagop_minus_dur", "cagop_minus_ta")
@@ -77,35 +77,39 @@ def cagop_score(
     return (1.0 - beta * delta) * ta_score
 
 
-def _segment_scores(
-    pg: Posteriorgram, segments: Sequence[PhoneSegment]
-) -> tuple[list[float], list[float], list[float]]:
-    """gop, center_gop and tascore of every segment in one pass.
-
-    The floored log posterior of each segment's phone is gathered once for
-    all segment frames and the row entropies once per utterance; segment
-    sums are taken with ``np.add.reduceat``. ``scoring.gop``,
-    ``center_gop`` and ``tascore`` are the per-segment definitions.
-    """
-    starts = np.array([s.start for s in segments])
+def _segment_offsets(segments: Sequence[PhoneSegment]):
+    """Segment lengths and their offsets in the concatenated segment frames."""
     lengths = np.array([s.length for s in segments])
+    return lengths, np.cumsum(lengths) - lengths
+
+
+def tascore(
+    pg: Posteriorgram, segments: Sequence[PhoneSegment]
+) -> tuple[np.ndarray, FrameScores]:
+    """Transition-aware score of every segment in one pass.
+
+    The segment-list form of ``scoring.tascore``: the floored log posterior
+    of each segment's phone is gathered once for all segment frames and the
+    row entropies once per utterance; segment sums are taken with
+    ``np.add.reduceat``. The frame scores cover the segments' frames
+    concatenated in order.
+    """
+    lengths, firsts = _segment_offsets(segments)
+    starts = np.array([s.start for s in segments])
     ends = starts + lengths
     if ends[-1] > pg.num_frames:
         bad = segments[int(np.argmax(ends > pg.num_frames))]
         raise DataError(
             f"segment [{bad.start},{bad.end}) exceeds {pg.num_frames} frames"
         )
-    firsts = np.cumsum(lengths) - lengths  # segment offsets within `frames`
     frames = np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
     phones = np.repeat([s.phone for s in segments], lengths)
     log_post = np.log(np.maximum(pg.probs[frames, phones], PROB_FLOOR))
-    reciprocal = 1.0 / np.maximum(entropy_profile(pg)[frames], ENTROPY_FLOOR)
+    entropies = entropy_profile(pg)[frames]
+    reciprocal = 1.0 / np.maximum(entropies, ENTROPY_FLOOR)
     weights = reciprocal / np.repeat(np.add.reduceat(reciprocal, firsts), lengths)
-    return (
-        (np.add.reduceat(log_post, firsts) / lengths).tolist(),
-        log_post[firsts + lengths // 2].tolist(),
-        np.add.reduceat(weights * log_post, firsts).tolist(),
-    )
+    scores = np.add.reduceat(weights * log_post, firsts)
+    return scores, FrameScores(log_post, entropies, weights)
 
 
 def score_utterance(
@@ -139,7 +143,7 @@ def score_utterance(
                 f"{len(predicted_durations)} duration predictions for "
                 f"{len(segments)} aligned phones"
             )
-        speed = DurationSample.from_alignment(alignment, phone_set).speed
+        speed = DurationSample.from_segments(segments).speed
         deltas = [
             duration_delta(
                 seg.length, pred, lookup_tolerance(balance, seg.phone, speed)
@@ -147,7 +151,12 @@ def score_utterance(
             for seg, pred in zip(segments, predicted_durations)
         ]
 
-    seg_gop, seg_center, seg_ta = _segment_scores(pg, segments)
+    ta_scores, frames = tascore(pg, segments)
+    lengths, firsts = _segment_offsets(segments)
+    log_post = frames.log_posteriors
+    seg_ta = ta_scores.tolist()
+    seg_gop = (np.add.reduceat(log_post, firsts) / lengths).tolist()
+    seg_center = log_post[firsts + lengths // 2].tolist()
     base = {
         "gop": seg_gop, "center_gop": seg_center, "cagop_minus_dur": seg_ta,
         "cagop": seg_ta, "cagop_minus_ta": seg_gop,

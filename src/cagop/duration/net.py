@@ -10,12 +10,12 @@ dependency-free and exactly checkable against finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..model import Alignment, DataError, PhoneSet
+from ..model import Alignment, DataError, PhoneSegment, PhoneSet
 
 LN_EPS = 1e-5
 MASK_NEG = -1e30
@@ -125,11 +125,15 @@ class DurationSample:
     def from_alignment(
         cls, alignment: Alignment, phone_set: PhoneSet
     ) -> "DurationSample":
-        """Aligned non-silence phones with their segment lengths as targets.
+        """Aligned non-silence phones with their segment lengths as targets."""
+        return cls.from_segments(alignment.non_silence(phone_set))
 
-        The speed is therefore the mean non-silence segment length.
+    @classmethod
+    def from_segments(cls, segments: Sequence[PhoneSegment]) -> "DurationSample":
+        """Segment phones with their lengths as targets.
+
+        The speed is therefore the mean segment length.
         """
-        segments = alignment.non_silence(phone_set)
         if not segments:
             raise DataError("alignment has no non-silence phones")
         return cls.from_durations(
@@ -172,12 +176,7 @@ class DurationNetParams:
         return self.phone_embeddings.shape[0]
 
 
-_BLOCK_FIELDS = (
-    "attn_query", "attn_key", "attn_value", "attn_out",
-    "ffn_in", "ffn_in_bias", "ffn_out", "ffn_out_bias",
-    "ln1_gain", "ln1_offset", "ln2_gain", "ln2_offset",
-    "log_sigma",
-)
+_BLOCK_FIELDS = tuple(f.name for f in fields(BlockParams))
 
 
 def iter_tensors(params: DurationNetParams) -> Iterator[tuple[str, np.ndarray]]:
@@ -229,17 +228,32 @@ def outer_shapes(
     }
 
 
-def zeros_params(cfg: DurationNetConfig, num_phones: int) -> DurationNetParams:
-    """All-zero tensors with the shapes init_params would produce."""
+def _build_params(
+    cfg: DurationNetConfig,
+    num_phones: int,
+    make: Callable[[str, tuple[int, ...]], np.ndarray],
+) -> DurationNetParams:
+    """Every tensor as make(name, shape), called in declaration order."""
     outer = outer_shapes(cfg, num_phones)
     block = block_shapes(cfg)
+    phone_embeddings = make("phone_embeddings", outer["phone_embeddings"])
+    speed_projection = make("speed_projection", outer["speed_projection"])
+    blocks = [
+        BlockParams(**{name: make(name, s) for name, s in block.items()})
+        for _ in range(cfg.num_blocks)
+    ]
     return DurationNetParams(
-        blocks=[
-            BlockParams(**{name: np.zeros(s) for name, s in block.items()})
-            for _ in range(cfg.num_blocks)
-        ],
-        **{name: np.zeros(s) for name, s in outer.items()},
+        phone_embeddings=phone_embeddings,
+        speed_projection=speed_projection,
+        blocks=blocks,
+        out_weight=make("out_weight", outer["out_weight"]),
+        out_bias=make("out_bias", outer["out_bias"]),
     )
+
+
+def zeros_params(cfg: DurationNetConfig, num_phones: int) -> DurationNetParams:
+    """All-zero tensors with the shapes init_params would produce."""
+    return _build_params(cfg, num_phones, lambda name, shape: np.zeros(shape))
 
 
 def clone_params(params: DurationNetParams) -> DurationNetParams:
@@ -269,36 +283,16 @@ def init_params(
     Tensors are drawn in declaration order, so a given rng state fixes the
     initialization bit for bit.
     """
-    if num_phones < 1:
-        raise DataError("need at least one phone")
-    d, f = cfg.embed_dim, cfg.ffn_dim
-    blocks = []
-    emb = _glorot(rng, (num_phones, d))
-    speed = _glorot(rng, (1, d))
-    for _ in range(cfg.num_blocks):
-        blocks.append(BlockParams(
-            attn_query=_glorot(rng, (d, d)),
-            attn_key=_glorot(rng, (d, d)),
-            attn_value=_glorot(rng, (d, d)),
-            attn_out=_glorot(rng, (d, d)),
-            ffn_in=_glorot(rng, (d, f)),
-            ffn_in_bias=np.zeros(f),
-            ffn_out=_glorot(rng, (f, d)),
-            ffn_out_bias=np.zeros(d),
-            ln1_gain=np.ones(d),
-            ln1_offset=np.zeros(d),
-            ln2_gain=np.ones(d),
-            ln2_offset=np.zeros(d),
-            log_sigma=np.full(cfg.num_heads, np.log(SIGMA_INIT)),
-        ))
-    out_w = _glorot(rng, (d, 1))
-    return DurationNetParams(
-        phone_embeddings=emb,
-        speed_projection=speed,
-        blocks=blocks,
-        out_weight=out_w,
-        out_bias=np.zeros(1),
-    )
+    def make(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 2:
+            return _glorot(rng, shape)
+        if name.endswith("_gain"):
+            return np.ones(shape)
+        if name == "log_sigma":
+            return np.full(shape, np.log(SIGMA_INIT))
+        return np.zeros(shape)
+
+    return _build_params(cfg, num_phones, make)
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:

@@ -24,6 +24,7 @@ from cagop import (
     tascore,
     threshold_for,
 )
+import cagop.detector
 from cagop.balance import BalanceRecord
 from cagop.detector import _sweep_threshold
 
@@ -152,6 +153,20 @@ def test_report_tascore_matches_scoring_module():
     # differently from np.sum over the segment's slice
     for r, seg in zip(rep.per_phone, al.segments):
         assert r.tascore == pytest.approx(tascore(pg, seg)[0], rel=1e-12, abs=0)
+
+
+def test_segment_list_tascore_concatenates_per_segment_frame_scores():
+    rng = np.random.default_rng(11)
+    pg = random_pg(rng, 20, 4)
+    segments = [PhoneSegment(1, 0, 1), PhoneSegment(3, 2, 5),
+                PhoneSegment(2, 7, 13)]
+    scores, frames = cagop.detector.tascore(pg, segments)
+    oracle = [tascore(pg, seg) for seg in segments]
+    assert scores == pytest.approx([s for s, _ in oracle], rel=1e-12, abs=0)
+    for field in ("log_posteriors", "entropies", "weights"):
+        want = np.concatenate([getattr(f, field) for _, f in oracle])
+        np.testing.assert_allclose(getattr(frames, field), want,
+                                   rtol=1e-12, atol=0)
 
 
 def _random_segmentation(rng, num_frames, num_phones):
