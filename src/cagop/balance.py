@@ -47,17 +47,23 @@ class BalanceRecord:
             raise DataError(f"speed must be positive, got {self.speed}")
 
 
+def _check_buckets(bucket_width: float, bucket_range: tuple[int, int]) -> None:
+    if not (math.isfinite(bucket_width) and bucket_width > 0):
+        raise DataError(
+            f"bucket_width must be finite and positive, got {bucket_width}"
+        )
+    if bucket_range[0] > bucket_range[1]:
+        raise DataError(f"bucket_range is inverted: {bucket_range}")
+
+
 def speed_bucket(
     speed: float,
     bucket_width: float = DEFAULT_BUCKET_WIDTH,
     bucket_range: tuple[int, int] = DEFAULT_BUCKET_RANGE,
 ) -> int:
     """Clamped round-half-up bucket index for a speed in frames."""
-    if bucket_width <= 0:
-        raise DataError(f"bucket_width must be positive, got {bucket_width}")
+    _check_buckets(bucket_width, bucket_range)
     lo, hi = bucket_range
-    if lo > hi:
-        raise DataError(f"bucket_range is inverted: {bucket_range}")
     # floor(x + 0.5) rather than round(): no banker's rounding surprises
     index = int(math.floor(speed / bucket_width + 0.5))
     return min(hi, max(lo, index))
@@ -72,6 +78,7 @@ class BalanceTable:
     bucket_range: tuple[int, int] = DEFAULT_BUCKET_RANGE
 
     def __post_init__(self):
+        _check_buckets(self.bucket_width, self.bucket_range)
         for t in list(self.entries.values()) + list(self.phone_backoff.values()):
             if t < 0 or not np.isfinite(t):
                 raise DataError(f"tolerance must be finite and >= 0, got {t}")

@@ -45,6 +45,7 @@ from .formats import (
     read_phone_set,
     read_posteriorgram,
     read_score_file,
+    read_text_manifest,
     read_thresholds,
     text_to_phones,
     write_balance_table,
@@ -57,7 +58,7 @@ from .formats import (
 from .metrics import confusion_counts, pearson, spearman
 from .model import CagopError, DataError, NumericError, validate_posteriorgram
 from .scoring import entropy_profile
-from .synth import SynthConfig, generate_corpus, read_text_manifest, write_corpus
+from .synth import SynthConfig, generate_corpus, write_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1

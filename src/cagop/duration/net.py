@@ -307,41 +307,39 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
     return enc
 
 
-def gaussian_bias(length: int, sigma: float) -> np.ndarray:
-    """Additive attention bias -(j-k)^2 / sigma^2, shape (length, length)."""
-    if length < 1:
-        raise DataError(f"length must be >= 1, got {length}")
-    if sigma <= 0:
-        raise DataError(f"sigma must be positive, got {sigma}")
-    offsets = np.arange(length, dtype=np.float64)
-    sq = (offsets[:, None] - offsets[None, :]) ** 2
-    return -sq / (sigma * sigma)
-
-
 def _softmax_last(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """Single-head scaled dot-product attention with an additive bias.
+def _squared_offsets(length: int) -> np.ndarray:
+    """(j - k)^2 for every pair of positions, shape (length, length)."""
+    positions = np.arange(length, dtype=np.float64)
+    return (positions[:, None] - positions[None, :]) ** 2
 
-    q, k, v are (T, d_h); bias is (T, T). The scaling dimension is the head
-    dimension d_h of the inputs.
+
+def attention(
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    log_sigma: np.ndarray,
+    mask: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention over zero-padded heads.
+
+    q, k, v are (B, H, T, d_h); log_sigma is (H,); mask is (B, T) with True
+    at real tokens. Head h adds the local Gaussian bias -(j-k)^2 / sigma_h^2
+    to its scores, and padded keys get exactly zero weight. Returns the
+    attention weights (B, H, T, T) and the context (B, H, T, d_h).
     """
-    q, k, v, bias = (np.asarray(a, dtype=np.float64) for a in (q, k, v, bias))
-    if q.shape != k.shape or k.shape != v.shape:
-        raise DataError("q, k, v must share one shape")
-    if bias.shape != (q.shape[0], q.shape[0]):
-        raise DataError(f"bias must be ({q.shape[0]}, {q.shape[0]})")
-    for name, a in (("q", q), ("k", k), ("v", v), ("bias", bias)):
-        if not np.isfinite(a).all():
-            raise DataError(f"non-finite values in {name}")
-    scores = q @ k.T / np.sqrt(q.shape[-1]) + bias
-    return _softmax_last(scores) @ v
+    sigma = np.exp(log_sigma)
+    bias = -_squared_offsets(mask.shape[1])[None] / (sigma ** 2)[:, None, None]
+    key_bias = np.where(mask, 0.0, MASK_NEG)[:, None, None, :]
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = q @ k.transpose(0, 1, 3, 2) * scale + bias[None] + key_bias
+    probs = _softmax_last(scores)
+    return probs, probs @ v
 
 
 def _dropout_keep(
@@ -431,24 +429,14 @@ def _forward_batch(
         embed_keep = _dropout_keep(rng, mask, d, cfg.dropout_rate)
         x = x * embed_keep
 
-    offsets_sq = (
-        np.arange(length, dtype=np.float64)[:, None]
-        - np.arange(length, dtype=np.float64)[None, :]
-    ) ** 2
-    key_bias = np.where(mask, 0.0, MASK_NEG)[:, None, None, :]
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-
     block_caches = []
     for block in params.blocks:
         x_in = x
         q = _pad_heads(x @ block.attn_query, mask, h)
         k = _pad_heads(x @ block.attn_key, mask, h)
         v = _pad_heads(x @ block.attn_value, mask, h)
-        sigma = np.exp(block.log_sigma)
-        bias = -offsets_sq[None] / (sigma ** 2)[:, None, None]
-        scores = q @ k.transpose(0, 1, 3, 2) * scale + bias[None] + key_bias
-        probs = _softmax_last(scores)
-        context = _pack_heads(probs @ v, mask)
+        probs, heads = attention(q, k, v, block.log_sigma, mask)
+        context = _pack_heads(heads, mask)
         attn_out = context @ block.attn_out
         attn_keep = ffn_keep = None
         if dropping:
@@ -466,7 +454,7 @@ def _forward_batch(
                                      block.ln2_offset)
         if cache is not None:
             block_caches.append(dict(
-                x_in=x_in, q=q, k=k, v=v, sigma=sigma, probs=probs,
+                x_in=x_in, q=q, k=k, v=v, probs=probs,
                 context=context, attn_keep=attn_keep, ln1=ln1, x1=x1,
                 hidden=hidden, relu=relu, ffn_keep=ffn_keep, ln2=ln2,
             ))
@@ -476,8 +464,7 @@ def _forward_batch(
     if cache is not None:
         cache.update(
             phone_ids=token_phones, speeds=token_speeds, mask=mask,
-            embed_keep=embed_keep, offsets_sq=offsets_sq,
-            blocks=block_caches, x_final=x,
+            embed_keep=embed_keep, blocks=block_caches, x_final=x,
         )
     return preds
 
@@ -503,7 +490,7 @@ def _backward_batch(
     dx = dpreds[:, None] * params.out_weight[:, 0]
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
-    offsets_sq = cache["offsets_sq"]
+    offsets_sq = _squared_offsets(mask.shape[1])
     for block, c, g in zip(
         reversed(params.blocks), reversed(cache["blocks"]),
         reversed(grads.blocks),
@@ -539,7 +526,8 @@ def _backward_batch(
         # d(bias)/d(log sigma) = 2*(j-k)^2/sigma^2, summed over batch rows
         dbias = dscores.sum(axis=0)
         g.log_sigma[:] = (
-            (dbias * offsets_sq).sum(axis=(1, 2)) * 2.0 / (c["sigma"] ** 2)
+            (dbias * offsets_sq).sum(axis=(1, 2)) * 2.0
+            / (np.exp(block.log_sigma) ** 2)
         )
         dq = _pack_heads(dscores @ k, mask) * scale
         dk = _pack_heads(dscores.transpose(0, 1, 3, 2) @ q, mask) * scale
@@ -560,17 +548,6 @@ def _backward_batch(
     np.add.at(grads.phone_embeddings, cache["phone_ids"], dx)
     grads.speed_projection[0] = cache["speeds"] @ dx
     return grads
-
-
-def l1_loss(pred: Sequence[float], target: Sequence[float]) -> float:
-    """Mean absolute error between two equal-length sequences."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise DataError(f"length mismatch: {pred.shape} vs {target.shape}")
-    if pred.size == 0:
-        raise DataError("l1_loss of empty sequences")
-    return float(np.mean(np.abs(pred - target)))
 
 
 def masked_l1_and_grads(

@@ -49,12 +49,68 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_lines(path) -> list[str]:
+def _read_bytes(path) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read: {exc}", path=path) from exc
+
+
+def _read_lines(path) -> list[str]:
+    blob = _read_bytes(path)
+    try:
+        return blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"not UTF-8 text: byte {exc.start} is {blob[exc.start]:#04x}",
+            path=path, line=blob.count(b"\n", 0, exc.start) + 1,
+        ) from None
+
+
+def _header(path, lines: list[str], keys: Sequence[str]) -> dict[str, str]:
+    """The key=value pairs of the first line; each of ``keys`` must be there."""
+    first = lines[0] if lines else ""
+    header = dict(p.split("=", 1) for p in first.split() if "=" in p)
+    for key in keys:
+        if key not in header:
+            raise FormatError(f"header missing {key}=", path=path, line=1)
+    return header
+
+
+def _rows(path, lines, fields, usage: str, first: int = 1, sep="\t"):
+    """(line number, parts) of each non-blank line, split at ``sep``.
+
+    ``fields`` is the number of parts every row has, or a dict from a row
+    kind (the first part) to the part counts that kind allows. Any other
+    row is a FormatError saying it expected ``usage``.
+    """
+    for i, raw in enumerate(lines, start=first):
+        if not raw.strip():
+            continue
+        parts = raw.split(sep)
+        if isinstance(fields, dict):
+            ok = len(parts) in fields.get(parts[0], ())
+        else:
+            ok = len(parts) == fields
+        if not ok:
+            raise FormatError(f"expected {usage}", path=path, line=i)
+        yield i, parts
+
+
+def _phone(phone_set: PhoneSet, label: str, path, line: int) -> int:
+    try:
+        return phone_set.index(label)
+    except DataError as exc:
+        raise FormatError(str(exc), path=path, line=line) from None
+
+
+def _build(make, path, line: int | None = None, **kwargs):
+    """make(**kwargs), with its DataError raised as a FormatError at path/line."""
+    try:
+        return make(**kwargs)
+    except DataError as exc:
+        raise FormatError(str(exc), path=path, line=line) from exc
 
 
 def _parse_int(text: str, path, line: int, what: str) -> int:
@@ -71,6 +127,13 @@ def _parse_float(text: str, path, line: int, what: str) -> float:
         raise FormatError(f"bad {what} {text!r}", path=path, line=line) from None
 
 
+def _parse_flag(text: str, path, line: int, what: str) -> bool:
+    if text not in ("0", "1"):
+        raise FormatError(f"{what} must be 0 or 1, got {text!r}",
+                          path=path, line=line)
+    return text == "1"
+
+
 # ---------------------------------------------------------------------------
 # posteriorgrams
 
@@ -83,11 +146,7 @@ def write_posteriorgram_binary(path, pg: Posteriorgram) -> None:
 
 
 def read_posteriorgram_binary(path) -> Posteriorgram:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read: {exc}", path=path) from exc
+    blob = _read_bytes(path)
     if blob[: len(PGM_MAGIC)] != PGM_MAGIC:
         raise FormatError("bad magic, not a posteriorgram file", path=path)
     offset = len(PGM_MAGIC)
@@ -103,7 +162,7 @@ def read_posteriorgram_binary(path) -> Posteriorgram:
         )
     probs = np.frombuffer(blob, dtype="<f4", count=frames * phones, offset=offset)
     probs = probs.astype(np.float64).reshape(frames, phones)
-    return Posteriorgram(probs=probs, frame_shift_ms=shift)
+    return _build(Posteriorgram, path, probs=probs, frame_shift_ms=shift)
 
 
 def read_posteriorgram(path) -> Posteriorgram:
@@ -132,32 +191,25 @@ def write_posteriorgram_text(path, pg: Posteriorgram) -> None:
 
 def read_posteriorgram_text(path) -> Posteriorgram:
     lines = _read_lines(path)
-    if not lines:
-        raise FormatError("empty posteriorgram file", path=path)
-    header = dict(
-        part.split("=", 1) for part in lines[0].split() if "=" in part
-    )
-    for key in ("frames", "phones", "shift_ms"):
-        if key not in header:
-            raise FormatError(f"header missing {key}=", path=path, line=1)
+    header = _header(path, lines, ("frames", "phones", "shift_ms"))
     frames = _parse_int(header["frames"], path, 1, "frame count")
     phones = _parse_int(header["phones"], path, 1, "phone count")
     shift = _parse_float(header["shift_ms"], path, 1, "frame shift")
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    if frames < 0 or phones < 0:
+        raise FormatError("negative frame or phone count", path=path, line=1)
+    # Values are kept only from rows of the declared width, so memory grows
+    # with the file's size, never with the counts its header claims.
+    rows = [
+        [_parse_float(p, path, i, "probability") for p in parts]
+        for i, parts in _rows(path, lines[1:], phones,
+                              f"{phones} probabilities", first=2, sep=None)
+    ]
     if len(rows) != frames:
         raise FormatError(
             f"expected {frames} rows, found {len(rows)}", path=path
         )
-    probs = np.empty((frames, phones), dtype=np.float64)
-    for i, ln in enumerate(rows):
-        parts = ln.split()
-        if len(parts) != phones:
-            raise FormatError(
-                f"row has {len(parts)} values, expected {phones}",
-                path=path, line=i + 2,
-            )
-        probs[i] = [_parse_float(p, path, i + 2, "probability") for p in parts]
-    return Posteriorgram(probs=probs, frame_shift_ms=shift)
+    probs = np.array(rows, dtype=np.float64).reshape(frames, phones)
+    return _build(Posteriorgram, path, probs=probs, frame_shift_ms=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +226,14 @@ def write_phone_set(path, phone_set: PhoneSet) -> None:
 def read_phone_set(path) -> PhoneSet:
     labels: list[str] = []
     silence: Optional[str] = None
-    for i, raw in enumerate(_read_lines(path), start=1):
+    for i, (raw,) in _rows(path, _read_lines(path), 1, "one phone label"):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#silence="):
             silence = line.split("=", 1)[1].strip()
             if not silence:
                 raise FormatError("empty silence label", path=path, line=i)
-            continue
-        if line.startswith("#"):
-            continue
-        labels.append(line)
+        elif not line.startswith("#"):
+            labels.append(line)
     if not labels:
         raise FormatError("no phone labels", path=path)
     silence_index = None
@@ -195,10 +243,8 @@ def read_phone_set(path) -> PhoneSet:
                 f"silence label {silence!r} not in inventory", path=path
             )
         silence_index = labels.index(silence)
-    try:
-        return PhoneSet(phones=tuple(labels), silence_index=silence_index)
-    except DataError as exc:
-        raise FormatError(str(exc), path=path) from exc
+    return _build(PhoneSet, path, phones=tuple(labels),
+                  silence_index=silence_index)
 
 
 def write_lexicon(path, lexicon: Mapping[str, tuple[str, ...]]) -> None:
@@ -209,26 +255,30 @@ def write_lexicon(path, lexicon: Mapping[str, tuple[str, ...]]) -> None:
 
 def read_lexicon(path, phone_set: PhoneSet) -> dict[str, tuple[str, ...]]:
     lexicon: dict[str, tuple[str, ...]] = {}
-    for i, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise FormatError("expected WORD<TAB>phones", path=path, line=i)
-        word = parts[0].strip().upper()
-        phones = tuple(parts[1].split())
+    for i, (word, pronunciation) in _rows(
+        path, _read_lines(path), 2, "WORD<TAB>phones"
+    ):
+        word = word.strip().upper()
+        phones = tuple(pronunciation.split())
         if not word or not phones:
             raise FormatError("empty word or pronunciation", path=path, line=i)
         for label in phones:
-            if label not in phone_set.phones:
-                raise FormatError(
-                    f"unknown phone {label!r} for word {word!r}",
-                    path=path, line=i,
-                )
+            _phone(phone_set, label, path, i)
         lexicon[word] = phones
     if not lexicon:
         raise FormatError("empty lexicon", path=path)
     return lexicon
+
+
+def read_text_manifest(path) -> list[tuple[str, str]]:
+    """Parse text.tsv lines utt_id<TAB>words."""
+    out = [
+        (utt_id, text) for _, (utt_id, text)
+        in _rows(path, _read_lines(path), 2, "utt<TAB>text")
+    ]
+    if not out:
+        raise FormatError("empty text manifest", path=path)
+    return out
 
 
 def text_to_phones(
@@ -266,25 +316,12 @@ def write_ctm(
 
 def read_ctm(path, phone_set: PhoneSet) -> list[tuple[str, Alignment]]:
     """Parse utterance alignments; utterance lines must be contiguous."""
-    groups: list[tuple[str, list[PhoneSegment]]] = []
+    # (utterance, line of its first row, segments)
+    groups: list[tuple[str, int, list[PhoneSegment]]] = []
     seen: set[str] = set()
-    for i, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 4:
-            raise FormatError(
-                "expected utt<TAB>phone<TAB>start<TAB>frames", path=path, line=i
-            )
-        utt_id = parts[0]
-        try:
-            phone = phone_set.index(parts[1])
-        except DataError:
-            raise FormatError(
-                f"unknown phone label {parts[1]!r}", path=path, line=i
-            ) from None
-        start = _parse_int(parts[2], path, i, "start frame")
-        length = _parse_int(parts[3], path, i, "frame count")
+    for i, (utt_id, label, start, length) in _rows(
+        path, _read_lines(path), 4, "utt<TAB>phone<TAB>start<TAB>frames"
+    ):
         if not groups or groups[-1][0] != utt_id:
             if utt_id in seen:
                 raise FormatError(
@@ -292,21 +329,19 @@ def read_ctm(path, phone_set: PhoneSet) -> list[tuple[str, Alignment]]:
                     path=path, line=i,
                 )
             seen.add(utt_id)
-            groups.append((utt_id, []))
-        try:
-            groups[-1][1].append(PhoneSegment(phone=phone, start=start,
-                                              length=length))
-        except DataError as exc:
-            raise FormatError(str(exc), path=path, line=i) from exc
+            groups.append((utt_id, i, []))
+        groups[-1][2].append(_build(
+            PhoneSegment, path, i,
+            phone=_phone(phone_set, label, path, i),
+            start=_parse_int(start, path, i, "start frame"),
+            length=_parse_int(length, path, i, "frame count"),
+        ))
     if not groups:
         raise FormatError("empty alignment file", path=path)
-    out = []
-    for utt_id, segments in groups:
-        try:
-            out.append((utt_id, Alignment(segments=tuple(segments))))
-        except DataError as exc:
-            raise FormatError(f"{utt_id!r}: {exc}", path=path) from exc
-    return out
+    return [
+        (utt_id, _build(Alignment, path, line, segments=tuple(segments)))
+        for utt_id, line, segments in groups
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -361,37 +396,21 @@ def write_annotations(path, annotations: AnnotationSet) -> None:
 def read_annotations(path) -> AnnotationSet:
     phones: list[PhoneAnnotation] = []
     sentences: list[SentenceRating] = []
-    for i, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        kind = parts[0]
+    for i, (kind, utt_id, field, value) in _rows(
+        path, _read_lines(path), {"P": (4,), "S": (4,)},
+        "P<TAB>utt<TAB>pos<TAB>label or S<TAB>utt<TAB>rater<TAB>score",
+    ):
         if kind == "P":
-            if len(parts) != 4:
-                raise FormatError("expected P<TAB>utt<TAB>pos<TAB>label",
-                                  path=path, line=i)
-            label = parts[3]
-            if label not in ("0", "1"):
-                raise FormatError(f"label must be 0 or 1, got {label!r}",
-                                  path=path, line=i)
-            phones.append(PhoneAnnotation(
-                utt_id=parts[1],
-                position=_parse_int(parts[2], path, i, "position"),
-                mispronounced=label == "1",
+            phones.append(_build(
+                PhoneAnnotation, path, i, utt_id=utt_id,
+                position=_parse_int(field, path, i, "position"),
+                mispronounced=_parse_flag(value, path, i, "label"),
             ))
-        elif kind == "S":
-            if len(parts) != 4:
-                raise FormatError("expected S<TAB>utt<TAB>rater<TAB>score",
-                                  path=path, line=i)
-            score = _parse_float(parts[3], path, i, "rater score")
-            try:
-                sentences.append(SentenceRating(
-                    utt_id=parts[1], rater_id=parts[2], score=score,
-                ))
-            except DataError as exc:
-                raise FormatError(str(exc), path=path, line=i) from exc
         else:
-            raise FormatError(f"unknown line kind {kind!r}", path=path, line=i)
+            sentences.append(_build(
+                SentenceRating, path, i, utt_id=utt_id, rater_id=field,
+                score=_parse_float(value, path, i, "rater score"),
+            ))
     if not phones and not sentences:
         raise FormatError("empty annotation file", path=path)
     return AnnotationSet(phones=tuple(phones), sentences=tuple(sentences))
@@ -424,45 +443,35 @@ def write_balance_table(path, table: BalanceTable, phone_set: PhoneSet) -> None:
 
 def read_balance_table(path, phone_set: PhoneSet) -> BalanceTable:
     lines = _read_lines(path)
-    if not lines:
-        raise FormatError("empty balance table", path=path)
-    header = dict(p.split("=", 1) for p in lines[0].split() if "=" in p)
-    for key in ("bucket_width", "bucket_min", "bucket_max"):
-        if key not in header:
-            raise FormatError(f"header missing {key}=", path=path, line=1)
-    width = _parse_float(header["bucket_width"], path, 1, "bucket width")
-    lo = _parse_int(header["bucket_min"], path, 1, "bucket min")
-    hi = _parse_int(header["bucket_max"], path, 1, "bucket max")
+    header = _header(path, lines, ("bucket_width", "bucket_min", "bucket_max"))
     entries: dict[tuple[int, int], float] = {}
     phone_backoff: dict[int, float] = {}
     global_backoff: Optional[float] = None
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise FormatError("expected label<TAB>bucket<TAB>T", path=path, line=i)
-        label, bucket_text, value_text = parts
-        value = _parse_float(value_text, path, i, "tolerance")
-        if bucket_text == GLOBAL_LABEL:
+    for i, (label, bucket, value) in _rows(
+        path, lines[1:], 3, "label<TAB>bucket<TAB>T", first=2
+    ):
+        value = _parse_float(value, path, i, "tolerance")
+        if bucket == GLOBAL_LABEL:
             global_backoff = value
-        elif bucket_text == PHONE_LEVEL_LABEL:
-            phone_backoff[phone_set.index(label)] = value
+        elif bucket == PHONE_LEVEL_LABEL:
+            phone_backoff[_phone(phone_set, label, path, i)] = value
         else:
-            bucket = _parse_int(bucket_text, path, i, "bucket index")
-            entries[(phone_set.index(label), bucket)] = value
+            entries[(
+                _phone(phone_set, label, path, i),
+                _parse_int(bucket, path, i, "bucket index"),
+            )] = value
     if global_backoff is None:
         raise FormatError("missing GLOBAL tolerance row", path=path)
-    try:
-        return BalanceTable(
-            entries=entries,
-            phone_backoff=phone_backoff,
-            global_backoff=global_backoff,
-            bucket_width=width,
-            bucket_range=(lo, hi),
-        )
-    except DataError as exc:
-        raise FormatError(str(exc), path=path) from exc
+    return _build(
+        BalanceTable, path,
+        entries=entries,
+        phone_backoff=phone_backoff,
+        global_backoff=global_backoff,
+        bucket_width=_parse_float(header["bucket_width"], path, 1,
+                                  "bucket width"),
+        bucket_range=(_parse_int(header["bucket_min"], path, 1, "bucket min"),
+                      _parse_int(header["bucket_max"], path, 1, "bucket max")),
+    )
 
 
 def write_thresholds(path, table: ThresholdTable, phone_set: PhoneSet) -> None:
@@ -478,17 +487,14 @@ def write_thresholds(path, table: ThresholdTable, phone_set: PhoneSet) -> None:
 def read_thresholds(path, phone_set: PhoneSet) -> ThresholdTable:
     per_phone: dict[int, float] = {}
     global_threshold: Optional[float] = None
-    for i, raw in enumerate(_read_lines(path), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise FormatError("expected label<TAB>threshold", path=path, line=i)
-        value = _parse_float(parts[1], path, i, "threshold")
-        if parts[0] == GLOBAL_LABEL:
+    for i, (label, value) in _rows(
+        path, _read_lines(path), 2, "label<TAB>threshold"
+    ):
+        value = _parse_float(value, path, i, "threshold")
+        if label == GLOBAL_LABEL:
             global_threshold = value
         else:
-            per_phone[phone_set.index(parts[0])] = value
+            per_phone[_phone(phone_set, label, path, i)] = value
     if global_threshold is None:
         raise FormatError("missing GLOBAL threshold row", path=path)
     return ThresholdTable(per_phone=per_phone, global_threshold=global_threshold)
@@ -519,11 +525,7 @@ def _stored_tensor_bytes(shapes) -> int:
 
 
 def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise FormatError(f"cannot read: {exc}", path=path) from exc
+    blob = _read_bytes(path)
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise FormatError("bad magic, not a duration checkpoint", path=path)
     offset = len(CKPT_MAGIC)
@@ -599,19 +601,16 @@ def read_training_log(path) -> list[TrainLogEntry]:
     lines = _read_lines(path)
     if not lines or lines[0] != "epoch\ttrain_loss\tval_mae":
         raise FormatError("missing training-log header", path=path, line=1)
-    out = []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise FormatError("expected epoch<TAB>loss<TAB>mae", path=path, line=i)
-        out.append(TrainLogEntry(
-            epoch=_parse_int(parts[0], path, i, "epoch"),
-            train_loss=_parse_float(parts[1], path, i, "train loss"),
-            val_mae=_parse_float(parts[2], path, i, "validation mae"),
-        ))
-    return out
+    return [
+        TrainLogEntry(
+            epoch=_parse_int(epoch, path, i, "epoch"),
+            train_loss=_parse_float(loss, path, i, "train loss"),
+            val_mae=_parse_float(mae, path, i, "validation mae"),
+        )
+        for i, (epoch, loss, mae) in _rows(
+            path, lines[1:], 3, "epoch<TAB>loss<TAB>mae", first=2
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -650,41 +649,29 @@ def write_score_file(path, scores: ScoreFile, phone_set: PhoneSet) -> None:
 
 def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
     lines = _read_lines(path)
-    if not lines or not lines[0].startswith("#variant="):
-        raise FormatError("missing #variant= header", path=path, line=1)
-    variant = lines[0].split("=", 1)[1]
+    variant = _header(path, lines, ("#variant",))["#variant"]
     rows: list[ScoreRow] = []
     sentences: list[tuple[str, float]] = []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
+    for i, parts in _rows(
+        path, lines[1:], {"P": (7, 8), "S": (3,)},
+        "P<TAB>utt<TAB>pos<TAB>phone<TAB>start<TAB>frames<TAB>score[<TAB>flag]"
+        " or S<TAB>utt<TAB>score", first=2,
+    ):
         if parts[0] == "P":
-            if len(parts) not in (7, 8):
-                raise FormatError("bad P row", path=path, line=i)
-            flag = None
-            if len(parts) == 8:
-                if parts[7] not in ("0", "1"):
-                    raise FormatError(f"flag must be 0 or 1, got {parts[7]!r}",
-                                      path=path, line=i)
-                flag = parts[7] == "1"
             rows.append(ScoreRow(
                 utt_id=parts[1],
                 position=_parse_int(parts[2], path, i, "position"),
-                phone=phone_set.index(parts[3]),
+                phone=_phone(phone_set, parts[3], path, i),
                 start=_parse_int(parts[4], path, i, "start"),
                 length=_parse_int(parts[5], path, i, "length"),
                 score=_parse_float(parts[6], path, i, "score"),
-                flag=flag,
+                flag=(_parse_flag(parts[7], path, i, "flag")
+                      if len(parts) == 8 else None),
             ))
-        elif parts[0] == "S":
-            if len(parts) != 3:
-                raise FormatError("bad S row", path=path, line=i)
+        else:
             sentences.append(
                 (parts[1], _parse_float(parts[2], path, i, "sentence score"))
             )
-        else:
-            raise FormatError(f"unknown row kind {parts[0]!r}", path=path, line=i)
     if not rows:
         raise FormatError("score file has no phone rows", path=path)
     return ScoreFile(variant=variant, rows=tuple(rows), sentences=tuple(sentences))

@@ -7,6 +7,7 @@ may be narrower (see formats module).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,8 +96,10 @@ class Posteriorgram:
             raise DataError(f"posteriorgram must be 2-D, got shape {probs.shape}")
         if probs.shape[0] < 1 or probs.shape[1] < 1:
             raise DataError(f"posteriorgram must be non-empty, got shape {probs.shape}")
-        if self.frame_shift_ms <= 0:
-            raise DataError(f"frame shift must be positive, got {self.frame_shift_ms}")
+        if not (math.isfinite(self.frame_shift_ms) and self.frame_shift_ms > 0):
+            raise DataError(
+                f"frame shift must be finite and positive, got {self.frame_shift_ms}"
+            )
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

@@ -20,6 +20,7 @@ from .formats import (
     AnnotationSet,
     PhoneAnnotation,
     SentenceRating,
+    read_text_manifest,  # noqa: F401  (re-exported)
     write_annotations,
     write_ctm,
     write_lexicon,
@@ -75,40 +76,37 @@ def default_lexicon() -> dict[str, tuple[str, ...]]:
     return dict(WORDS)
 
 
+# Generation constants, tuned for clear variant contrasts.
+FRAME_SHIFT_MS = 30.0
+DURATION_NOISE = 0.5
+SUBSTITUTION_RATE = 0.28
+DURATION_ERROR_RATE = 0.08
+STRETCH_FACTOR = 1.7
+SQUEEZE_FACTOR = 0.45
+CLEAR_MASS = (0.78, 0.9)     # dominant-phone mass of a confident frame
+LEAK = (0.08, 0.22)          # reference-phone mass in a substituted frame
+MUMBLE_RATE = (0.08, 0.28)   # share of uncertain frames in a segment
+MUMBLE_ALPHA = 3.0           # Dirichlet concentration of an uncertain frame
+BLUR_MIX = 0.5               # previous phone's share of a segment's first frame
+NUM_RATERS = 3
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generation knobs; defaults are tuned for clear variant contrasts."""
+    """Corpus size, seed, and the word-count and tempo ranges."""
 
     num_utterances: int = 200
     seed: int = 0
-    frame_shift_ms: float = 30.0
     min_words: int = 2
     max_words: int = 4
     tempo_low: float = 0.8
     tempo_high: float = 1.25
-    duration_noise: float = 0.5
-    substitution_rate: float = 0.28
-    duration_error_rate: float = 0.08
-    stretch_factor: float = 1.7
-    squeeze_factor: float = 0.45
-    clear_mass_low: float = 0.78
-    clear_mass_high: float = 0.9
-    leak_low: float = 0.08
-    leak_high: float = 0.22
-    mumble_rate_low: float = 0.08
-    mumble_rate_high: float = 0.28
-    mumble_alpha: float = 3.0
-    mumble_tilt: float = 0.0
-    blur_mix: float = 0.5
-    num_raters: int = 3
 
     def __post_init__(self):
         if self.num_utterances < 1:
             raise DataError("num_utterances must be >= 1")
         if not 1 <= self.min_words <= self.max_words:
             raise DataError("need 1 <= min_words <= max_words")
-        if self.frame_shift_ms <= 0:
-            raise DataError("frame_shift_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,13 +142,12 @@ def _clear_distribution(
     rng: np.random.Generator,
     phone_set: PhoneSet,
     true_phone: int,
-    cfg: SynthConfig,
     leak_phone: int | None = None,
     leak: float = 0.0,
 ) -> np.ndarray:
     """One confident frame: most mass on true_phone, optional leak phone."""
     n = len(phone_set)
-    mass = rng.uniform(cfg.clear_mass_low, cfg.clear_mass_high)
+    mass = rng.uniform(*CLEAR_MASS)
     rest = np.asarray(rng.dirichlet(np.ones(n - 1)))
     probs = np.empty(n)
     others = [i for i in range(n) if i != true_phone]
@@ -165,20 +162,14 @@ def _clear_distribution(
 
 
 def _mumble_distribution(
-    rng: np.random.Generator, phone_set: PhoneSet, true_phone: int,
-    cfg: SynthConfig,
+    rng: np.random.Generator, phone_set: PhoneSet
 ) -> np.ndarray:
-    """One uncertain frame: near-flat posteriors, optionally tilted to truth.
+    """One uncertain frame: near-flat posteriors.
 
-    mumble_alpha controls flatness (higher = flatter = higher entropy);
+    MUMBLE_ALPHA controls flatness (higher = flatter = higher entropy);
     these are the frames entropy weighting is supposed to discount.
     """
-    n = len(phone_set)
-    probs = np.asarray(rng.dirichlet(np.full(n, cfg.mumble_alpha)))
-    if cfg.mumble_tilt > 0.0:
-        probs[true_phone] += cfg.mumble_tilt
-        probs = probs / probs.sum()
-    return probs
+    return np.asarray(rng.dirichlet(np.full(len(phone_set), MUMBLE_ALPHA)))
 
 
 @dataclass(frozen=True)
@@ -218,27 +209,27 @@ def rule_durations(
 
 def _render_segment(
     rng: np.random.Generator, phone_set: PhoneSet, plan: _SegmentPlan,
-    prev_realized: int | None, cfg: SynthConfig,
+    prev_realized: int | None,
 ) -> np.ndarray:
     frames = np.empty((plan.length, len(phone_set)))
     if plan.is_silence:
         for i in range(plan.length):
-            frames[i] = _clear_distribution(rng, phone_set, plan.realized, cfg)
+            frames[i] = _clear_distribution(rng, phone_set, plan.realized)
     else:
-        mumble_rate = rng.uniform(cfg.mumble_rate_low, cfg.mumble_rate_high)
-        leak = rng.uniform(cfg.leak_low, cfg.leak_high)
+        mumble_rate = rng.uniform(*MUMBLE_RATE)
+        leak = rng.uniform(*LEAK)
         for i in range(plan.length):
             if rng.random() < mumble_rate:
-                frames[i] = _mumble_distribution(rng, phone_set, plan.realized, cfg)
+                frames[i] = _mumble_distribution(rng, phone_set)
             else:
                 frames[i] = _clear_distribution(
-                    rng, phone_set, plan.realized, cfg,
+                    rng, phone_set, plan.realized,
                     leak_phone=plan.leak_to, leak=leak,
                 )
     if prev_realized is not None and plan.length > 0:
         # coarticulation: the entry frame still carries the previous phone
-        carry = _clear_distribution(rng, phone_set, prev_realized, cfg)
-        frames[0] = cfg.blur_mix * carry + (1.0 - cfg.blur_mix) * frames[0]
+        carry = _clear_distribution(rng, phone_set, prev_realized)
+        frames[0] = BLUR_MIX * carry + (1.0 - BLUR_MIX) * frames[0]
     return frames
 
 
@@ -262,17 +253,17 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
         ]
         tempo = rng.uniform(cfg.tempo_low, cfg.tempo_high)
         durations = rule_durations(rng, phone_set, reference, tempo,
-                                   cfg.duration_noise)
+                                   DURATION_NOISE)
 
         realized = list(reference)
         wrong = [False] * len(reference)
-        if rng.random() < cfg.substitution_rate:
+        if rng.random() < SUBSTITUTION_RATE:
             k = 1 if len(reference) < 6 else int(rng.integers(1, 3))
             for pos in rng.choice(len(reference), size=k, replace=False):
                 label = phone_set.label(reference[pos])
                 realized[pos] = phone_set.index(CONFUSIONS[label])
                 wrong[pos] = True
-        if rng.random() < cfg.duration_error_rate:
+        if rng.random() < DURATION_ERROR_RATE:
             # distort a long phone; short ones cannot move past tolerance
             eligible = [
                 i for i in range(len(reference))
@@ -280,7 +271,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
             ]
             if eligible:
                 pos = int(eligible[int(rng.integers(len(eligible)))])
-                factor = cfg.stretch_factor if rng.random() < 0.5 else cfg.squeeze_factor
+                factor = STRETCH_FACTOR if rng.random() < 0.5 else SQUEEZE_FACTOR
                 durations[pos] = max(2, round(durations[pos] * factor))
                 wrong[pos] = True
 
@@ -305,13 +296,13 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
         segments = []
         start = 0
         for plan in plans:
-            chunks.append(_render_segment(rng, phone_set, plan, prev, cfg))
+            chunks.append(_render_segment(rng, phone_set, plan, prev))
             segments.append(PhoneSegment(phone=plan.reference, start=start,
                                          length=plan.length))
             start += plan.length
             prev = plan.realized
         probs = np.vstack(chunks)
-        pg = Posteriorgram(probs=probs, frame_shift_ms=cfg.frame_shift_ms)
+        pg = Posteriorgram(probs=probs, frame_shift_ms=FRAME_SHIFT_MS)
 
         wrong_frac = sum(wrong) / len(wrong)
         ratings = tuple(
@@ -323,7 +314,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
                     0.0, 10.0,
                 )),
             )
-            for r in range(cfg.num_raters)
+            for r in range(NUM_RATERS)
         )
         utterances.append(SynthUtterance(
             utt_id=utt_id,
@@ -362,24 +353,6 @@ def write_corpus(directory, corpus: SynthCorpus) -> None:
     for utt in corpus.utterances:
         write_posteriorgram_binary(root / "post" / f"{utt.utt_id}.pgm",
                                    utt.posteriorgram)
-
-
-def read_text_manifest(path) -> list[tuple[str, str]]:
-    """Parse text.tsv lines utt_id<TAB>words."""
-    from .model import FormatError
-
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, raw in enumerate(fh.read().splitlines(), start=1):
-            if not raw.strip():
-                continue
-            parts = raw.split("\t")
-            if len(parts) != 2:
-                raise FormatError("expected utt<TAB>text", path=path, line=i)
-            out.append((parts[0], parts[1]))
-    if not out:
-        raise FormatError("empty text manifest", path=path)
-    return out
 
 
 def rule_duration_corpus(

@@ -5,6 +5,7 @@ import pytest
 
 from cagop import (
     BalanceRecord,
+    BalanceTable,
     delta,
     fit_balance_table,
     lookup_tolerance,
@@ -154,6 +155,17 @@ def test_bucket_clamps_to_range():
 def test_bucket_width_scales_the_axis():
     assert speed_bucket(10.0, bucket_width=2.0) == 5
     assert speed_bucket(11.0, bucket_width=2.0) == 6
+
+
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -1.0])
+def test_table_requires_finite_positive_bucket_width(width):
+    with pytest.raises(DataError, match="bucket_width"):
+        BalanceTable({}, {}, 1.0, bucket_width=width)
+
+
+def test_table_rejects_inverted_bucket_range():
+    with pytest.raises(DataError, match="inverted"):
+        BalanceTable({}, {}, 1.0, bucket_range=(5, 4))
 
 
 def test_delta_zero_mismatch_is_minus_tolerance():

@@ -310,6 +310,19 @@ def test_oversized_checkpoint_header_is_rejected_before_allocation(
     assert "header implies" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("phones", ["100000000000", "-2"])
+def test_pgt_phone_count_is_checked_before_allocation(phones, tmp_path, capsys):
+    # 10**11 phones would be 745 GiB for the one declared frame
+    bad = tmp_path / "bad.pgt"
+    bad.write_text(f"frames=1 phones={phones} shift_ms=30.0\n0.5 0.5\n")
+    with pytest.raises(FormatError):
+        read_posteriorgram(bad)
+    code = main(["entropy-dump", "--posteriors", str(bad),
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_score_rejects_utterance_longer_than_the_duration_net(
         pipeline, tmp_path, capsys):
     ps = read_phone_set(pipeline["phones"])

@@ -13,10 +13,8 @@ from cagop.duration import (
     evaluate_mae,
     forward,
     full_config,
-    gaussian_bias,
     init_params,
     iter_tensors,
-    l1_loss,
     predict_durations,
     predict_durations_batch,
     sinusoidal_encoding,
@@ -79,44 +77,55 @@ def test_tiny_and_desk_configs_are_valid():
     assert desk_config().head_dim * desk_config().num_heads == 64
 
 
-# --- gaussian bias ----------------------------------------------------------
+# --- attention ----------------------------------------------------------------
+#
+# attention() is the function the forward pass calls; inputs are (B, H, T, d_h)
+# heads, one log-sigma per head and a (B, T) mask of real tokens.
+
+
+def attend(q, k, v, sigma, mask=None):
+    """attention() on one head of one sequence; q, k, v are (T, d_h)."""
+    heads = [np.asarray(a, dtype=np.float64)[None, None] for a in (q, k, v)]
+    if mask is None:
+        mask = np.ones((1, len(q)), dtype=bool)
+    probs, context = attention(*heads, np.log([sigma]), mask)
+    return probs[0, 0], context[0, 0]
+
+
+def bias_of(t, sigma):
+    """The Gaussian bias, read back from the weights of zero queries."""
+    z = np.zeros((t, 2))
+    probs, _ = attend(z, z, z, sigma)
+    return np.log(probs) - np.log(np.diag(probs))[:, None]
 
 
 def test_bias_diagonal_is_zero():
     for t in (1, 4, 9):
-        assert np.all(np.diag(gaussian_bias(t, 1.7)) == 0.0)
+        b = bias_of(t, 1.7)
+        assert np.all(np.diag(b) == 0.0)
+        assert np.all(b <= 0.0)
 
 
 def test_bias_unit_sigma_unit_offset():
-    b = gaussian_bias(3, 1.0)
-    assert b[0, 1] == -1.0
-    assert b[2, 1] == -1.0
+    b = bias_of(3, 1.0)
+    assert abs(b[0, 1] - (-1.0)) < 1e-14
+    assert abs(b[2, 1] - (-1.0)) < 1e-14
 
 
 def test_bias_quarter_case():
-    assert abs(gaussian_bias(5, 2.0)[0, 3] - (-2.25)) < 1e-15
+    assert abs(bias_of(5, 2.0)[0, 3] - (-2.25)) < 1e-14
 
 
 def test_bias_symmetry():
     for t in (2, 5, 16):
-        b = gaussian_bias(t, 0.9)
-        assert np.array_equal(b, b.T)
-
-
-def test_bias_requires_positive_sigma():
-    with pytest.raises(DataError):
-        gaussian_bias(3, 0.0)
-
-
-# --- attention --------------------------------------------------------------
+        b = bias_of(t, 0.9)
+        assert np.allclose(b, b.T, rtol=0, atol=1e-12)
 
 
 def test_attention_single_position_returns_value_row():
     rng = np.random.default_rng(0)
-    q = rng.normal(size=(1, 4))
-    k = rng.normal(size=(1, 4))
-    v = rng.normal(size=(1, 4))
-    out = attention(q, k, v, np.zeros((1, 1)))
+    q, k, v = rng.normal(size=(3, 1, 4))
+    _, out = attend(q, k, v, 1.0)
     assert np.allclose(out, v, rtol=0, atol=1e-15)
 
 
@@ -124,50 +133,40 @@ def test_attention_zero_queries_average_values():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(2, 4))
     z = np.zeros((2, 4))
-    out = attention(z, z, v, np.zeros((2, 2)))
+    _, out = attend(z, z, v, 1e9)
     assert np.allclose(out, np.tile(v.mean(axis=0), (2, 1)), rtol=0, atol=1e-14)
 
 
 def test_attention_saturated_bias_selects_position():
+    # sigma 1e-3 puts -1e6 on every off-diagonal score, so each query
+    # attends to its own position
     rng = np.random.default_rng(2)
-    q = rng.normal(size=(2, 4))
-    k = rng.normal(size=(2, 4))
-    v = rng.normal(size=(2, 4))
-    bias = np.array([[0.0, -1000.0], [0.0, -1000.0]])
-    out = attention(q, k, v, bias)
-    assert np.allclose(out, np.tile(v[0], (2, 1)), rtol=0, atol=1e-6)
+    q, k, v = rng.normal(size=(3, 4, 4))
+    probs, out = attend(q, k, v, 1e-3)
+    assert np.array_equal(probs, np.eye(4))
+    assert np.allclose(out, v, rtol=0, atol=1e-15)
 
 
 def test_attention_rows_normalize_even_with_huge_negative_bias():
+    # padded keys carry a -1e30 bias; their weight must be exactly zero
     rng = np.random.default_rng(3)
-    t = 5  # value dim matches t so identity columns read the weights back
-    q = rng.normal(size=(t, t))
-    k = rng.normal(size=(t, t))
-    bias = np.full((t, t), -1e30)
-    np.fill_diagonal(bias, 0.0)
-    # reconstruct the weights by feeding one-hot value columns
-    weights = attention(q, k, np.eye(t), bias)
-    assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
-    assert np.allclose(weights, np.eye(t), rtol=0, atol=1e-12)
+    t = 5
+    q, k, v = rng.normal(size=(3, 2, 3, t, 4))
+    mask = np.array([[True] * t, [True, True, False, False, False]])
+    probs, _ = attention(q, k, v, np.log([0.5, 4.0, 1e6]), mask)
+    assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12)
+    assert np.all(probs[1, :, :, 2:] == 0.0)
 
 
 def test_large_sigma_bias_vanishes():
     t = 6
     rng = np.random.default_rng(4)
-    q = rng.normal(size=(t, 3))
-    k = rng.normal(size=(t, 3))
-    v = rng.normal(size=(t, 3))
-    biased = attention(q, k, v, gaussian_bias(t, 1e9))
-    unbiased = attention(q, k, v, np.zeros((t, t)))
+    q, k, v = rng.normal(size=(3, t, 3))
+    _, biased = attend(q, k, v, 1e9)
+    scores = q @ k.T / np.sqrt(3)
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    unbiased = weights / weights.sum(axis=1, keepdims=True) @ v
     assert np.allclose(biased, unbiased, rtol=0, atol=1e-9)
-
-
-def test_attention_rejects_nan():
-    z = np.zeros((2, 2))
-    bad = z.copy()
-    bad[0, 0] = np.nan
-    with pytest.raises(DataError):
-        attention(bad, z, z, np.zeros((2, 2)))
 
 
 # --- positional encoding ----------------------------------------------------
@@ -260,14 +259,6 @@ def test_train_mode_dropout_is_seeded():
 
 
 # --- loss, samples, prediction ----------------------------------------------
-
-
-def test_l1_loss_fixtures():
-    assert l1_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert l1_loss([2.0, 4.0], [3.0, 3.0]) == 1.0
-    assert l1_loss([1.5], [1.0]) == 0.5
-    with pytest.raises(DataError):
-        l1_loss([1.0], [1.0, 2.0])
 
 
 def test_sample_speed_must_be_mean_duration():

@@ -16,6 +16,8 @@ from cagop import (
 from cagop.balance import BalanceRecord
 from cagop.duration import TrainLogEntry, init_params, tiny_config, iter_tensors
 from cagop.formats import (
+    PGM_MAGIC,
+    _PGM_HEADER,
     AnnotationSet,
     PhoneAnnotation,
     ScoreFile,
@@ -121,6 +123,29 @@ def test_text_rejects_short_row(tmp_path):
     with pytest.raises(FormatError) as err:
         read_posteriorgram_text(path)
     assert err.value.line == 2
+
+
+def test_text_rejects_nan_frame_shift(tmp_path):
+    path = tmp_path / "nan.pgt"
+    path.write_text("frames=1 phones=2 shift_ms=nan\n0.5 0.5\n")
+    with pytest.raises(FormatError, match="frame shift"):
+        read_posteriorgram(path)
+
+
+def test_binary_rejects_nan_frame_shift(tmp_path):
+    path = tmp_path / "nan.pgm"
+    path.write_bytes(PGM_MAGIC + _PGM_HEADER.pack(1, 2, float("nan"))
+                     + np.full(2, 0.5, dtype="<f4").tobytes())
+    with pytest.raises(FormatError, match="frame shift"):
+        read_posteriorgram(path)
+
+
+def test_text_reader_names_undecodable_byte_line(tmp_path):
+    path = tmp_path / "bad.pgt"
+    path.write_bytes(b"frames=2 phones=2 shift_ms=30.0\n0.5 0.5\n0.5 \xff\n")
+    with pytest.raises(FormatError, match="UTF-8") as err:
+        read_posteriorgram(path)
+    assert err.value.line == 3
 
 
 def test_missing_file_reports_path(tmp_path):
@@ -304,6 +329,23 @@ def test_balance_table_requires_global_row(tmp_path):
     path.write_text("bucket_width=1.0 bucket_min=2 bucket_max=20\nAA\t5\t1.5\n")
     with pytest.raises(FormatError, match="GLOBAL"):
         read_balance_table(path, PS)
+
+
+def test_balance_table_rejects_nan_bucket_width(tmp_path):
+    path = tmp_path / "bal.tsv"
+    path.write_text("bucket_width=nan bucket_min=2 bucket_max=20\n"
+                    "-\tGLOBAL\t1.5\n")
+    with pytest.raises(FormatError, match="bucket_width"):
+        read_balance_table(path, PS)
+
+
+def test_balance_table_names_line_of_unknown_phone(tmp_path):
+    path = tmp_path / "bal.tsv"
+    path.write_text("bucket_width=1.0 bucket_min=2 bucket_max=20\n"
+                    "AA\t5\t1.5\nZZ\tPHONE\t1.0\n-\tGLOBAL\t1.5\n")
+    with pytest.raises(FormatError, match="ZZ") as err:
+        read_balance_table(path, PS)
+    assert err.value.line == 3
 
 
 def test_thresholds_roundtrip(tmp_path):

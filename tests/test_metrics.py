@@ -143,6 +143,9 @@ def test_flag_list_length_mismatch():
 
 def test_mae_fixtures():
     assert mae_frames([3.0, 4.0], [3.0, 4.0]) == 0.0
+    assert mae_frames([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert mae_frames([2.0, 4.0], [3.0, 3.0]) == 1.0
+    assert mae_frames([1.5], [1.0]) == 0.5
     assert mae_ms([4.0, 6.0], [3.0, 4.0], frame_shift_ms=30.0) == 45.0
     assert mae_ms([2.5], [2.0], frame_shift_ms=30.0) == 15.0
 

@@ -28,6 +28,12 @@ def test_valid_rows_accepted():
     assert np.array_equal(out.probs, pg.probs)
 
 
+@pytest.mark.parametrize("shift", [float("nan"), float("inf"), 0.0, -30.0])
+def test_frame_shift_must_be_finite_and_positive(shift):
+    with pytest.raises(DataError, match="frame shift"):
+        Posteriorgram(np.full((1, 2), 0.5), frame_shift_ms=shift)
+
+
 def test_row_sum_violation_rejected():
     pg = make_pg([[0.7, 0.7]])
     with pytest.raises(DataError, match="1.4"):

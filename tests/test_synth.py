@@ -13,6 +13,7 @@ from cagop.formats import (
 )
 from cagop.synth import (
     MEAN_FRAMES,
+    NUM_RATERS,
     STOPS,
     SynthConfig,
     default_phone_set,
@@ -112,7 +113,7 @@ def test_corpus_utterances_are_internally_consistent():
         assert len(non_sil) == len(utt.reference_phones)
         covered = sum(s.length for s in utt.alignment.segments)
         assert covered == utt.posteriorgram.num_frames
-        assert len(utt.ratings) == SMALL.num_raters
+        assert len(utt.ratings) == NUM_RATERS
         for r in utt.ratings:
             assert 0.0 <= r.score <= 10.0
         for word in utt.text.split():
