@@ -11,7 +11,6 @@ command-line pipeline, and a synthetic corpus generator.
 
 from .align import AlignConfig, align, alignment_log_score
 from .balance import (
-    BalanceRecord,
     BalanceTable,
     delta,
     fit_balance_table,
@@ -24,11 +23,11 @@ from .detector import (
     ThresholdTable,
     cagop_score,
     calibrate_thresholds,
-    detect,
     detect_flags,
     score_utterance,
     threshold_for,
 )
+from .duration import DurationSample
 from .model import (
     Alignment,
     CagopError,
@@ -57,11 +56,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignConfig",
     "Alignment",
-    "BalanceRecord",
     "BalanceTable",
     "CagopError",
     "DataError",
     "DetectorConfig",
+    "DurationSample",
     "FormatError",
     "FrameScores",
     "NumericError",
@@ -78,7 +77,6 @@ __all__ = [
     "calibrate_thresholds",
     "center_gop",
     "delta",
-    "detect",
     "detect_flags",
     "entropy_profile",
     "fit_balance_table",

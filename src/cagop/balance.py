@@ -10,41 +10,18 @@ duration is within normal variation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .duration.net import DurationSample
 from .model import DataError
 
 DEFAULT_BUCKET_WIDTH = 1.0
 DEFAULT_BUCKET_RANGE = (2, 20)
 MIN_CELL_COUNT = 5
 STD_WEIGHT = 1.5
-
-
-@dataclass(frozen=True)
-class BalanceRecord:
-    """Durations of one utterance: aligned truth vs model prediction."""
-
-    phones: tuple[int, ...]
-    aligned: tuple[float, ...]
-    predicted: tuple[float, ...]
-    speed: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phones", tuple(int(p) for p in self.phones))
-        object.__setattr__(self, "aligned", tuple(float(d) for d in self.aligned))
-        object.__setattr__(self, "predicted",
-                           tuple(float(d) for d in self.predicted))
-        if not self.phones:
-            raise DataError("balance record has no phones")
-        if not len(self.phones) == len(self.aligned) == len(self.predicted):
-            raise DataError("balance record fields differ in length")
-        if any(d <= 0 for d in self.aligned + self.predicted):
-            raise DataError("durations must be positive")
-        if self.speed <= 0:
-            raise DataError(f"speed must be positive, got {self.speed}")
 
 
 def _check_buckets(bucket_width: float, bucket_range: tuple[int, int]) -> None:
@@ -95,26 +72,39 @@ def _tolerance(errors: Sequence[float]) -> float:
 
 
 def fit_balance_table(
-    records: Sequence[BalanceRecord],
+    samples: Sequence[DurationSample],
+    predicted: Sequence[Sequence[float]],
     bucket_width: float = DEFAULT_BUCKET_WIDTH,
     bucket_range: tuple[int, int] = DEFAULT_BUCKET_RANGE,
     min_count: int = MIN_CELL_COUNT,
 ) -> BalanceTable:
     """Fit per-(phone, speed-bucket) tolerances with two-level backoff.
 
-    Cells with fewer than min_count observations are dropped; lookups for
-    them fall back to the phone-level tolerance and then to the global one.
+    ``predicted`` holds one positive prediction per phone of each sample.
+    A sample is bucketed by its speed, the mean aligned duration, which is
+    also the speed scoring looks its tolerances up by. Cells with fewer
+    than min_count observations are dropped; lookups for them fall back to
+    the phone-level tolerance and then to the global one.
     """
-    if not records:
+    if not samples:
         raise DataError("cannot fit a balance table from an empty corpus")
+    if len(predicted) != len(samples):
+        raise DataError(
+            f"{len(predicted)} prediction sequences for {len(samples)} samples"
+        )
     if min_count < 1:
         raise DataError(f"min_count must be >= 1, got {min_count}")
     by_cell: dict[tuple[int, int], list[float]] = {}
     by_phone: dict[int, list[float]] = {}
     everything: list[float] = []
-    for rec in records:
-        bucket = speed_bucket(rec.speed, bucket_width, bucket_range)
-        for phone, d_align, d_pred in zip(rec.phones, rec.aligned, rec.predicted):
+    for sample, preds in zip(samples, predicted):
+        preds = [float(p) for p in preds]
+        if len(preds) != len(sample):
+            raise DataError(f"{len(preds)} predictions for {len(sample)} phones")
+        if not all(p > 0 for p in preds):
+            raise DataError("predicted durations must be positive")
+        bucket = speed_bucket(sample.speed, bucket_width, bucket_range)
+        for phone, d_align, d_pred in zip(sample.phones, sample.durations, preds):
             err = abs(d_align - d_pred)
             by_cell.setdefault((phone, bucket), []).append(err)
             by_phone.setdefault(phone, []).append(err)

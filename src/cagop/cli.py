@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .align import AlignConfig, align as force_align
-from .balance import BalanceRecord, fit_balance_table
+from .balance import fit_balance_table
 from .detector import (
     VARIANTS,
     DetectorConfig,
     calibrate_thresholds,
-    detect,
     detect_flags,
     score_utterance,
 )
@@ -124,21 +124,20 @@ def _cmd_align(args) -> int:
 
 
 def _predict_durations(checkpoint_path, samples):
-    """utt_id -> predictions for every (utt_id, sample), in one batched call."""
+    """Predictions for every DurationSample, in one batched call."""
     params, net_cfg = read_checkpoint(checkpoint_path)
-    predicted = predict_durations_batch(
-        params, net_cfg, [(s.phones, s.speed) for _, s in samples]
+    return predict_durations_batch(
+        params, net_cfg, [(s.phones, s.speed) for s in samples]
     )
-    return {utt_id: preds for (utt_id, _), preds in zip(samples, predicted)}
 
 
 def _duration_samples(entries, phone_set):
-    """(utt_id, sample) for every CTM entry with a non-silence phone."""
-    return [
-        (utt_id, DurationSample.from_alignment(alignment, phone_set))
+    """utt_id -> sample for every CTM entry with a non-silence phone."""
+    return {
+        utt_id: DurationSample.from_alignment(alignment, phone_set)
         for utt_id, alignment in entries
         if alignment.non_silence(phone_set)
-    ]
+    }
 
 
 def _cmd_score(args) -> int:
@@ -157,9 +156,10 @@ def _cmd_score(args) -> int:
                 "--balance and --checkpoint"
             )
         balance = read_balance_table(args.balance, phone_set)
-        predicted = _predict_durations(
-            args.checkpoint, _duration_samples(entries, phone_set)
-        )
+        samples = _duration_samples(entries, phone_set)
+        predicted = dict(zip(
+            samples, _predict_durations(args.checkpoint, samples.values())
+        ))
     thresholds = (
         read_thresholds(args.thresholds, phone_set)
         if args.thresholds is not None else None
@@ -175,8 +175,6 @@ def _cmd_score(args) -> int:
             predicted_durations=predicted.get(utt_id), balance=balance,
             utterance_id=utt_id,
         )
-        if thresholds is not None:
-            report = detect(report, thresholds)
         for pos, record in enumerate(report.per_phone):
             rows.append(ScoreRow(
                 utt_id=utt_id,
@@ -185,10 +183,12 @@ def _cmd_score(args) -> int:
                 start=record.segment.start,
                 length=record.segment.length,
                 score=record.score,
-                flag=(record.detected_mispronounced
-                      if thresholds is not None else None),
             ))
         sentences.append((utt_id, report.sentence_score))
+    if thresholds is not None:
+        flags = detect_flags([row.phone for row in rows],
+                             [row.score for row in rows], thresholds)
+        rows = [replace(row, flag=flag) for row, flag in zip(rows, flags)]
     write_score_file(
         args.out,
         ScoreFile(variant=args.variant, rows=tuple(rows),
@@ -200,7 +200,7 @@ def _cmd_score(args) -> int:
 
 
 def _samples_from_ctm(entries, phone_set):
-    samples = [s for _, s in _duration_samples(entries, phone_set)]
+    samples = list(_duration_samples(entries, phone_set).values())
     if not samples:
         raise DataError("alignment file has no non-silence phones")
     return samples
@@ -235,12 +235,12 @@ def _cmd_train_dur(args) -> int:
 def _cmd_predict_dur(args) -> int:
     phone_set = read_phone_set(args.phones)
     samples = _duration_samples(read_ctm(args.ctm, phone_set), phone_set)
-    predicted = _predict_durations(args.checkpoint, samples)
+    predicted = _predict_durations(args.checkpoint, samples.values())
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("utt\tpos\tphone\taligned\tpredicted\n")
-        for utt_id, sample in samples:
+        for (utt_id, sample), preds in zip(samples.items(), predicted):
             for pos, (phone, length, pred) in enumerate(
-                zip(sample.phones, sample.durations, predicted[utt_id])
+                zip(sample.phones, sample.durations, preds)
             ):
                 fh.write(
                     f"{utt_id}\t{pos}\t{phone_set.label(phone)}"
@@ -252,23 +252,14 @@ def _cmd_predict_dur(args) -> int:
 
 def _cmd_fit_balance(args) -> int:
     phone_set = read_phone_set(args.phones)
-    samples = _duration_samples(read_ctm(args.ctm, phone_set), phone_set)
-    predicted = _predict_durations(args.checkpoint, samples)
-    records = [
-        BalanceRecord(
-            phones=s.phones,
-            aligned=s.durations,
-            predicted=tuple(float(p) for p in predicted[utt_id]),
-            speed=s.speed,
-        )
-        for utt_id, s in samples
-    ]
+    samples = _samples_from_ctm(read_ctm(args.ctm, phone_set), phone_set)
     table = fit_balance_table(
-        records, bucket_width=args.bucket_width, min_count=args.min_count
+        samples, _predict_durations(args.checkpoint, samples),
+        bucket_width=args.bucket_width, min_count=args.min_count,
     )
     write_balance_table(args.out, table, phone_set)
     print(
-        f"fitted {len(table.entries)} cells from {len(records)} utterances "
+        f"fitted {len(table.entries)} cells from {len(samples)} utterances "
         f"-> {args.out}"
     )
     return EXIT_OK
@@ -470,3 +461,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -8,13 +8,13 @@ a phone-dependent threshold calibrated on a labeled development set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .balance import BalanceTable, lookup_tolerance
-from .balance import delta as duration_delta
+from .balance import BalanceTable, delta as duration_delta, lookup_tolerance
 from .duration.net import DurationSample
 from .model import (
     PROB_FLOOR,
@@ -60,20 +60,16 @@ class DetectorConfig:
         return self.variant in ("cagop", "cagop_minus_ta") and self.beta > 0
 
 
-def cagop_score(
-    ta_score: float,
-    delta: float,
-    beta: float,
-    clamp_delta_at_zero: bool = False,
-) -> float:
+def cagop_score(ta_score, delta, beta: float, clamp_delta_at_zero: bool = False):
     """(1 - beta*delta) * ta_score, optionally clamping delta below at 0.
 
-    The formula is applied literally: a large positive delta can make the
-    multiplier negative and flip the score's sign. The clamp option keeps
-    the multiplier <= 1 so in-tolerance durations never improve a score.
+    Works elementwise on floats or arrays. The formula is applied
+    literally: a large positive delta can make the multiplier negative and
+    flip the score's sign. The clamp option keeps the multiplier <= 1 so
+    in-tolerance durations never improve a score.
     """
     if clamp_delta_at_zero:
-        delta = max(delta, 0.0)
+        delta = np.maximum(delta, 0.0)
     return (1.0 - beta * delta) * ta_score
 
 
@@ -131,7 +127,8 @@ def score_utterance(
     if not segments:
         raise DataError(f"no non-silence phones to score in {utterance_id!r}")
 
-    deltas: Optional[list[float]] = None
+    lengths, firsts = _segment_offsets(segments)
+    deltas = None
     if cfg.needs_durations:
         if predicted_durations is None or balance is None:
             raise DataError(
@@ -144,48 +141,36 @@ def score_utterance(
                 f"{len(segments)} aligned phones"
             )
         speed = DurationSample.from_segments(segments).speed
-        deltas = [
-            duration_delta(
-                seg.length, pred, lookup_tolerance(balance, seg.phone, speed)
-            )
-            for seg, pred in zip(segments, predicted_durations)
-        ]
-
-    ta_scores, frames = tascore(pg, segments)
-    lengths, firsts = _segment_offsets(segments)
-    log_post = frames.log_posteriors
-    seg_ta = ta_scores.tolist()
-    seg_gop = (np.add.reduceat(log_post, firsts) / lengths).tolist()
-    seg_center = log_post[firsts + lengths // 2].tolist()
-    base = {
-        "gop": seg_gop, "center_gop": seg_center, "cagop_minus_dur": seg_ta,
-        "cagop": seg_ta, "cagop_minus_ta": seg_gop,
-    }[cfg.variant]
-    fused = cfg.variant in ("cagop", "cagop_minus_ta")
-    records = []
-    for i, seg in enumerate(segments):
-        d = deltas[i] if deltas is not None else None
-        seg_cagop = (
-            cagop_score(base[i], 0.0 if d is None else d, cfg.beta,
-                        cfg.clamp_delta_at_zero)
-            if fused else None
+        deltas = duration_delta(
+            lengths, np.asarray(predicted_durations, dtype=np.float64),
+            np.array([lookup_tolerance(balance, s.phone, speed) for s in segments]),
         )
-        records.append(PhoneScore(
-            phone=seg.phone,
-            segment=seg,
-            gop=seg_gop[i],
-            center_gop=seg_center[i],
-            tascore=seg_ta[i],
-            delta=d,
-            cagop=seg_cagop,
-            score=seg_cagop if fused else base[i],
-        ))
-    sentence = float(np.mean([r.score for r in records]))
+
+    ta, frames = tascore(pg, segments)
+    log_post = frames.log_posteriors
+    gop_scores = np.add.reduceat(log_post, firsts) / lengths
+    center = log_post[firsts + lengths // 2]
+    score = {
+        "gop": gop_scores, "center_gop": center, "cagop_minus_dur": ta,
+        "cagop": ta, "cagop_minus_ta": gop_scores,
+    }[cfg.variant]
+    if cfg.variant in ("cagop", "cagop_minus_ta"):
+        score = cagop_score(score, 0.0 if deltas is None else deltas, cfg.beta,
+                            cfg.clamp_delta_at_zero)
+    records = tuple(
+        PhoneScore(phone=seg.phone, segment=seg, gop=g, center_gop=c,
+                   tascore=t, delta=d, score=f)
+        for seg, g, c, t, d, f in zip(
+            segments, gop_scores.tolist(), center.tolist(), ta.tolist(),
+            [None] * len(segments) if deltas is None else deltas.tolist(),
+            score.tolist(),
+        )
+    )
     return ScoreReport(
         utterance_id=utterance_id,
         variant=cfg.variant,
-        per_phone=tuple(records),
-        sentence_score=sentence,
+        per_phone=records,
+        sentence_score=float(np.mean(score)),
     )
 
 
@@ -193,6 +178,11 @@ def score_utterance(
 class ThresholdTable:
     per_phone: Mapping[int, float]
     global_threshold: float
+
+    def __post_init__(self):
+        for t in [*self.per_phone.values(), self.global_threshold]:
+            if not math.isfinite(t):
+                raise DataError(f"threshold must be finite, got {t}")
 
 
 def _sweep_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -264,19 +254,10 @@ def threshold_for(table: ThresholdTable, phone: int) -> float:
     return table.per_phone.get(phone, table.global_threshold)
 
 
-def detect(report: ScoreReport, table: ThresholdTable) -> ScoreReport:
-    """Report with flags set: score strictly below the phone's threshold."""
-    flagged = tuple(
-        replace(r, detected_mispronounced=bool(r.score < threshold_for(table, r.phone)))
-        for r in report.per_phone
-    )
-    return replace(report, per_phone=flagged)
-
-
 def detect_flags(
     phones: Sequence[int], scores: Sequence[float], table: ThresholdTable
 ) -> list[bool]:
-    """Flag list for bare (phone, score) pairs outside a report."""
+    """Mispronunciation flags: each score strictly below its phone's threshold."""
     if len(phones) != len(scores):
         raise DataError("phones and scores must have equal length")
     return [s < threshold_for(table, p) for p, s in zip(phones, scores)]

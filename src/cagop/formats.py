@@ -122,9 +122,13 @@ def _parse_int(text: str, path, line: int, what: str) -> int:
 
 def _parse_float(text: str, path, line: int, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise FormatError(f"bad {what} {text!r}", path=path, line=line) from None
+    if not math.isfinite(value):
+        raise FormatError(f"{what} must be finite, got {text!r}",
+                          path=path, line=line)
+    return value
 
 
 def _parse_flag(text: str, path, line: int, what: str) -> bool:
@@ -468,7 +472,7 @@ def read_balance_table(path, phone_set: PhoneSet) -> BalanceTable:
         phone_backoff=phone_backoff,
         global_backoff=global_backoff,
         bucket_width=_parse_float(header["bucket_width"], path, 1,
-                                  "bucket width"),
+                                  "bucket_width"),
         bucket_range=(_parse_int(header["bucket_min"], path, 1, "bucket min"),
                       _parse_int(header["bucket_max"], path, 1, "bucket max")),
     )

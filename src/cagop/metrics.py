@@ -76,17 +76,6 @@ def mae_frames(
     return float(np.mean(np.abs(predicted - actual)))
 
 
-def mae_ms(
-    predicted: Sequence[float],
-    actual: Sequence[float],
-    frame_shift_ms: float,
-) -> float:
-    """Mean absolute duration error converted to milliseconds."""
-    if frame_shift_ms <= 0:
-        raise DataError(f"frame_shift_ms must be positive, got {frame_shift_ms}")
-    return mae_frames(predicted, actual) * frame_shift_ms
-
-
 @dataclass(frozen=True)
 class ConfusionCounts:
     """Binary detection counts; positive class = mispronounced."""
@@ -132,26 +121,3 @@ def confusion_counts(
     fn = sum(1 for p, a in zip(predicted, actual) if not p and a)
     tn = sum(1 for p, a in zip(predicted, actual) if not p and not a)
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
-
-
-def f1_score(predicted: Sequence[bool], actual: Sequence[bool]) -> float:
-    return confusion_counts(predicted, actual).f1
-
-
-def accuracy(predicted: Sequence[bool], actual: Sequence[bool]) -> float:
-    return confusion_counts(predicted, actual).accuracy
-
-
-def mean_rater_correlation(
-    scores: Sequence[float],
-    rater_scores: Sequence[Sequence[float]],
-    method: str = "pearson",
-) -> float:
-    """Average correlation between system scores and each rater's scores."""
-    if method not in ("pearson", "spearman"):
-        raise DataError(f"unknown correlation method {method!r}")
-    raters = [np.asarray(r, dtype=np.float64) for r in rater_scores]
-    if not raters:
-        raise DataError("no raters given")
-    fn = pearson if method == "pearson" else spearman
-    return float(np.mean([fn(scores, r) for r in raters]))

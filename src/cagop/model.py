@@ -174,9 +174,7 @@ class PhoneScore:
     center_gop: float
     tascore: float
     delta: Optional[float]
-    cagop: Optional[float]
     score: float
-    detected_mispronounced: bool = False
 
 
 @dataclass(frozen=True)
@@ -201,10 +199,6 @@ class ScoreReport:
     @property
     def scores(self) -> np.ndarray:
         return np.array([r.score for r in self.per_phone], dtype=np.float64)
-
-    @property
-    def flags(self) -> tuple[bool, ...]:
-        return tuple(r.detected_mispronounced for r in self.per_phone)
 
 
 def validate_posteriorgram(pg: Posteriorgram, phone_set: PhoneSet) -> Posteriorgram:

@@ -27,7 +27,7 @@ from cagop import (
     lookup_tolerance,
     score_utterance,
 )
-from cagop.balance import BalanceRecord, BalanceTable
+from cagop.balance import BalanceTable
 from cagop.detector import VARIANTS, cagop_score
 from cagop.duration import (
     DurationSample,
@@ -35,7 +35,7 @@ from cagop.duration import (
     desk_config,
     init_params,
     iter_tensors,
-    predict_durations,
+    predict_durations_batch,
     tiny_config,
     train,
 )
@@ -74,10 +74,8 @@ from cagop.formats import (
     write_training_log,
 )
 from cagop.metrics import (
-    accuracy,
-    f1_score,
+    confusion_counts,
     mae_frames,
-    mae_ms,
     pearson,
     rankdata,
     spearman,
@@ -255,12 +253,7 @@ def test_criterion_07_detection_ordering(verdict):
         for utt in corpus.utterances
     ]
 
-    samples = []
-    for _, alignment in aligned:
-        segs = alignment.non_silence(ps)
-        samples.append(DurationSample.from_durations(
-            [s.phone for s in segs], [float(s.length) for s in segs]
-        ))
+    samples = [DurationSample.from_alignment(al, ps) for _, al in aligned]
     order = np.random.default_rng(0).permutation(len(samples))
     n_val = max(1, len(samples) // 10)
     val = [samples[i] for i in order[:n_val]]
@@ -268,18 +261,10 @@ def test_criterion_07_detection_ordering(verdict):
     dcfg = desk_config(seed=0)
     params, _ = train(tr, dcfg, val, num_phones=len(ps), epochs=30)
 
-    records = []
-    for _, alignment in aligned:
-        segs = alignment.non_silence(ps)
-        speed = float(np.mean([s.length for s in segs]))
-        preds = predict_durations(params, dcfg, [s.phone for s in segs], speed)
-        records.append(BalanceRecord(
-            phones=tuple(s.phone for s in segs),
-            aligned=tuple(float(s.length) for s in segs),
-            predicted=tuple(float(p) for p in preds),
-            speed=speed,
-        ))
-    table = fit_balance_table(records)
+    predicted = predict_durations_batch(
+        params, dcfg, [(s.phones, s.speed) for s in samples]
+    )
+    table = fit_balance_table(samples, predicted)
 
     variant_cfgs = {
         "gop": DetectorConfig(variant="gop", beta=0.0),
@@ -288,10 +273,7 @@ def test_criterion_07_detection_ordering(verdict):
         "cagop_minus_ta": DetectorConfig(variant="cagop_minus_ta", beta=0.1),
     }
     per_variant = {name: [] for name in variant_cfgs}
-    for idx, (utt, alignment) in enumerate(aligned):
-        segs = alignment.non_silence(ps)
-        speed = float(np.mean([s.length for s in segs]))
-        preds = predict_durations(params, dcfg, [s.phone for s in segs], speed)
+    for idx, ((utt, alignment), preds) in enumerate(zip(aligned, predicted)):
         for name, vcfg in variant_cfgs.items():
             report = score_utterance(
                 utt.posteriorgram, alignment, ps, vcfg,
@@ -312,7 +294,7 @@ def test_criterion_07_detection_ordering(verdict):
             [r[1] for r in dev], [r[2] for r in dev], [r[3] for r in dev]
         )
         flags = detect_flags([r[1] for r in ev], [r[2] for r in ev], thresholds)
-        f1[name] = f1_score(flags, [r[3] for r in ev])
+        f1[name] = confusion_counts(flags, [r[3] for r in ev]).f1
 
     ordered = (
         f1["cagop"] >= f1["cagop_minus_dur"] >= f1["gop"]
@@ -330,18 +312,17 @@ def test_criterion_07_detection_ordering(verdict):
 
 
 def test_criterion_08_metric_fixtures(verdict):
+    detection = confusion_counts([True, True, True, False, False],
+                                 [True, True, False, True, False])
     fixture_errors = [
         abs(pearson([1, 2, 3, 4], [2, 4, 6, 8]) - 1.0),
         abs(pearson([1, 2, 3], [6, 4, 2]) + 1.0),
         abs(pearson([1, 2, 3, 4], [1, 3, 2, 4]) - 0.8),
         abs(spearman([1, 1, 2], [3, 5, 10]) - math.sqrt(3) / 2),
         abs(spearman([1, 2, 3], [1.0, 7.389, 8103.08]) - 1.0),
-        abs(f1_score([True, True, True, False, False],
-                     [True, True, False, True, False]) - 2.0 / 3.0),
-        abs(accuracy([True, True, True, False, False],
-                     [True, True, False, True, False]) - 0.6),
+        abs(detection.f1 - 2.0 / 3.0),
+        abs(detection.accuracy - 0.6),
         abs(mae_frames([4, 7], [3, 5]) - 1.5),
-        abs(mae_ms([4, 7], [3, 5], 30.0) - 45.0),
     ]
     worst = max(fixture_errors)
 
@@ -362,25 +343,25 @@ def test_criterion_08_metric_fixtures(verdict):
     )
 
 
-def _error_record(phone, errors, speed):
-    aligned = [6.0 + e for e in errors]
-    return BalanceRecord(
-        phones=tuple([phone] * len(errors)),
-        aligned=tuple(aligned),
-        predicted=tuple([6.0] * len(errors)),
-        speed=speed,
+def _fit_errors(rows, **kwargs):
+    """Table fitted on (phone, signed errors, speed) rows, one per utterance.
+
+    Every phone of a row lasts ``speed`` frames, so the row's mean duration
+    is that speed, and is predicted to last ``speed + error`` frames.
+    """
+    return fit_balance_table(
+        [DurationSample.from_durations([phone] * len(errors), [speed] * len(errors))
+         for phone, errors, speed in rows],
+        [[speed + e for e in errors] for _, errors, speed in rows],
+        **kwargs,
     )
 
 
 def test_criterion_09_tolerance_construction(verdict):
     # symmetric unit errors: mean 1, zero spread, tolerance exactly 1
-    fixture = fit_balance_table(
-        [_error_record(2, [-1.0, 1.0], 5.0)], min_count=2
-    )
+    fixture = _fit_errors([(2, [-1.0, 1.0], 5.0)], min_count=2)
     # absolute errors {1, 3}: mean 2 plus 1.5 * unit spread = 3.5
-    two_value = fit_balance_table(
-        [_error_record(2, [1.0, 3.0], 5.0)], min_count=2
-    )
+    two_value = _fit_errors([(2, [1.0, 3.0], 5.0)], min_count=2)
     fixture_ok = (
         lookup_tolerance(fixture, 2, 5.0) == 1.0
         and abs(lookup_tolerance(two_value, 2, 5.0) - 3.5) <= 1e-12
@@ -391,14 +372,11 @@ def test_criterion_09_tolerance_construction(verdict):
         rng = np.random.default_rng(8000 + seed)
         n = int(rng.integers(5, 40))
         errors = np.abs(rng.normal(0.0, 3.0, size=n))
-        table = fit_balance_table([_error_record(0, errors.tolist(), 5.0)])
+        table = _fit_errors([(0, errors.tolist(), 5.0)])
         expected = errors.mean() + 1.5 * errors.std()
         worst = max(worst, abs(lookup_tolerance(table, 0, 5.0) - expected))
 
-    chained = fit_balance_table([
-        _error_record(1, [2.0] * 5, 5.0),
-        _error_record(1, [3.0, 3.0], 9.0),
-    ])
+    chained = _fit_errors([(1, [2.0] * 5, 5.0), (1, [3.0, 3.0], 9.0)])
     pooled = np.array([2.0] * 5 + [3.0] * 2)
     chain_ok = (
         lookup_tolerance(chained, 1, 5.0) == 2.0  # dense cell

@@ -1,9 +1,16 @@
 """End-to-end CLI pipeline and exit-code behavior."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
+
+import cagop
 
 from cagop import Alignment, FormatError, PhoneSegment, Posteriorgram
 from cagop.cli import main
@@ -172,8 +179,20 @@ def test_evaluate_report_is_consistent(pipeline):
     counts = sum(int(float(report[k])) for k in ("tp", "fp", "fn", "tn"))
     labeled = read_annotations(pipeline["annotations"]).phone_label_map()
     assert counts == len(labeled)
-    assert -1.0 <= float(report["sentence_pearson"]) <= 1.0
-    assert -1.0 <= float(report["sentence_spearman"]) <= 1.0
+    ps = read_phone_set(pipeline["phones"])
+    system = dict(read_score_file(pipeline["scores"], ps).sentences)
+    raters = read_annotations(pipeline["annotations"]).rater_scores()
+    assert len(raters) > 1
+    per_rater = []
+    for by_utt in raters.values():
+        common = sorted(set(system) & set(by_utt))
+        x = [system[u] for u in common]
+        y = [by_utt[u] for u in common]
+        per_rater.append((stats.pearsonr(x, y).statistic,
+                          stats.spearmanr(x, y).statistic))
+    want_p, want_s = np.mean(per_rater, axis=0)
+    assert abs(float(report["sentence_pearson"]) - want_p) <= 1e-12
+    assert abs(float(report["sentence_spearman"]) - want_s) <= 1e-12
 
 
 def test_score_with_thresholds_sets_flags_and_evaluates(pipeline):
@@ -249,6 +268,41 @@ def test_usage_errors_exit_one(capsys):
     assert main(["score"]) == 1
     assert main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(cagop.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    bad = subprocess.run([sys.executable, "-m", "cagop.cli", "frobnicate"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == 1
+    assert "usage error" in bad.stderr
+    out = tmp_path / "corpus"
+    good = subprocess.run([sys.executable, "-m", "cagop.cli", "synth-corpus",
+                           "--out", str(out), "--utterances", "2"],
+                          env=env, capture_output=True, text=True)
+    assert good.returncode == 0 and (out / "text.tsv").exists()
+
+
+def test_non_finite_threshold_or_score_exits_two(pipeline, tmp_path, capsys):
+    common = ["--annotations", str(pipeline["annotations"]),
+              "--phones", str(pipeline["phones"]),
+              "--out", str(tmp_path / "out.tsv")]
+    thresholds = tmp_path / "thresholds.tsv"
+    thresholds.write_text("GLOBAL\tnan\n")
+    assert main(["evaluate", "--scores", str(pipeline["scores"]),
+                 "--thresholds", str(thresholds)] + common) == 2
+    assert f"{thresholds}: line 1: threshold must be finite" in (
+        capsys.readouterr().err)
+    lines = pipeline["scores"].read_text().splitlines()
+    parts = lines[1].split("\t")
+    parts[6] = "nan"
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("\n".join([lines[0], "\t".join(parts)] + lines[2:]) + "\n")
+    assert main(["calibrate", "--scores", str(scores)] + common) == 2
+    assert f"{scores}: line 2: score must be finite" in capsys.readouterr().err
 
 
 def test_needing_durations_without_tables_exits_one(pipeline, capsys):

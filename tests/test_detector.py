@@ -11,11 +11,12 @@ from cagop import (
     align,
     Alignment,
     PhoneSegment,
+    ThresholdTable,
     cagop_score,
     calibrate_thresholds,
     center_gop,
+    DurationSample,
     delta,
-    detect,
     detect_flags,
     fit_balance_table,
     gop,
@@ -25,7 +26,6 @@ from cagop import (
     threshold_for,
 )
 import cagop.detector
-from cagop.balance import BalanceRecord
 from cagop.detector import _sweep_threshold
 
 from conftest import make_pg, random_pg
@@ -67,6 +67,16 @@ def test_clamp_ignores_negative_delta():
 def test_sign_flip_without_clamp():
     # multiplier goes negative once beta*delta exceeds 1
     assert cagop_score(-1.0, 20.0, 0.1) == 1.0
+
+
+def test_array_form_matches_scalar_form():
+    rng = np.random.default_rng(2)
+    ta = -rng.uniform(0, 5, size=30)
+    d = rng.uniform(-4, 12, size=30)
+    for clamp in (False, True):
+        got = cagop_score(ta, d, 0.1, clamp)
+        want = [cagop_score(float(t), float(x), 0.1, clamp) for t, x in zip(ta, d)]
+        assert got.tolist() == want
 
 
 def test_beta_must_be_nonnegative():
@@ -117,10 +127,10 @@ def test_duration_variant_requires_inputs():
 
 
 def test_duration_variant_consumes_balance_and_predictions():
-    records = [
-        BalanceRecord((p,) * 6, (5.0,) * 6, (4.0,) * 6, 5.0) for p in (1, 2, 3)
-    ]
-    balance = fit_balance_table(records)
+    balance = fit_balance_table(
+        [DurationSample.from_durations((p,) * 6, (5.0,) * 6) for p in (1, 2, 3)],
+        [(4.0,) * 6] * 3,
+    )
     rep = scored_case(
         5,
         DetectorConfig(variant="cagop", beta=0.1),
@@ -129,8 +139,6 @@ def test_duration_variant_consumes_balance_and_predictions():
     )
     for r in rep.per_phone:
         assert r.delta is not None
-        assert r.cagop is not None
-        assert r.score == r.cagop
         assert r.score == cagop_score(r.tascore, r.delta, 0.1)
 
 
@@ -185,10 +193,11 @@ def _random_segmentation(rng, num_frames, num_phones):
 
 def test_one_pass_scorer_matches_per_segment_oracle():
     ps = PhoneSet(("SIL", "A", "B", "C", "D"), silence_index=0)
-    balance = fit_balance_table([
-        BalanceRecord((p,) * 6, (5.0, 4.0, 6.0, 5.0, 3.0, 7.0), (4.0,) * 6, 5.0)
-        for p in (1, 2, 3)
-    ])
+    balance = fit_balance_table(
+        [DurationSample.from_durations((p,) * 6, (5.0, 4.0, 6.0, 5.0, 3.0, 7.0))
+         for p in (1, 2, 3)],
+        [(4.0,) * 6] * 3,
+    )
     rng = np.random.default_rng(2024)
     checked = one_frame = ends_at_last = 0
     while checked < 200:
@@ -226,11 +235,9 @@ def test_one_pass_scorer_matches_per_segment_oracle():
                     base = want_ta if variant == "cagop" else gop(pg, seg)
                     want = cagop_score(base, d, cfg.beta, cfg.clamp_delta_at_zero)
                     assert r.delta == d
-                    assert r.cagop == pytest.approx(want, rel=1e-12, abs=1e-300)
                 else:
-                    assert r.delta is None and r.cagop is None
+                    assert r.delta is None
                 assert r.score == pytest.approx(want, rel=1e-12, abs=1e-300)
-                assert r.detected_mispronounced is False
     assert one_frame > 0 and ends_at_last > 0
 
 
@@ -281,7 +288,10 @@ def test_flag_everything_needs_a_strict_win():
 
 
 def test_sweep_dominates_every_fixed_threshold():
-    from cagop.metrics import f1_score
+    from cagop.metrics import confusion_counts
+
+    def f1_score(flags, labels):
+        return confusion_counts(flags, labels).f1
 
     for seed in range(15):
         rng = np.random.default_rng(900 + seed)
@@ -324,6 +334,14 @@ def test_sparse_or_single_class_phones_use_global():
     assert threshold_for(table, 0) == table.per_phone[0]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_threshold_table_rejects_non_finite(bad):
+    with pytest.raises(DataError, match="threshold must be finite"):
+        ThresholdTable(per_phone={1: bad}, global_threshold=-0.5)
+    with pytest.raises(DataError, match="threshold must be finite"):
+        ThresholdTable(per_phone={}, global_threshold=bad)
+
+
 def test_single_class_overall_rejected():
     with pytest.raises(DataError):
         calibrate_thresholds([0, 0], [-1.0, -2.0], [True, True])
@@ -358,12 +376,10 @@ def test_detect_marks_report_rows():
     table = calibrate_thresholds(
         [1, 2], [mid - 1.0, mid + 1.0], [True, False]
     )
-    flagged = detect(rep, table)
-    for before, after in zip(rep.per_phone, flagged.per_phone):
-        assert after.detected_mispronounced == (
-            before.score < threshold_for(table, before.phone)
-        )
-        assert after.score == before.score
+    flags = detect_flags([r.phone for r in rep.per_phone], rep.scores, table)
+    assert flags == [r.score < threshold_for(table, r.phone)
+                     for r in rep.per_phone]
+    assert any(flags) and not all(flags)
 
 
 def test_lowering_a_score_never_clears_a_flag():

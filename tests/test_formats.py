@@ -7,13 +7,13 @@ from cagop import (
     Alignment,
     DataError,
     FormatError,
+    DurationSample,
     PhoneSegment,
     PhoneSet,
     Posteriorgram,
     ThresholdTable,
     fit_balance_table,
 )
-from cagop.balance import BalanceRecord
 from cagop.duration import TrainLogEntry, init_params, tiny_config, iter_tensors
 from cagop.formats import (
     PGM_MAGIC,
@@ -299,17 +299,16 @@ def test_annotation_helpers():
 
 def balance_fixture():
     rng = np.random.default_rng(13)
-    records = []
+    samples, predicted = [], []
     for _ in range(40):
         phone = int(rng.integers(1, 5))
         n = int(rng.integers(2, 6))
-        records.append(BalanceRecord(
-            tuple([phone] * n),
-            tuple(float(x) for x in rng.uniform(2, 12, size=n)),
-            tuple(float(x) for x in rng.uniform(2, 12, size=n)),
-            float(rng.uniform(3, 9)),
+        samples.append(DurationSample.from_durations(
+            [phone] * n, rng.uniform(2, 12, size=n).tolist()
         ))
-    return fit_balance_table(records, bucket_width=2.0, bucket_range=(2, 15))
+        predicted.append(rng.uniform(2, 12, size=n).tolist())
+    return fit_balance_table(samples, predicted, bucket_width=2.0,
+                             bucket_range=(2, 15))
 
 
 def test_balance_table_roundtrip(tmp_path):
@@ -470,6 +469,31 @@ def test_score_file_needs_phone_rows(tmp_path):
     path.write_text("#variant=gop\nS\tu1\t-0.5\n")
     with pytest.raises(FormatError, match="phone rows"):
         read_score_file(path, PS)
+
+
+@pytest.mark.parametrize("text, read, line", [
+    ("frames=2 phones=2 shift_ms=30.0\n0.5 0.5\nnan 0.5\n",
+     read_posteriorgram_text, 3),
+    ("bucket_width=1.0 bucket_min=2 bucket_max=20\nAA\t5\tinf\n-\tGLOBAL\t1.5\n",
+     lambda path: read_balance_table(path, PS), 2),
+    ("epoch\ttrain_loss\tval_mae\n1\tnan\t0.5\n", read_training_log, 2),
+    ("B\t-0.5\nGLOBAL\tnan\n", lambda path: read_thresholds(path, PS), 2),
+    ("B\t-0.5\nAA\tinf\nGLOBAL\t-0.4\n",
+     lambda path: read_thresholds(path, PS), 2),
+    ("#variant=gop\nP\tu1\t0\tAA\t0\t3\t-0.5\nP\tu1\t1\tB\t3\t2\tnan\n",
+     lambda path: read_score_file(path, PS), 3),
+    ("#variant=gop\nP\tu1\t0\tAA\t0\t3\t-inf\t0\n",
+     lambda path: read_score_file(path, PS), 2),
+    ("#variant=gop\nP\tu1\t0\tAA\t0\t3\t-0.5\nS\tu1\tnan\n",
+     lambda path: read_score_file(path, PS), 3),
+], ids=["posteriorgram", "balance", "training-log", "global-threshold",
+        "phone-threshold", "phone-score", "flagged-score", "sentence-score"])
+def test_text_readers_reject_non_finite_numbers(tmp_path, text, read, line):
+    path = tmp_path / "values.txt"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="must be finite") as err:
+        read(path)
+    assert err.value.line == line and str(path) in str(err.value)
 
 
 def test_float_values_survive_text_roundtrips(tmp_path):

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cagop import PhoneSet
+from cagop.cli import main
+from cagop.formats import (
+    AnnotationSet,
+    PhoneAnnotation,
+    ScoreFile,
+    ScoreRow,
+    SentenceRating,
+    write_annotations,
+    write_phone_set,
+    write_score_file,
+)
 from cagop.metrics import (
     ConfusionCounts,
-    accuracy,
     confusion_counts,
-    f1_score,
     mae_frames,
-    mae_ms,
-    mean_rater_correlation,
     pearson,
     rankdata,
     spearman,
@@ -106,8 +114,8 @@ def test_correlations_match_scipy():
 
 def test_perfect_detection_metrics():
     actual = [True, False, True, False]
-    assert accuracy(actual, actual) == 1.0
-    assert f1_score(actual, actual) == 1.0
+    assert confusion_counts(actual, actual).accuracy == 1.0
+    assert confusion_counts(actual, actual).f1 == 1.0
 
 
 def test_confusion_fixture():
@@ -121,24 +129,24 @@ def test_counts_from_flag_lists():
     actual = [True, False, True, False, True]
     c = confusion_counts(predicted, actual)
     assert (c.tp, c.fp, c.fn, c.tn) == (2, 1, 1, 1)
-    assert accuracy(predicted, actual) == c.accuracy
-    assert f1_score(predicted, actual) == c.f1
+    assert c.accuracy == 0.6
+    assert c.f1 == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_all_negative_predictions_give_zero_f1():
     predicted = [False, False, False]
     actual = [True, False, True]
-    assert f1_score(predicted, actual) == 0.0
+    assert confusion_counts(predicted, actual).f1 == 0.0
 
 
 def test_f1_undefined_without_any_positive():
     with pytest.raises(DataError):
-        f1_score([False, False], [False, False])
+        confusion_counts([False, False], [False, False]).f1
 
 
 def test_flag_list_length_mismatch():
     with pytest.raises(DataError):
-        f1_score([True], [True, False])
+        confusion_counts([True], [True, False])
 
 
 def test_mae_fixtures():
@@ -146,8 +154,7 @@ def test_mae_fixtures():
     assert mae_frames([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert mae_frames([2.0, 4.0], [3.0, 3.0]) == 1.0
     assert mae_frames([1.5], [1.0]) == 0.5
-    assert mae_ms([4.0, 6.0], [3.0, 4.0], frame_shift_ms=30.0) == 45.0
-    assert mae_ms([2.5], [2.0], frame_shift_ms=30.0) == 15.0
+    assert mae_frames([4.0, 6.0], [3.0, 4.0]) == 1.5
 
 
 def test_mae_rejects_bad_shapes():
@@ -157,34 +164,71 @@ def test_mae_rejects_bad_shapes():
         mae_frames([], [])
 
 
-def test_single_rater_equals_direct_correlation():
+# --- per-rater sentence correlation, as `cagop evaluate` reports it ------------
+
+
+def evaluate_correlations(tmp_path, system, raters):
+    """eval.tsv of `cagop evaluate` for sentence scores and rater id -> scores.
+
+    Utterance ids sort in the order of ``system``; every utterance has one
+    flagged, labelled phone so that detection is defined too.
+    """
+    ps = PhoneSet(("SIL", "A"), silence_index=0)
+    utts = [f"u{i:02d}" for i in range(len(system))]
+    paths = {k: tmp_path / f"{k}.tsv" for k in ("phones", "scores", "ann", "out")}
+    write_phone_set(paths["phones"], ps)
+    write_score_file(paths["scores"], ScoreFile(
+        variant="gop",
+        rows=tuple(ScoreRow(u, 0, 1, 0, 2, s, flag=i % 2 == 0)
+                   for i, (u, s) in enumerate(zip(utts, system))),
+        sentences=tuple(zip(utts, system)),
+    ), ps)
+    write_annotations(paths["ann"], AnnotationSet(
+        phones=tuple(PhoneAnnotation(u, 0, i % 3 == 0) for i, u in enumerate(utts)),
+        sentences=tuple(SentenceRating(u, rater, score)
+                        for rater, scores in raters.items()
+                        for u, score in zip(utts, scores)),
+    ))
+    assert main(["evaluate", "--scores", str(paths["scores"]),
+                 "--annotations", str(paths["ann"]),
+                 "--phones", str(paths["phones"]),
+                 "--out", str(paths["out"])]) == 0
+    return {name: float(value) for name, value in (
+        line.split("\t") for line in paths["out"].read_text().splitlines())}
+
+
+def test_single_rater_equals_direct_correlation(tmp_path):
     scores = [0.0, 1.0, 2.0, 4.0]
     rater = [0.1, 0.8, 2.2, 3.9]
-    got = mean_rater_correlation(scores, [rater])
-    assert got == pearson(scores, rater)
+    got = evaluate_correlations(tmp_path, scores, {"r1": rater})
+    assert got["sentence_pearson"] == pearson(scores, rater)
 
 
-def test_two_raters_average():
+def test_two_raters_average(tmp_path):
     rng = np.random.default_rng(5)
-    scores = rng.normal(size=9).tolist()
-    r1 = (np.asarray(scores) + rng.normal(scale=0.3, size=9)).tolist()
-    r2 = (np.asarray(scores) + rng.normal(scale=1.5, size=9)).tolist()
+    scores = rng.normal(size=9)
+    r1 = np.clip(5.0 + scores + rng.normal(scale=0.3, size=9), 0, 10).tolist()
+    r2 = np.clip(5.0 + scores + rng.normal(scale=1.5, size=9), 0, 10).tolist()
+    scores = scores.tolist()
     expected = 0.5 * (pearson(scores, r1) + pearson(scores, r2))
-    assert mean_rater_correlation(scores, [r1, r2]) == pytest.approx(
-        expected, abs=1e-15
-    )
-    assert mean_rater_correlation(scores, [r2, r1]) == pytest.approx(
-        expected, abs=1e-15
-    )
+    got = evaluate_correlations(tmp_path, scores, {"r1": r1, "r2": r2})
+    assert got["sentence_pearson"] == pytest.approx(expected, abs=1e-15)
+    swapped = evaluate_correlations(tmp_path, scores, {"r2": r2, "r1": r1})
+    assert swapped["sentence_pearson"] == pytest.approx(expected, abs=1e-15)
 
 
-def test_rater_mean_supports_spearman():
+def test_rater_mean_supports_spearman(tmp_path):
     scores = [1.0, 2.0, 3.0]
     rater = [2.0, 3.0, 1.0]
-    got = mean_rater_correlation(scores, [rater], method="spearman")
-    assert got == spearman(scores, rater)
+    got = evaluate_correlations(tmp_path, scores, {"r1": rater})
+    assert got["sentence_spearman"] == spearman(scores, rater)
 
 
-def test_rater_mean_propagates_undefined():
-    with pytest.raises(DataError):
-        mean_rater_correlation([1.0, 2.0], [[3.0, 3.0]])
+def test_constant_rater_is_left_out_of_the_mean(tmp_path):
+    scores = [1.0, 2.0, 4.0]
+    varied = [2.0, 3.0, 7.0]
+    got = evaluate_correlations(tmp_path, scores,
+                                {"flat": [3.0] * 3, "r2": varied})
+    assert got["sentence_pearson"] == pearson(scores, varied)
+    only_flat = evaluate_correlations(tmp_path, scores, {"flat": [3.0] * 3})
+    assert "sentence_pearson" not in only_flat

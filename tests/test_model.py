@@ -132,7 +132,6 @@ def _score(phone, value):
         center_gop=value,
         tascore=value,
         delta=None,
-        cagop=None,
         score=value,
     )
 
