@@ -319,27 +319,32 @@ def _cmd_evaluate(args) -> int:
 
     system = dict(score_file.sentences)
     raters = annotations.rater_scores()
-    if system and raters:
-        per_rater_p, per_rater_s = [], []
-        for scores_by_utt in raters.values():
-            common = sorted(set(system) & set(scores_by_utt))
-            if len(common) < 2:
-                continue
-            sys_scores = [system[u] for u in common]
-            rater_scores = [scores_by_utt[u] for u in common]
-            if len(set(sys_scores)) < 2 or len(set(rater_scores)) < 2:
-                continue
-            per_rater_p.append(pearson(sys_scores, rater_scores))
-            per_rater_s.append(spearman(sys_scores, rater_scores))
-        if per_rater_p:
-            lines.append(("sentence_pearson", float(np.mean(per_rater_p))))
-            lines.append(("sentence_spearman", float(np.mean(per_rater_s))))
+    per_rater_p, per_rater_s = [], []
+    for scores_by_utt in raters.values():
+        common = sorted(set(system) & set(scores_by_utt))
+        if len(common) < 2:
+            continue
+        sys_scores = [system[u] for u in common]
+        rater_scores = [scores_by_utt[u] for u in common]
+        if len(set(sys_scores)) < 2 or len(set(rater_scores)) < 2:
+            continue
+        per_rater_p.append(pearson(sys_scores, rater_scores))
+        per_rater_s.append(spearman(sys_scores, rater_scores))
+    if per_rater_p:
+        lines.append(("sentence_pearson", float(np.mean(per_rater_p))))
+        lines.append(("sentence_spearman", float(np.mean(per_rater_s))))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         for name, value in lines:
             fh.write(f"{name}\t{repr(float(value))}\n")
     summary = " ".join(f"{n}={float(v):.4f}" for n, v in lines[:2])
-    print(f"{summary} -> {args.out}")
+    print(f"{summary}, sentence correlation over {len(per_rater_p)} of "
+          f"{len(raters)} raters -> {args.out}")
+    if raters and not per_rater_p:
+        print(f"warning: all {len(raters)} raters left out of the sentence "
+              "correlation (each needs two common utterances with varying "
+              "scores); eval.tsv has no sentence_pearson or sentence_spearman",
+              file=sys.stderr)
     return EXIT_OK
 
 

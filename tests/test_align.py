@@ -1,7 +1,9 @@
 """Aligner correctness against exhaustive enumeration plus fixture cases."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from cagop import (
     align,
     alignment_log_score,
 )
+from cagop.model import CagopError
+from cagop.synth import SynthConfig, generate_corpus
 
 from conftest import make_pg, random_pg
 
@@ -120,36 +124,53 @@ def test_uniform_tie_breaks_to_earliest_boundary():
 
 
 def test_matches_brute_force_without_silence():
-    cases = 0
-    for seed in range(120):
-        rng = np.random.default_rng(1000 + seed)
-        num_frames = int(rng.integers(2, 11))
-        num_phones = int(rng.integers(2, 4))
-        n_ref = int(rng.integers(1, 4))
-        if n_ref > num_frames:
-            continue
-        pg = random_pg(rng, num_frames, num_phones)
-        phones = [int(p) for p in rng.integers(0, num_phones, size=n_ref)]
-        cfg = AlignConfig()
-        al = align(pg, phones, cfg)
-        got = alignment_log_score(pg, al)
-        assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
-        assert [s.phone for s in al.segments] == phones
-        cases += 1
-    assert cases >= 100
+    for min_frames, min_cases in ((1, 100), (2, 80), (3, 60)):
+        cfg = AlignConfig(min_segment_frames=min_frames)
+        cases = 0
+        for seed in range(120):
+            rng = np.random.default_rng(1000 + seed)
+            num_frames = int(rng.integers(2, 11))
+            num_phones = int(rng.integers(2, 4))
+            n_ref = int(rng.integers(1, 4))
+            if n_ref * min_frames > num_frames:
+                continue
+            pg = random_pg(rng, num_frames, num_phones)
+            phones = [int(p) for p in rng.integers(0, num_phones, size=n_ref)]
+            al = align(pg, phones, cfg)
+            got = alignment_log_score(pg, al)
+            assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
+            assert [s.phone for s in al.segments] == phones
+            cases += 1
+        assert cases >= min_cases
+
+
+def penalized_log_score(pg, al, cfg):
+    """alignment_log_score plus the silence penalty over silence frames."""
+    silence_frames = sum(s.length for s in al.segments if s.phone == cfg.silence_index)
+    return alignment_log_score(pg, al) + cfg.silence_self_loop_penalty * silence_frames
 
 
 def test_matches_brute_force_with_optional_silence():
-    for seed in range(60):
-        rng = np.random.default_rng(2000 + seed)
-        num_frames = int(rng.integers(3, 11))
-        n_ref = int(rng.integers(1, 3))
-        pg = random_pg(rng, num_frames, 3)
-        phones = [int(p) for p in rng.integers(1, 3, size=n_ref)]
-        cfg = AlignConfig(allow_optional_silence=True, silence_index=0)
-        al = align(pg, phones, cfg)
-        got = alignment_log_score(pg, al)
-        assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
+    for min_frames, penalty, min_cases in ((1, 0.0, 60), (2, -0.5, 55), (3, 0.4, 45)):
+        cfg = AlignConfig(allow_optional_silence=True, silence_index=0,
+                          min_segment_frames=min_frames,
+                          silence_self_loop_penalty=penalty)
+        cases = 0
+        for seed in range(60):
+            rng = np.random.default_rng(2000 + seed)
+            num_frames = int(rng.integers(3, 11))
+            n_ref = int(rng.integers(1, 3))
+            pg = random_pg(rng, num_frames, 3)
+            phones = [int(p) for p in rng.integers(1, 3, size=n_ref)]
+            if n_ref * min_frames > num_frames:
+                continue
+            al = align(pg, phones, cfg)
+            got = penalized_log_score(pg, al, cfg)
+            assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
+            assert [s.phone for s in al.segments if s.phone != 0] == phones
+            assert all(s.length >= min_frames for s in al.segments if s.phone != 0)
+            cases += 1
+        assert cases >= min_cases
 
 
 def test_optional_silence_never_hurts():
@@ -187,6 +208,25 @@ def test_silence_requires_index():
         align(pg, [0], AlignConfig(allow_optional_silence=True))
 
 
+@pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_silence_penalty(penalty):
+    with pytest.raises(DataError, match="silence_self_loop_penalty must be finite"):
+        AlignConfig(allow_optional_silence=True, silence_index=0,
+                    silence_self_loop_penalty=penalty)
+
+
+def test_config_rejects_negative_silence_index():
+    with pytest.raises(DataError, match="silence_index must be >= 0"):
+        AlignConfig(allow_optional_silence=True, silence_index=-1)
+
+
+def test_silence_index_outside_columns_rejected():
+    pg = make_pg([[0.5, 0.5]] * 4)
+    cfg = AlignConfig(allow_optional_silence=True, silence_index=2)
+    with pytest.raises(DataError, match="silence_index 2 outside"):
+        align(pg, [0], cfg)
+
+
 def test_alignment_reproduces_phone_order():
     for seed in range(20):
         rng = np.random.default_rng(4000 + seed)
@@ -198,3 +238,69 @@ def test_alignment_reproduces_phone_order():
         assert non_sil == phones
         covered = sum(s.length for s in al.segments)
         assert covered == 10
+
+
+SILENCE_AT_TWO = AlignConfig(allow_optional_silence=True, silence_index=0,
+                             min_segment_frames=2)
+SHORT_CONFIGS = (
+    SILENCE_AT_TWO,
+    AlignConfig(allow_optional_silence=True, silence_index=0,
+                min_segment_frames=1, silence_self_loop_penalty=-0.5),
+    AlignConfig(allow_optional_silence=True, silence_index=0,
+                min_segment_frames=3),
+    AlignConfig(min_segment_frames=2),
+)
+
+
+def alignment_digest(utterances, cfg):
+    """sha256 over every (phone, start, length), or the error type raised."""
+    digest = hashlib.sha256()
+    for utt in utterances:
+        try:
+            segments = align(utt.posteriorgram, utt.reference_phones, cfg).segments
+            digest.update(repr([(s.phone, s.start, s.length) for s in segments]).encode())
+        except CagopError as exc:
+            digest.update(type(exc).__name__.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_long_form_alignments_are_pinned():
+    # Two 180-word paragraphs (about 540 phones, 3,200-3,300 frames each).
+    # The digest was recorded with the full (2N+2) x (F+1) dynamic program.
+    paragraphs = [
+        generate_corpus(SynthConfig(num_utterances=1, seed=seed, min_words=180,
+                                    max_words=180)).utterances[0]
+        for seed in (11, 12)
+    ]
+    assert alignment_digest(paragraphs, SILENCE_AT_TWO) == (
+        "239997c85696c6ff5ba460b19911918cab3536427c058a39f66d2634dcdf2c94")
+
+
+def test_short_alignments_are_pinned():
+    # 50 seed-1 utterances under each config; digests recorded with the
+    # full (2N+2) x (F+1) dynamic program.
+    utterances = generate_corpus(SynthConfig(num_utterances=50, seed=1)).utterances
+    assert [alignment_digest(utterances, cfg) for cfg in SHORT_CONFIGS] == [
+        "f3300fd4d3a5c8c1bad98b7d142c1c5562507bc5a13dd5ed902a9874633befa8",
+        "7c09444203ba35000604e1579565dfb521036ea31d1dbff9e6f7b46aa510ea7f",
+        "f96491a8718345ac1be50beaf47e85eae6aef4fa577c6c50be6cbe9e12fbeebb",
+        "1da47f778911f06b0b230dc745bcd185b8d1e10c0e66954b7471ae97e8a1af0b",
+    ]
+
+
+def test_long_form_align_memory_stays_bounded():
+    utt = generate_corpus(SynthConfig(num_utterances=1, seed=3, min_words=205,
+                                      max_words=205, tempo_low=1.2,
+                                      tempo_high=1.2)).utterances[0]
+    assert len(utt.reference_phones) == 600
+    assert utt.posteriorgram.num_frames == 4837
+    tracemalloc.start()
+    try:
+        align(utt.posteriorgram, utt.reference_phones, SILENCE_AT_TWO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # (2N+2) x (F+1) float64 tables with a cumulative sum per element peak
+    # at about 90 MiB here; the banded tables at about 33 MiB.
+    assert peak <= 64 * 2**20

@@ -232,3 +232,16 @@ def test_constant_rater_is_left_out_of_the_mean(tmp_path):
     assert got["sentence_pearson"] == pearson(scores, varied)
     only_flat = evaluate_correlations(tmp_path, scores, {"flat": [3.0] * 3})
     assert "sentence_pearson" not in only_flat
+
+
+def test_evaluate_reports_how_many_raters_it_averaged(tmp_path, capsys):
+    scores = [1.0, 2.0, 4.0]
+    evaluate_correlations(tmp_path, scores,
+                          {"flat": [3.0] * 3, "r2": [2.0, 3.0, 7.0]})
+    out, err = capsys.readouterr()
+    assert "sentence correlation over 1 of 2 raters" in out
+    assert "warning" not in err
+    evaluate_correlations(tmp_path, scores, {"flat": [3.0] * 3})
+    out, err = capsys.readouterr()
+    assert "sentence correlation over 0 of 1 raters" in out
+    assert "warning: all 1 raters left out of the sentence correlation" in err
