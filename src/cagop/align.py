@@ -89,7 +89,7 @@ def align(
     broken toward the earliest boundary, and toward omitting an optional
     silence when inserting it does not improve the score.
 
-    With E = 2N+1 elements (N phones plus optional silences) and
+    With E elements (2N+1 for N phones with optional silences, else N) and
     slack = F - N * min_segment_frames spare frames, the dynamic program
     takes O(E * slack) time and memory, plus one cumulative-sum row of F+1
     floats per posterior column.

@@ -267,7 +267,8 @@ def alignment_digest(utterances, cfg):
 
 def test_long_form_alignments_are_pinned():
     # Two 180-word paragraphs (about 540 phones, 3,200-3,300 frames each).
-    # The digest was recorded with the full (2N+2) x (F+1) dynamic program.
+    # The digest was recorded with the unbanded (2N+2) x (F+1) dynamic
+    # program, so it pins that the band drops no reachable cell.
     paragraphs = [
         generate_corpus(SynthConfig(num_utterances=1, seed=seed, min_words=180,
                                     max_words=180)).utterances[0]
@@ -279,7 +280,7 @@ def test_long_form_alignments_are_pinned():
 
 def test_short_alignments_are_pinned():
     # 50 seed-1 utterances under each config; digests recorded with the
-    # full (2N+2) x (F+1) dynamic program.
+    # unbanded (2N+2) x (F+1) dynamic program, exceptions included.
     utterances = generate_corpus(SynthConfig(num_utterances=50, seed=1)).utterances
     assert [alignment_digest(utterances, cfg) for cfg in SHORT_CONFIGS] == [
         "f3300fd4d3a5c8c1bad98b7d142c1c5562507bc5a13dd5ed902a9874633befa8",
@@ -293,14 +294,14 @@ def test_long_form_align_memory_stays_bounded():
     utt = generate_corpus(SynthConfig(num_utterances=1, seed=3, min_words=205,
                                       max_words=205, tempo_low=1.2,
                                       tempo_high=1.2)).utterances[0]
-    assert len(utt.reference_phones) == 600
-    assert utt.posteriorgram.num_frames == 4837
+    assert 580 <= len(utt.reference_phones) <= 620  # 600 when written
+    assert 4600 <= utt.posteriorgram.num_frames <= 5000  # 4,837 when written
     tracemalloc.start()
     try:
         align(utt.posteriorgram, utt.reference_phones, SILENCE_AT_TWO)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # (2N+2) x (F+1) float64 tables with a cumulative sum per element peak
-    # at about 90 MiB here; the banded tables at about 33 MiB.
+    # Unbanded (2N+2) x (F+1) tables with a cumulative sum per element peak
+    # at about 90 MiB here, the banded ones at about 33 MiB.
     assert peak <= 64 * 2**20
