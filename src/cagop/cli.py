@@ -207,6 +207,10 @@ def _samples_from_ctm(entries, phone_set):
 
 
 def _cmd_train_dur(args) -> int:
+    if not 0.0 < args.val_fraction < 1.0:
+        raise DataError(
+            f"--val-fraction must be in (0, 1), got {args.val_fraction}"
+        )
     phone_set = read_phone_set(args.phones)
     entries = read_ctm(args.ctm, phone_set)
     samples = _samples_from_ctm(entries, phone_set)

@@ -47,8 +47,8 @@ class DetectorConfig:
     clamp_delta_at_zero: bool = False
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise DataError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise DataError(f"beta must be finite and >= 0, got {self.beta}")
         if self.variant not in VARIANTS:
             raise DataError(
                 f"unknown variant {self.variant!r}, expected one of {VARIANTS}"

@@ -10,6 +10,7 @@ dependency-free and exactly checkable against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -190,17 +191,26 @@ def iter_tensors(params: DurationNetParams) -> Iterator[tuple[str, np.ndarray]]:
     yield "out_bias", params.out_bias
 
 
-def zeros_like_params(params: DurationNetParams) -> DurationNetParams:
+def _map_params(
+    params: DurationNetParams, make: Callable[[str, np.ndarray], np.ndarray]
+) -> DurationNetParams:
+    """A params object whose every tensor is make(path, tensor)."""
     return DurationNetParams(
-        phone_embeddings=np.zeros_like(params.phone_embeddings),
-        speed_projection=np.zeros_like(params.speed_projection),
+        phone_embeddings=make("phone_embeddings", params.phone_embeddings),
+        speed_projection=make("speed_projection", params.speed_projection),
         blocks=[
-            BlockParams(**{f: np.zeros_like(getattr(b, f)) for f in _BLOCK_FIELDS})
-            for b in params.blocks
+            BlockParams(**{
+                f: make(f"blocks[{i}].{f}", getattr(b, f)) for f in _BLOCK_FIELDS
+            })
+            for i, b in enumerate(params.blocks)
         ],
-        out_weight=np.zeros_like(params.out_weight),
-        out_bias=np.zeros_like(params.out_bias),
+        out_weight=make("out_weight", params.out_weight),
+        out_bias=make("out_bias", params.out_bias),
     )
+
+
+def zeros_like_params(params: DurationNetParams) -> DurationNetParams:
+    return _map_params(params, lambda _, t: np.zeros_like(t))
 
 
 def block_shapes(cfg: DurationNetConfig) -> dict[str, tuple[int, ...]]:
@@ -257,16 +267,7 @@ def zeros_params(cfg: DurationNetConfig, num_phones: int) -> DurationNetParams:
 
 
 def clone_params(params: DurationNetParams) -> DurationNetParams:
-    return DurationNetParams(
-        phone_embeddings=params.phone_embeddings.copy(),
-        speed_projection=params.speed_projection.copy(),
-        blocks=[
-            BlockParams(**{f: getattr(b, f).copy() for f in _BLOCK_FIELDS})
-            for b in params.blocks
-        ],
-        out_weight=params.out_weight.copy(),
-        out_bias=params.out_bias.copy(),
-    )
+    return _map_params(params, lambda _, t: t.copy())
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -307,10 +308,32 @@ def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
     return enc
 
 
-def _softmax_last(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+class Workspace:
+    """Scratch float64 buffers shared by the steps of one call.
+
+    ``take(key, shape)`` hands out a C-contiguous view of the flat buffer
+    kept for ``key``, a role such as ``(block, "relu")``, and grows that
+    buffer only when a larger shape arrives; ``workspace[key]`` is the view
+    handed out last for that role. A view holds whatever its role's last
+    writer left there. ``train()`` and each prediction or evaluation call
+    make one workspace and drop it when they return: buffers are reused
+    within one call, and nothing outlives it.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+        self._views: dict = {}
+
+    def take(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size)
+        view = self._views[key] = buf[:size].reshape(shape)
+        return view
+
+    def __getitem__(self, key) -> np.ndarray:
+        return self._views[key]
 
 
 def _squared_offsets(length: int) -> np.ndarray:
@@ -325,66 +348,107 @@ def attention(
     v: np.ndarray,
     log_sigma: np.ndarray,
     mask: np.ndarray,
+    out: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention over zero-padded heads.
 
     q, k, v are (B, H, T, d_h); log_sigma is (H,); mask is (B, T) with True
     at real tokens. Head h adds the local Gaussian bias -(j-k)^2 / sigma_h^2
     to its scores, and padded keys get exactly zero weight. Returns the
-    attention weights (B, H, T, T) and the context (B, H, T, d_h).
+    attention weights (B, H, T, T) and the context (B, H, T, d_h), written
+    into ``out`` = (weights, context) when it is given.
     """
     sigma = np.exp(log_sigma)
     bias = -_squared_offsets(mask.shape[1])[None] / (sigma ** 2)[:, None, None]
     key_bias = np.where(mask, 0.0, MASK_NEG)[:, None, None, :]
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = q @ k.transpose(0, 1, 3, 2) * scale + bias[None] + key_bias
-    probs = _softmax_last(scores)
-    return probs, probs @ v
+    if out is None:
+        b, h, t, _ = q.shape
+        out = np.empty((b, h, t, t)), np.empty(q.shape)
+    probs, context = out
+    np.matmul(q, k.transpose(0, 1, 3, 2), out=probs)
+    probs *= scale
+    probs += bias[None]
+    probs += key_bias
+    probs -= probs.max(axis=-1, keepdims=True)  # softmax over the keys
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    np.matmul(probs, v, out=context)
+    return probs, context
 
 
 def _dropout_keep(
-    rng: np.random.Generator, mask: np.ndarray, dim: int, rate: float
+    rng: np.random.Generator, mask: np.ndarray, rate: float,
+    draws: np.ndarray, out: np.ndarray,
 ) -> np.ndarray:
     # Inverted dropout: multiply by keep/(1-rate) so eval needs no scaling.
-    # Drawn for every (B, T, dim) slot and then packed to the real tokens, so
-    # the rng stream is the same however the tokens are laid out.
-    keep = (rng.random(mask.shape + (dim,)) >= rate).astype(np.float64)
-    return keep[mask] / (1.0 - rate)
+    # Drawn for every (B, T, d) slot of ``draws`` and then packed to the real
+    # tokens, so the rng stream is the same however the tokens are laid out.
+    rng.random(out=draws)
+    return np.divide((draws >= rate)[mask], 1.0 - rate, out=out)
 
 
-def _layer_norm_forward(x, gain, offset):
+def _layer_norm_forward(x, gain, offset, out, xhat, inv_std):
+    """Layer norm of x (N, d) into ``out``, overwriting x.
+
+    Fills ``xhat`` (N, d) and ``inv_std`` (N, 1) for the backward pass.
+    """
     mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv_std
-    return xhat * gain + offset, (xhat, inv_std)
+    centered = np.subtract(x, mean, out=xhat)
+    var = np.multiply(centered, centered, out=x).mean(axis=-1, keepdims=True)
+    np.divide(1.0, np.sqrt(var + LN_EPS), out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gain, out=out)
+    out += offset
+    return out
 
 
-def _layer_norm_backward(dy, gain, xhat, inv_std):
-    dxhat = dy * gain
-    dx = inv_std * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-    )
-    dgain = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    doffset = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
-    return dx, dgain, doffset
+def _layer_norm_backward(dy, gain, xhat, inv_std, dgain, doffset, out, scratch):
+    """d(loss)/d(input) of a layer norm into ``out``; fills dgain, doffset.
+
+    ``scratch`` is an (N, d) buffer it may overwrite.
+    """
+    dxhat = np.multiply(dy, gain, out=scratch)
+    dxhat_mean = dxhat.mean(axis=-1, keepdims=True)
+    proj_mean = np.multiply(dxhat, xhat, out=out).mean(axis=-1, keepdims=True)
+    dgain[:] = np.multiply(dy, xhat, out=out).sum(axis=0)
+    doffset[:] = dy.sum(axis=0)
+    np.subtract(dxhat, dxhat_mean, out=out)
+    out -= np.multiply(xhat, proj_mean, out=scratch)
+    out *= inv_std
+    return out
 
 
-def _pad_heads(x: np.ndarray, mask: np.ndarray, num_heads: int) -> np.ndarray:
-    """Scatter packed (N, d) token rows into zero-padded heads (B, H, T, d_h)."""
-    padded = np.zeros(mask.shape + x.shape[-1:])
-    padded[mask] = x
-    b, t, d = padded.shape
-    return padded.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+def _heads(tokens: np.ndarray, num_heads: int) -> np.ndarray:
+    """The (B, H, T, d_h) head view of a token-major (B, T, d) array."""
+    b, t, d = tokens.shape
+    return tokens.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
-def _pack_heads(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Gather heads (B, H, T, d_h) back into packed (N, d) token rows."""
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)[mask]
+def _pad_heads(
+    x: np.ndarray, mask: np.ndarray, num_heads: int, out: np.ndarray
+) -> np.ndarray:
+    """Scatter packed (N, d) token rows into zero-padded (B, T, d) ``out``.
+
+    Returns its (B, H, T, d_h) head view.
+    """
+    out.fill(0.0)
+    out[mask] = x
+    return _heads(out, num_heads)
+
+
+def _pack_heads(tokens: np.ndarray, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gather the real tokens of a (B, T, d) array into packed (N, d) ``out``.
+
+    Head products are written into the (B, H, T, d_h) head view of
+    ``tokens``, so the gather reads them in token order with no transpose.
+    """
+    b, t, d = tokens.shape
+    return np.compress(mask.ravel(), tokens.reshape(b * t, d), axis=0, out=out)
+
+
+def _dropout_on(cfg: DurationNetConfig, train: bool) -> bool:
+    return train and cfg.dropout_rate > 0.0
 
 
 def _forward_batch(
@@ -395,7 +459,7 @@ def _forward_batch(
     mask: np.ndarray,
     train: bool,
     rng: Optional[np.random.Generator],
-    cache: Optional[dict] = None,
+    ws: Workspace,
 ) -> np.ndarray:
     """Batched forward pass; returns (B, T) predictions.
 
@@ -403,9 +467,9 @@ def _forward_batch(
     tokens. The position-wise layers (projections, layer norms, FFN, dropout
     and output head) run on the N real tokens packed into (N, d). Only the
     attention scores and context use zero-padded (B, H, T, d_h) heads, where
-    padded keys get exactly zero weight. Padded outputs are 0. Pass a dict
-    as ``cache`` to keep the activations ``_backward_batch`` needs; without
-    one, each block's activations are freed as soon as the next block runs.
+    padded keys get exactly zero weight. Padded outputs are 0. Activations
+    stay in ``ws`` under their roles, where ``_backward_batch`` reads them;
+    the returned predictions are a fresh array.
     """
     batch, length = phone_ids.shape
     if length > cfg.max_seq_len:
@@ -414,139 +478,164 @@ def _forward_batch(
         raise DataError("phone index outside embedding table")
     if train and rng is None:
         raise DataError("training-mode forward needs an rng for dropout")
-    dropping = train and cfg.dropout_rate > 0.0
-    d, h = cfg.embed_dim, cfg.num_heads
+    dropping = _dropout_on(cfg, train)
+    d, h, f, rate = cfg.embed_dim, cfg.num_heads, cfg.ffn_dim, cfg.dropout_rate
 
     rows, cols = np.nonzero(mask)
-    token_phones, token_speeds = phone_ids[rows, cols], speeds[rows]
-    x = (
-        params.phone_embeddings[token_phones]
-        + token_speeds[:, None] * params.speed_projection
-        + sinusoidal_encoding(length, d)[cols]
-    )
-    embed_keep = None
+    packed = (rows.size, d)
+    tmp = ws.take("tmp", packed)
+    # (B, T, d) scratch for dropout draws and for head products until packed
+    padded = ws.take("padded", mask.shape + (d,))
+    x = np.take(params.phone_embeddings, phone_ids[rows, cols], axis=0,
+                out=ws.take((0, "x"), packed))
+    x += np.multiply(speeds[rows, None], params.speed_projection, out=tmp)
+    x += np.take(sinusoidal_encoding(length, d), cols, axis=0, out=tmp)
     if dropping:
-        embed_keep = _dropout_keep(rng, mask, d, cfg.dropout_rate)
-        x = x * embed_keep
+        x *= _dropout_keep(rng, mask, rate, padded,
+                           ws.take("embed_keep", packed))
 
-    block_caches = []
-    for block in params.blocks:
-        x_in = x
-        q = _pad_heads(x @ block.attn_query, mask, h)
-        k = _pad_heads(x @ block.attn_key, mask, h)
-        v = _pad_heads(x @ block.attn_value, mask, h)
-        probs, heads = attention(q, k, v, block.log_sigma, mask)
-        context = _pack_heads(heads, mask)
-        attn_out = context @ block.attn_out
-        attn_keep = ffn_keep = None
+    for i, block in enumerate(params.blocks):
+        q, k, v = (
+            _pad_heads(np.matmul(x, weight, out=tmp), mask, h,
+                       ws.take((i, name), padded.shape))
+            for name, weight in (("q", block.attn_query),
+                                 ("k", block.attn_key),
+                                 ("v", block.attn_value))
+        )
+        attention(q, k, v, block.log_sigma, mask,
+                  out=(ws.take((i, "probs"), (batch, h, length, length)),
+                       _heads(padded, h)))
+        context = _pack_heads(padded, mask, ws.take((i, "context"), packed))
+        attn_out = np.matmul(context, block.attn_out, out=tmp)
         if dropping:
-            attn_keep = _dropout_keep(rng, mask, d, cfg.dropout_rate)
-            attn_out = attn_out * attn_keep
-        x1, ln1 = _layer_norm_forward(x + attn_out, block.ln1_gain,
-                                      block.ln1_offset)
-        hidden = x1 @ block.ffn_in + block.ffn_in_bias
-        relu = np.maximum(hidden, 0.0)
-        ffn_out = relu @ block.ffn_out + block.ffn_out_bias
+            attn_out *= _dropout_keep(rng, mask, rate, padded,
+                                      ws.take((i, "attn_keep"), packed))
+        x1 = _layer_norm_forward(
+            np.add(x, attn_out, out=tmp), block.ln1_gain, block.ln1_offset,
+            ws.take((i, "x1"), packed), ws.take((i, "ln1_xhat"), packed),
+            ws.take((i, "ln1_inv_std"), (rows.size, 1)),
+        )
+        # relu > 0 exactly where the pre-activation is, so only relu is kept.
+        relu = np.matmul(x1, block.ffn_in, out=ws.take((i, "relu"), (rows.size, f)))
+        relu += block.ffn_in_bias
+        np.maximum(relu, 0.0, out=relu)
+        ffn_out = np.matmul(relu, block.ffn_out, out=tmp)
+        ffn_out += block.ffn_out_bias
         if dropping:
-            ffn_keep = _dropout_keep(rng, mask, d, cfg.dropout_rate)
-            ffn_out = ffn_out * ffn_keep
-        x, ln2 = _layer_norm_forward(x1 + ffn_out, block.ln2_gain,
-                                     block.ln2_offset)
-        if cache is not None:
-            block_caches.append(dict(
-                x_in=x_in, q=q, k=k, v=v, probs=probs,
-                context=context, attn_keep=attn_keep, ln1=ln1, x1=x1,
-                hidden=hidden, relu=relu, ffn_keep=ffn_keep, ln2=ln2,
-            ))
+            ffn_out *= _dropout_keep(rng, mask, rate, padded,
+                                     ws.take((i, "ffn_keep"), packed))
+        x = _layer_norm_forward(
+            np.add(x1, ffn_out, out=tmp), block.ln2_gain, block.ln2_offset,
+            ws.take((i + 1, "x"), packed), ws.take((i, "ln2_xhat"), packed),
+            ws.take((i, "ln2_inv_std"), (rows.size, 1)),
+        )
 
     preds = np.zeros(mask.shape)
     preds[mask] = (x @ params.out_weight)[:, 0] + params.out_bias[0]
-    if cache is not None:
-        cache.update(
-            phone_ids=token_phones, speeds=token_speeds, mask=mask,
-            embed_keep=embed_keep, blocks=block_caches, x_final=x,
-        )
     return preds
 
 
 def _backward_batch(
     params: DurationNetParams,
     cfg: DurationNetConfig,
-    cache: dict,
+    phone_ids: np.ndarray,
+    speeds: np.ndarray,
+    mask: np.ndarray,
+    train: bool,
     dpreds: np.ndarray,
+    ws: Workspace,
 ) -> DurationNetParams:
     """Gradients of a scalar loss given d(loss)/d(predictions).
 
-    Padded tokens carry no gradient, so every weight gradient is a plain
-    (N, a)^T @ (N, b) product over the packed real tokens.
+    Reads the activations the forward pass on the same batch left in
+    ``ws``. Padded tokens carry no gradient, so every weight gradient is a
+    plain (N, a)^T @ (N, b) product over the packed real tokens. The
+    returned gradients are views into ``ws``.
     """
-    grads = zeros_like_params(params)
-    mask = cache["mask"]
+    grads = _map_params(params, lambda name, t: ws.take(("grad", name), t.shape))
+    dropping = _dropout_on(cfg, train)
+    h, nb = cfg.num_heads, len(params.blocks)
+    rows = np.nonzero(mask)[0]
     dpreds = dpreds[mask]
-    x_final = cache["x_final"]
+    packed = (rows.size, cfg.embed_dim)
+    dx, dsum, tmp = (ws.take(name, packed) for name in ("dx", "dsum", "tmp"))
+    padded, dprobs = ws["padded"], ws.take("dprobs", ws[0, "probs"].shape)
+    dhidden = ws.take("dhidden", ws[0, "relu"].shape)
 
     grads.out_bias[0] = dpreds.sum()
-    grads.out_weight[:, 0] = x_final.T @ dpreds
-    dx = dpreds[:, None] * params.out_weight[:, 0]
+    grads.out_weight[:, 0] = ws[nb, "x"].T @ dpreds
+    np.multiply(dpreds[:, None], params.out_weight[:, 0], out=dx)
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
     offsets_sq = _squared_offsets(mask.shape[1])
-    for block, c, g in zip(
-        reversed(params.blocks), reversed(cache["blocks"]),
-        reversed(grads.blocks),
-    ):
-        dsum2, g.ln2_gain[:], g.ln2_offset[:] = _layer_norm_backward(
-            dx, block.ln2_gain, *c["ln2"]
+    for i in reversed(range(nb)):
+        block, g = params.blocks[i], grads.blocks[i]
+        dsum2 = _layer_norm_backward(
+            dx, block.ln2_gain, ws[i, "ln2_xhat"], ws[i, "ln2_inv_std"],
+            g.ln2_gain, g.ln2_offset, dsum, tmp,
         )
         dffn_out = dsum2
-        if c["ffn_keep"] is not None:
-            dffn_out = dffn_out * c["ffn_keep"]
+        if dropping:
+            dffn_out = np.multiply(dffn_out, ws[i, "ffn_keep"], out=tmp)
+        relu = ws[i, "relu"]
         g.ffn_out_bias[:] = dffn_out.sum(axis=0)
-        g.ffn_out[:] = c["relu"].T @ dffn_out
-        drelu = dffn_out @ block.ffn_out.T
-        dhidden = drelu * (c["hidden"] > 0)
+        np.matmul(relu.T, dffn_out, out=g.ffn_out)
+        np.matmul(dffn_out, block.ffn_out.T, out=dhidden)
+        np.multiply(dhidden, relu > 0, out=dhidden)
         g.ffn_in_bias[:] = dhidden.sum(axis=0)
-        g.ffn_in[:] = c["x1"].T @ dhidden
-        dx1 = dsum2 + dhidden @ block.ffn_in.T
+        np.matmul(ws[i, "x1"].T, dhidden, out=g.ffn_in)
+        dx1 = np.matmul(dhidden, block.ffn_in.T, out=dx)
+        dx1 += dsum2
 
-        dsum1, g.ln1_gain[:], g.ln1_offset[:] = _layer_norm_backward(
-            dx1, block.ln1_gain, *c["ln1"]
+        dsum1 = _layer_norm_backward(
+            dx1, block.ln1_gain, ws[i, "ln1_xhat"], ws[i, "ln1_inv_std"],
+            g.ln1_gain, g.ln1_offset, dsum, tmp,
         )
         dattn_out = dsum1
-        if c["attn_keep"] is not None:
-            dattn_out = dattn_out * c["attn_keep"]
-        g.attn_out[:] = c["context"].T @ dattn_out
-        dctx_heads = _pad_heads(dattn_out @ block.attn_out.T, mask,
-                                cfg.num_heads)
+        if dropping:
+            dattn_out = np.multiply(dattn_out, ws[i, "attn_keep"], out=tmp)
+        np.matmul(ws[i, "context"].T, dattn_out, out=g.attn_out)
+        dctx_heads = _pad_heads(
+            np.matmul(dattn_out, block.attn_out.T, out=dx), mask, h,
+            ws.take("dctx", padded.shape),
+        )
 
-        probs, q, k, v = c["probs"], c["q"], c["k"], c["v"]
-        dprobs = dctx_heads @ v.transpose(0, 1, 3, 2)
-        dv = _pack_heads(probs.transpose(0, 1, 3, 2) @ dctx_heads, mask)
-        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+        probs = ws[i, "probs"]
+        q, k, v = (_heads(ws[i, name], h) for name in ("q", "k", "v"))
+        np.matmul(dctx_heads, v.transpose(0, 1, 3, 2), out=dprobs)
+        np.matmul(probs.transpose(0, 1, 3, 2), dctx_heads, out=_heads(padded, h))
+        dv = _pack_heads(padded, mask, ws.take("dv", packed))
+        # dscores = probs * (dprobs - sum over keys of dprobs * probs)
+        row_dot = np.multiply(dprobs, probs, out=ws.take("dprobs_probs", dprobs.shape))
+        dprobs -= row_dot.sum(axis=-1, keepdims=True)
+        dscores = np.multiply(probs, dprobs, out=dprobs)
         # d(bias)/d(log sigma) = 2*(j-k)^2/sigma^2, summed over batch rows
         dbias = dscores.sum(axis=0)
         g.log_sigma[:] = (
             (dbias * offsets_sq).sum(axis=(1, 2)) * 2.0
             / (np.exp(block.log_sigma) ** 2)
         )
-        dq = _pack_heads(dscores @ k, mask) * scale
-        dk = _pack_heads(dscores.transpose(0, 1, 3, 2) @ q, mask) * scale
+        np.matmul(dscores, k, out=_heads(padded, h))
+        dq = _pack_heads(padded, mask, ws.take("dq", packed))
+        dq *= scale
+        np.matmul(dscores.transpose(0, 1, 3, 2), q, out=_heads(padded, h))
+        dk = _pack_heads(padded, mask, ws.take("dk", packed))
+        dk *= scale
 
-        x_in = c["x_in"]
-        g.attn_query[:] = x_in.T @ dq
-        g.attn_key[:] = x_in.T @ dk
-        g.attn_value[:] = x_in.T @ dv
-        dx = (
-            dsum1
-            + dq @ block.attn_query.T
-            + dk @ block.attn_key.T
-            + dv @ block.attn_value.T
-        )
+        x_in = ws[i, "x"]
+        np.matmul(x_in.T, dq, out=g.attn_query)
+        np.matmul(x_in.T, dk, out=g.attn_key)
+        np.matmul(x_in.T, dv, out=g.attn_value)
+        np.matmul(dq, block.attn_query.T, out=dx)
+        dx += dsum1
+        dx += np.matmul(dk, block.attn_key.T, out=tmp)
+        dx += np.matmul(dv, block.attn_value.T, out=tmp)
 
-    if cache["embed_keep"] is not None:
-        dx = dx * cache["embed_keep"]
-    np.add.at(grads.phone_embeddings, cache["phone_ids"], dx)
-    grads.speed_projection[0] = cache["speeds"] @ dx
+    if dropping:
+        dx *= ws["embed_keep"]
+    grads.phone_embeddings.fill(0.0)
+    np.add.at(grads.phone_embeddings, phone_ids[mask], dx)
+    grads.speed_projection[0] = speeds[rows] @ dx
     return grads
 
 
@@ -559,16 +648,22 @@ def masked_l1_and_grads(
     mask: np.ndarray,
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
+    workspace: Optional[Workspace] = None,
 ) -> tuple[float, DurationNetParams]:
-    """Token-mean L1 loss over real tokens plus gradients for every tensor."""
-    cache: dict = {}
-    preds = _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng,
-                           cache)
+    """Token-mean L1 loss over real tokens plus gradients for every tensor.
+
+    The gradients are views into ``workspace`` (a fresh one by default),
+    so a caller that shares one across steps must use them before the next
+    step.
+    """
+    ws = Workspace() if workspace is None else workspace
+    preds = _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng, ws)
     count = mask.sum()
     diff = (preds - targets) * mask
     loss = float(np.abs(diff).sum() / count)
     dpreds = np.sign(diff) / count
-    return loss, _backward_batch(params, cfg, cache, dpreds)
+    return loss, _backward_batch(params, cfg, phone_ids, speeds, mask, train,
+                                 dpreds, ws)
 
 
 def _pad_phones(phone_seqs: Sequence[Sequence[int]]):
@@ -598,7 +693,8 @@ def forward(
 ) -> np.ndarray:
     """Predicted duration (frames) for each phone of one sequence."""
     phone_ids, speeds, mask = _as_batch(phones, speed)
-    return _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng)[0]
+    return _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng,
+                          Workspace())[0]
 
 
 def backward(
@@ -629,15 +725,18 @@ def predict_durations_batch(
     """Eval-mode predictions for many (phones, speed) sequences.
 
     Sequences are zero-padded in chunks of ``cfg.batch_size``, in input
-    order, and each prediction is clamped to at least one frame.
+    order, and each prediction is clamped to at least one frame. The chunks
+    share one workspace, dropped when the call returns.
     """
+    ws = Workspace()
     out: list[np.ndarray] = []
     for start in range(0, len(sequences), cfg.batch_size):
         chunk = sequences[start : start + cfg.batch_size]
         phone_ids, mask = _pad_phones([phones for phones, _ in chunk])
         speeds = np.asarray([speed for _, speed in chunk], dtype=np.float64)
         preds = np.maximum(
-            _forward_batch(params, cfg, phone_ids, speeds, mask, False, None),
+            _forward_batch(params, cfg, phone_ids, speeds, mask, False, None,
+                           ws),
             1.0,
         )
         out.extend(row[:n] for row, n in zip(preds, mask.sum(axis=1)))

@@ -12,6 +12,7 @@ from .net import (
     DurationNetConfig,
     DurationNetParams,
     DurationSample,
+    Workspace,
     _forward_batch,
     _pad_phones,
     backward,
@@ -81,18 +82,22 @@ def evaluate_mae(
     params: DurationNetParams,
     cfg: DurationNetConfig,
     samples: Sequence[DurationSample],
+    workspace: Optional[Workspace] = None,
 ) -> float:
-    """Eval-mode mean absolute error in frames over all real tokens."""
+    """Eval-mode mean absolute error in frames over all real tokens.
+
+    Runs in ``workspace`` (``train()`` passes its own), else in a fresh one.
+    """
     if not samples:
         raise DataError("no samples to evaluate")
+    ws = Workspace() if workspace is None else workspace
     total = 0.0
     count = 0
     for start in range(0, len(samples), cfg.batch_size):
         chunk = samples[start : start + cfg.batch_size]
         phone_ids, speeds, targets, mask = _pad_batch(chunk)
-        preds = _forward_batch(
-            params, cfg, phone_ids, speeds, mask, train=False, rng=None
-        )
+        preds = _forward_batch(params, cfg, phone_ids, speeds, mask, False, None,
+                               ws)
         total += float(np.abs((preds - targets) * mask).sum())
         count += int(mask.sum())
     return total / count
@@ -152,6 +157,8 @@ def train(
     shuffling, and dropout in a fixed order. The returned parameters are
     the epoch snapshot with the lowest validation MAE, never a worse later
     state. A non-finite loss raises NumericError with the failing step.
+    Every step and validation pass of the call shares one workspace, which
+    is dropped when the call returns.
     """
     dataset = list(dataset)
     validation = list(validation)
@@ -174,6 +181,7 @@ def train(
     best = clone_params(params)
     best_mae = np.inf
     log: list[TrainLogEntry] = []
+    ws = Workspace()
 
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(dataset))
@@ -184,7 +192,7 @@ def train(
             phone_ids, speeds, targets, mask = _pad_batch(chunk)
             loss, grads = masked_l1_and_grads(
                 params, cfg, phone_ids, speeds, targets, mask,
-                train=True, rng=rng,
+                train=True, rng=rng, workspace=ws,
             )
             if not np.isfinite(loss):
                 raise NumericError(
@@ -194,7 +202,7 @@ def train(
             abs_err += loss * n
             tokens += n
             adam.update(params, grads, noam_lr(adam.step + 1, cfg))
-        val_mae = evaluate_mae(params, cfg, validation)
+        val_mae = evaluate_mae(params, cfg, validation, ws)
         entry = TrainLogEntry(epoch, abs_err / tokens, val_mae)
         log.append(entry)
         if callback is not None:

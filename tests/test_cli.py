@@ -318,6 +318,34 @@ def test_non_finite_silence_penalty_exits_two(pipeline, tmp_path, capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+def test_non_finite_beta_exits_two(pipeline, tmp_path, capsys, beta):
+    code = main(["score",
+                 "--posteriors", str(pipeline["post"]),
+                 "--ctm", str(pipeline["ctm"]),
+                 "--phones", str(pipeline["phones"]),
+                 "--variant", "cagop", "--beta", beta,
+                 "--balance", str(pipeline["balance"]),
+                 "--checkpoint", str(pipeline["ckpt"]),
+                 "--out", str(tmp_path / "scores.tsv")])
+    assert code == 2
+    assert f"beta must be finite and >= 0, got {beta}" in capsys.readouterr().err
+    assert not (tmp_path / "scores.tsv").exists()
+
+
+@pytest.mark.parametrize("fraction", ["nan", "-3", "0", "1"])
+def test_val_fraction_outside_unit_interval_exits_two(tmp_path, capsys, fraction):
+    # checked before any input is read: the CTM path does not exist
+    code = main(["train-dur", "--ctm", str(tmp_path / "absent.ctm"),
+                 "--phones", str(tmp_path / "absent.txt"),
+                 "--val-fraction", fraction,
+                 "--out", str(tmp_path / "dur.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"--val-fraction must be in (0, 1), got {float(fraction)}" in err
+
+
 def test_needing_durations_without_tables_exits_one(pipeline, capsys):
     code = main(["score",
                  "--posteriors", str(pipeline["post"]),

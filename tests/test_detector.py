@@ -86,6 +86,12 @@ def test_beta_must_be_nonnegative():
         DetectorConfig(variant="nope")
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_beta_must_be_finite(beta):
+    with pytest.raises(DataError, match="beta"):
+        DetectorConfig(beta=beta, variant="gop")
+
+
 def scored_case(seed, variant_cfg, balance=None, preds=None):
     rng = np.random.default_rng(seed)
     ps = PhoneSet(("SIL", "A", "B", "C"), silence_index=0)

@@ -1,6 +1,7 @@
 """Learning-rate schedule and training-loop contracts."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from cagop.duration import (
     DurationNetConfig,
     DurationSample,
     TrainLogEntry,
+    clone_params,
     desk_config,
     evaluate_mae,
     full_config,
+    init_params,
     iter_tensors,
     noam_lr,
     overfit_single,
     train,
 )
+from cagop.duration.net import Workspace, _forward_batch, masked_l1_and_grads
+from cagop.duration.training import _pad_batch
 from cagop.model import DataError, NumericError
 
 
@@ -199,3 +204,72 @@ def test_desk_training_matches_pinned_trajectory():
     for name, sums in PINNED_SUMS.items():
         got = (tensors[name].sum(), np.abs(tensors[name]).sum())
         np.testing.assert_allclose(got, sums, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+# --- workspace --------------------------------------------------------------
+
+
+def desk_batch(batch, length, seed, num_phones=12):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, length + 1, size=batch)
+    lengths[0] = length
+    return _pad_batch([
+        DurationSample.from_durations(
+            rng.integers(0, num_phones, size=n).tolist(),
+            rng.integers(1, 15, size=n).astype(float).tolist(),
+        )
+        for n in lengths
+    ])
+
+
+# A training step that allocated every activation and gradient afresh took
+# 22.1 MiB on a 64 x 15 desk batch; steps sharing a workspace reuse those.
+FRESH_STEP_MIB = 22.1
+
+
+def test_steps_sharing_a_workspace_allocate_little():
+    cfg = desk_config(seed=0)
+    params = init_params(cfg, 12, np.random.default_rng(0))
+    batch = desk_batch(64, 15, seed=1)
+    rng = np.random.default_rng(2)
+    ws = Workspace()
+    masked_l1_and_grads(params, cfg, *batch, train=True, rng=rng, workspace=ws)
+    tracemalloc.start()
+    try:
+        peaks = []
+        for _ in range(3):
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            masked_l1_and_grads(params, cfg, *batch, train=True, rng=rng,
+                                workspace=ws)
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / 2**20)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) <= 0.25 * FRESH_STEP_MIB, peaks
+
+
+def test_shared_workspace_matches_a_fresh_one_per_call():
+    # Buffers grow and shrink between batches, and evaluation runs in the
+    # same workspace between steps, as in train().
+    cfg = desk_config(seed=3)
+    params = init_params(cfg, 12, np.random.default_rng(4))
+    val = [DurationSample.from_durations([1, 5, 2, 9], [3.0, 6.0, 2.0, 7.0]),
+           DurationSample.from_durations([4] * 17, [5.0] * 17)]
+    shared = Workspace()
+    for j, (b, t) in enumerate([(8, 12), (3, 20), (16, 4), (1, 1), (5, 20)]):
+        phone_ids, speeds, targets, mask = desk_batch(b, t, seed=10 + j)
+        runs = []
+        for ws in (shared, None):
+            loss, grads = masked_l1_and_grads(
+                params, cfg, phone_ids, speeds, targets, mask, train=True,
+                rng=np.random.default_rng(j), workspace=ws)
+            grads = clone_params(grads)
+            mae = evaluate_mae(params, cfg, val, ws)
+            preds = _forward_batch(params, cfg, phone_ids, speeds, mask, False,
+                                   None, shared if ws is shared else Workspace())
+            runs.append((loss, grads, mae, preds))
+        (loss_s, grads_s, mae_s, preds_s), (loss_f, grads_f, mae_f, preds_f) = runs
+        assert loss_s == loss_f and mae_s == mae_f
+        assert np.array_equal(preds_s, preds_f)
+        for (name, gs), (_, gf) in zip(iter_tensors(grads_s), iter_tensors(grads_f)):
+            assert np.array_equal(gs, gf), (j, name)
