@@ -25,6 +25,7 @@ from .detector import (
     calibrate_thresholds,
     detect_flags,
     score_utterance,
+    score_utterances,
     threshold_for,
 )
 from .duration import DurationSample
@@ -52,41 +53,3 @@ from .scoring import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignConfig",
-    "Alignment",
-    "BalanceTable",
-    "CagopError",
-    "DataError",
-    "DetectorConfig",
-    "DurationSample",
-    "FormatError",
-    "FrameScores",
-    "NumericError",
-    "PhoneScore",
-    "PhoneSegment",
-    "PhoneSet",
-    "Posteriorgram",
-    "ScoreReport",
-    "ThresholdTable",
-    "VARIANTS",
-    "align",
-    "alignment_log_score",
-    "cagop_score",
-    "calibrate_thresholds",
-    "center_gop",
-    "delta",
-    "detect_flags",
-    "entropy_profile",
-    "fit_balance_table",
-    "frame_entropy",
-    "gop",
-    "lookup_tolerance",
-    "score_utterance",
-    "slice_segment",
-    "speed_bucket",
-    "tascore",
-    "threshold_for",
-    "validate_posteriorgram",
-]

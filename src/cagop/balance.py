@@ -34,16 +34,19 @@ def _check_buckets(bucket_width: float, bucket_range: tuple[int, int]) -> None:
 
 
 def speed_bucket(
-    speed: float,
+    speed,
     bucket_width: float = DEFAULT_BUCKET_WIDTH,
     bucket_range: tuple[int, int] = DEFAULT_BUCKET_RANGE,
-) -> int:
-    """Clamped round-half-up bucket index for a speed in frames."""
+):
+    """Clamped round-half-up bucket index of a speed in frames (or array)."""
     _check_buckets(bucket_width, bucket_range)
-    lo, hi = bucket_range
+    speed = np.asarray(speed, dtype=np.float64)
+    if not np.isfinite(speed).all():
+        raise DataError(f"speed must be finite, got {speed}")
     # floor(x + 0.5) rather than round(): no banker's rounding surprises
-    index = int(math.floor(speed / bucket_width + 0.5))
-    return min(hi, max(lo, index))
+    index = np.minimum(np.maximum(np.floor(speed / bucket_width + 0.5),
+                                  bucket_range[0]), bucket_range[1])
+    return index.astype(np.int64) if index.ndim else int(index)
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,20 @@ class BalanceTable:
             raise DataError(
                 f"global tolerance must be finite and >= 0, got {self.global_backoff}"
             )
+        # The backoff resolved once into a dense (phone x bucket) grid;
+        # phones past the largest one named read its last, global, row.
+        named = [*self.phone_backoff, *(phone for phone, _ in self.entries)]
+        if min(named, default=0) < 0:
+            raise DataError(f"negative phone index {min(named)}")
+        lo, hi = self.bucket_range
+        grid = np.full((max(named, default=-1) + 2, hi - lo + 1),
+                       self.global_backoff)
+        for phone, tolerance in self.phone_backoff.items():
+            grid[phone] = tolerance
+        for (phone, bucket), tolerance in self.entries.items():
+            if lo <= bucket <= hi:
+                grid[phone, bucket - lo] = tolerance
+        object.__setattr__(self, "_grid", grid)
 
 
 def _tolerance(errors: Sequence[float]) -> float:
@@ -97,13 +114,14 @@ def fit_balance_table(
     by_cell: dict[tuple[int, int], list[float]] = {}
     by_phone: dict[int, list[float]] = {}
     everything: list[float] = []
-    for sample, preds in zip(samples, predicted):
+    buckets = speed_bucket([s.speed for s in samples], bucket_width,
+                           bucket_range).tolist()
+    for sample, preds, bucket in zip(samples, predicted, buckets):
         preds = [float(p) for p in preds]
         if len(preds) != len(sample):
             raise DataError(f"{len(preds)} predictions for {len(sample)} phones")
         if not all(p > 0 for p in preds):
             raise DataError("predicted durations must be positive")
-        bucket = speed_bucket(sample.speed, bucket_width, bucket_range)
         for phone, d_align, d_pred in zip(sample.phones, sample.durations, preds):
             err = abs(d_align - d_pred)
             by_cell.setdefault((phone, bucket), []).append(err)
@@ -134,6 +152,16 @@ def lookup_tolerance(table: BalanceTable, phone: int, speed: float) -> float:
     if phone_level is not None:
         return phone_level
     return table.global_backoff
+
+
+def lookup_tolerances(
+    table: BalanceTable, phones: np.ndarray, speeds: np.ndarray
+) -> np.ndarray:
+    """``lookup_tolerance`` of each (phone, speed) pair, by one index."""
+    grid = table._grid
+    buckets = speed_bucket(speeds, table.bucket_width, table.bucket_range)
+    return grid[np.minimum(phones, len(grid) - 1),
+                buckets - table.bucket_range[0]]
 
 
 def delta(d_align: float, d_pred: float, tolerance: float) -> float:

@@ -8,20 +8,23 @@ stderr. All commands are deterministic given their --seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .align import AlignConfig, align as force_align
 from .balance import fit_balance_table
-from .detector import (
+# score_utterance stays importable here: benchmarks/tracing.py times its
+# calls under this module name.
+from .detector import (  # noqa: F401
     VARIANTS,
     DetectorConfig,
     calibrate_thresholds,
     detect_flags,
     score_utterance,
+    score_utterances,
 )
 # predict_durations stays importable here: benchmarks/tracing.py counts its
 # calls under this module name.
@@ -36,7 +39,6 @@ from .duration.net import (  # noqa: F401
 from .duration.training import train
 from .formats import (
     ScoreFile,
-    ScoreRow,
     read_annotations,
     read_balance_table,
     read_checkpoint,
@@ -78,21 +80,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _posteriorgram_for(utt_id: str, posteriors: str, single_ok: bool):
-    path = Path(posteriors)
-    if path.is_dir():
-        candidate = path / f"{utt_id}.pgm"
-        if not candidate.exists():
-            candidate = path / f"{utt_id}.pgt"
-        if not candidate.exists():
-            raise DataError(f"no posteriorgram for {utt_id!r} under {path}")
-        return read_posteriorgram(candidate)
-    if not single_ok:
+def _posteriorgram_for(utt_id: str, posteriors: str, single_ok: bool,
+                       phone_set):
+    """The utterance's posteriorgram, read and validated."""
+    path = posteriors
+    if os.path.isdir(posteriors):
+        path = os.path.join(posteriors, f"{utt_id}.pgm")
+        if not os.path.exists(path):
+            path = os.path.join(posteriors, f"{utt_id}.pgt")
+        if not os.path.exists(path):
+            raise DataError(
+                f"no posteriorgram for {utt_id!r} under {Path(posteriors)}")
+    elif not single_ok:
         raise DataError(
             f"--posteriors {posteriors} is a single file but the input names "
             "several utterances"
         )
-    return read_posteriorgram(path)
+    return validate_posteriorgram(read_posteriorgram(path), phone_set)
 
 
 def _cmd_synth_corpus(args) -> int:
@@ -114,8 +118,8 @@ def _cmd_align(args) -> int:
     )
     entries = []
     for utt_id, text in manifest:
-        pg = _posteriorgram_for(utt_id, args.posteriors, len(manifest) == 1)
-        pg = validate_posteriorgram(pg, phone_set)
+        pg = _posteriorgram_for(utt_id, args.posteriors, len(manifest) == 1,
+                                phone_set)
         phones = text_to_phones(text, lexicon, phone_set)
         entries.append((utt_id, force_align(pg, phones, cfg)))
     write_ctm(args.out, entries, phone_set)
@@ -165,36 +169,25 @@ def _cmd_score(args) -> int:
         if args.thresholds is not None else None
     )
 
-    rows: list[ScoreRow] = []
-    sentences: list[tuple[str, float]] = []
-    for utt_id, alignment in entries:
-        pg = _posteriorgram_for(utt_id, args.posteriors, len(entries) == 1)
-        pg = validate_posteriorgram(pg, phone_set)
-        report = score_utterance(
-            pg, alignment, phone_set, cfg,
-            predicted_durations=predicted.get(utt_id), balance=balance,
-            utterance_id=utt_id,
-        )
-        for pos, record in enumerate(report.per_phone):
-            rows.append(ScoreRow(
-                utt_id=utt_id,
-                position=pos,
-                phone=record.phone,
-                start=record.segment.start,
-                length=record.segment.length,
-                score=record.score,
-            ))
-        sentences.append((utt_id, report.sentence_score))
-    if thresholds is not None:
-        flags = detect_flags([row.phone for row in rows],
-                             [row.score for row in rows], thresholds)
-        rows = [replace(row, flag=flag) for row, flag in zip(rows, flags)]
-    write_score_file(
-        args.out,
-        ScoreFile(variant=args.variant, rows=tuple(rows),
-                  sentences=tuple(sentences)),
-        phone_set,
+    cols = score_utterances(
+        ((utt_id, alignment, _posteriorgram_for(
+            utt_id, args.posteriors, len(entries) == 1, phone_set))
+         for utt_id, alignment in entries),
+        phone_set, cfg, predicted_durations=predicted, balance=balance,
     )
+    counts = cols.counts.tolist()
+    phones, scores = cols.phone.tolist(), cols.score.tolist()
+    flags = (detect_flags(phones, scores, thresholds)
+             if thresholds is not None else [None] * len(scores))
+    write_score_file(args.out, ScoreFile(
+        args.variant,
+        tuple(utt_id for utt_id, n in zip(cols.utterance_ids, counts)
+              for _ in range(n)),
+        tuple(pos for n in counts for pos in range(n)), tuple(phones),
+        tuple(cols.start.tolist()), tuple(cols.length.tolist()),
+        tuple(scores), tuple(flags),
+        tuple(zip(cols.utterance_ids, cols.sentence_scores.tolist())),
+    ), phone_set)
     print(f"scored {len(entries)} utterances -> {args.out}")
     return EXIT_OK
 
@@ -211,10 +204,9 @@ def _cmd_train_dur(args) -> int:
         raise DataError(
             f"--val-fraction must be in (0, 1), got {args.val_fraction}"
         )
-    phone_set = read_phone_set(args.phones)
-    entries = read_ctm(args.ctm, phone_set)
-    samples = _samples_from_ctm(entries, phone_set)
     net_cfg = _CONFIGS[args.config](seed=args.seed)
+    phone_set = read_phone_set(args.phones)
+    samples = _samples_from_ctm(read_ctm(args.ctm, phone_set), phone_set)
     if len(samples) < 2:
         raise DataError("need at least 2 sequences to split train/validation")
     splitter = np.random.default_rng(args.seed)
@@ -269,27 +261,33 @@ def _cmd_fit_balance(args) -> int:
     return EXIT_OK
 
 
-def _join_labels(rows, annotations, what="scored"):
-    """The rows that have an annotation label, and those labels, in order."""
+def _join_labels(score_file, annotations, what="scored", among=None):
+    """Indices of the rows with an annotation label, and those labels.
+
+    ``among``, if given, lists the row indices to consider.
+    """
     labels = annotations.phone_label_map()
-    kept = [row for row in rows if (row.utt_id, row.position) in labels]
+    keys = list(zip(score_file.utt_ids, score_file.positions))
+    kept = [i for i in (range(len(keys)) if among is None else among)
+            if keys[i] in labels]
     if not kept:
         raise DataError(f"no {what} phones have annotation labels")
-    return kept, [labels[(row.utt_id, row.position)] for row in kept]
+    return kept, [labels[keys[i]] for i in kept]
 
 
 def _cmd_calibrate(args) -> int:
     phone_set = read_phone_set(args.phones)
     score_file = read_score_file(args.scores, phone_set)
     annotations = read_annotations(args.annotations)
-    rows, truth = _join_labels(score_file.rows, annotations)
-    scores = [row.score for row in rows]
-    table = calibrate_thresholds([row.phone for row in rows], scores, truth,
-                                 min_count=args.min_count)
+    rows, truth = _join_labels(score_file, annotations)
+    table = calibrate_thresholds(
+        [score_file.phones[i] for i in rows],
+        [score_file.scores[i] for i in rows], truth, min_count=args.min_count,
+    )
     write_thresholds(args.out, table, phone_set)
     print(
         f"calibrated {len(table.per_phone)} phone thresholds "
-        f"(+ global) on {len(scores)} labeled phones -> {args.out}"
+        f"(+ global) on {len(rows)} labeled phones -> {args.out}"
     )
     return EXIT_OK
 
@@ -298,20 +296,20 @@ def _cmd_evaluate(args) -> int:
     phone_set = read_phone_set(args.phones)
     score_file = read_score_file(args.scores, phone_set)
     annotations = read_annotations(args.annotations)
-    rows, truth = _join_labels(score_file.rows, annotations)
+    rows, truth = _join_labels(score_file, annotations)
 
     if args.thresholds is not None:
         table = read_thresholds(args.thresholds, phone_set)
-        flags = detect_flags([row.phone for row in rows],
-                             [row.score for row in rows], table)
+        flags = detect_flags([score_file.phones[i] for i in rows],
+                             [score_file.scores[i] for i in rows], table)
     else:
-        flagged_rows = [r for r in score_file.rows if r.flag is not None]
-        if not flagged_rows:
+        flagged = [i for i, f in enumerate(score_file.flags) if f is not None]
+        if not flagged:
             raise UsageError(
                 "score file has no detection flags; pass --thresholds"
             )
-        rows, truth = _join_labels(flagged_rows, annotations, "flagged")
-        flags = [row.flag for row in rows]
+        rows, truth = _join_labels(score_file, annotations, "flagged", flagged)
+        flags = [score_file.flags[i] for i in rows]
 
     counts = confusion_counts(flags, truth)
     lines = [

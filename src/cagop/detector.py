@@ -10,23 +10,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .balance import BalanceTable, delta as duration_delta, lookup_tolerance
-from .duration.net import DurationSample
+# lookup_tolerance is the per-phone oracle of lookup_tolerances;
+# benchmarks/tracing.py counts its calls under this module name.
+from .balance import (  # noqa: F401
+    BalanceTable,
+    delta as duration_delta,
+    lookup_tolerance,
+    lookup_tolerances,
+)
 from .model import (
     PROB_FLOOR,
     Alignment,
     DataError,
     PhoneScore,
-    PhoneSegment,
     PhoneSet,
     Posteriorgram,
     ScoreReport,
 )
-# gop and center_gop are the per-segment oracles of score_utterance;
+# gop and center_gop are the per-segment oracles of score_utterances;
 # benchmarks/tracing.py counts their calls under these module names.
 from .scoring import (  # noqa: F401
     ENTROPY_FLOOR,
@@ -73,39 +78,109 @@ def cagop_score(ta_score, delta, beta: float, clamp_delta_at_zero: bool = False)
     return (1.0 - beta * delta) * ta_score
 
 
-def _segment_offsets(segments: Sequence[PhoneSegment]):
-    """Segment lengths and their offsets in the concatenated segment frames."""
-    lengths = np.array([s.length for s in segments])
-    return lengths, np.cumsum(lengths) - lengths
+def tascore(frames, lengths: np.ndarray) -> tuple[np.ndarray, FrameScores]:
+    """``scoring.tascore`` of consecutive segments in one pass.
 
-
-def tascore(
-    pg: Posteriorgram, segments: Sequence[PhoneSegment]
-) -> tuple[np.ndarray, FrameScores]:
-    """Transition-aware score of every segment in one pass.
-
-    The segment-list form of ``scoring.tascore``: the floored log posterior
-    of each segment's phone is gathered once for all segment frames and the
-    row entropies once per utterance; segment sums are taken with
-    ``np.add.reduceat``. The frame scores cover the segments' frames
-    concatenated in order.
+    ``frames`` pairs the posterior of the segment's phone with the row
+    entropy at each segment frame, the segments' frames concatenated in
+    order. Segment sums are taken with ``np.add.reduceat``.
     """
-    lengths, firsts = _segment_offsets(segments)
-    starts = np.array([s.start for s in segments])
-    ends = starts + lengths
-    if ends[-1] > pg.num_frames:
-        bad = segments[int(np.argmax(ends > pg.num_frames))]
-        raise DataError(
-            f"segment [{bad.start},{bad.end}) exceeds {pg.num_frames} frames"
-        )
-    frames = np.arange(lengths.sum()) + np.repeat(starts - firsts, lengths)
-    phones = np.repeat([s.phone for s in segments], lengths)
-    log_post = np.log(np.maximum(pg.probs[frames, phones], PROB_FLOOR))
-    entropies = entropy_profile(pg)[frames]
+    posteriors, entropies = frames
+    firsts = np.cumsum(lengths) - lengths
+    log_post = np.log(np.maximum(posteriors, PROB_FLOOR))
     reciprocal = 1.0 / np.maximum(entropies, ENTROPY_FLOOR)
     weights = reciprocal / np.repeat(np.add.reduceat(reciprocal, firsts), lengths)
     scores = np.add.reduceat(weights * log_post, firsts)
     return scores, FrameScores(log_post, entropies, weights)
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreColumns:
+    """Per-phone scores of many utterances, one array per field.
+
+    The first ``counts[0]`` rows are ``utterance_ids[0]``'s non-silence
+    segments, and so on; ``delta`` is None when the duration factor is off.
+    """
+
+    utterance_ids: tuple[str, ...]
+    counts: np.ndarray
+    sentence_scores: np.ndarray
+    phone: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    gop: np.ndarray
+    center_gop: np.ndarray
+    tascore: np.ndarray
+    delta: Optional[np.ndarray]
+    score: np.ndarray
+
+
+def score_utterances(
+    utterances: Iterable[tuple[str, Alignment, Posteriorgram]],
+    phone_set: PhoneSet,
+    cfg: DetectorConfig,
+    predicted_durations: Optional[Mapping[str, Sequence[float]]] = None,
+    balance: Optional[BalanceTable] = None,
+) -> ScoreColumns:
+    """Score every non-silence aligned phone of many utterances in one pass.
+
+    Of each posteriorgram only the segment phone's posterior and the row
+    entropy at each segment frame are kept, so posteriorgrams loaded one
+    at a time are held one at a time. predicted_durations maps utterance
+    ids to predictions parallel to their non-silence segments; it and a
+    balance table are required when the duration factor is live.
+    """
+    if cfg.needs_durations and (predicted_durations is None or balance is None):
+        raise DataError(
+            f"variant {cfg.variant!r} with beta={cfg.beta} needs predicted "
+            "durations and a balance table"
+        )
+    ids, segs, posteriors, entropies, preds, speeds = [], [], [], [], [], []
+    for utt_id, alignment, pg in utterances:
+        segments = alignment.non_silence(phone_set)
+        if not segments:
+            raise DataError(f"no non-silence phones to score in {utt_id!r}")
+        phone, start, length = seg = np.array(
+            [(s.phone, s.start, s.length) for s in segments]).T
+        ends = start + length
+        if ends[-1] > pg.num_frames:
+            bad = segments[int(np.argmax(ends > pg.num_frames))]
+            raise DataError(f"segment [{bad.start},{bad.end}) exceeds "
+                            f"{pg.num_frames} frames in {utt_id!r}")
+        if cfg.needs_durations:
+            preds.append(np.asarray(predicted_durations.get(utt_id, ()), float))
+            if len(preds[-1]) != len(segments):
+                raise DataError(f"{len(preds[-1])} duration predictions for "
+                                f"{len(segments)} aligned phones in {utt_id!r}")
+            speeds.append(length.mean())
+        frames = np.arange(length.sum()) + np.repeat(ends - length.cumsum(), length)
+        posteriors.append(pg.probs[frames, np.repeat(phone, length)])
+        entropies.append(entropy_profile(pg)[frames])
+        ids.append(utt_id)
+        segs.append(seg)
+    if not segs:
+        raise DataError("no utterances to score")
+    phone, start, length = np.concatenate(segs, axis=1)
+    counts = np.array([s.shape[1] for s in segs])
+    firsts = np.cumsum(length) - length
+    ta, frames = tascore((np.concatenate(posteriors), np.concatenate(entropies)),
+                         length)
+    gop_scores = np.add.reduceat(frames.log_posteriors, firsts) / length
+    center = frames.log_posteriors[firsts + length // 2]
+    deltas = None if not cfg.needs_durations else duration_delta(
+        length, np.concatenate(preds),
+        lookup_tolerances(balance, phone, np.repeat(speeds, counts)))
+    score = {
+        "gop": gop_scores, "center_gop": center, "cagop_minus_dur": ta,
+        "cagop": ta, "cagop_minus_ta": gop_scores,
+    }[cfg.variant]
+    if cfg.variant in ("cagop", "cagop_minus_ta"):
+        score = cagop_score(score, 0.0 if deltas is None else deltas, cfg.beta,
+                            cfg.clamp_delta_at_zero)
+    bounds = np.cumsum(counts).tolist()
+    sentences = [score[a:b].mean() for a, b in zip([0, *bounds], bounds)]
+    return ScoreColumns(tuple(ids), counts, np.array(sentences), phone, start,
+                        length, gop_scores, center, ta, deltas, score)
 
 
 def score_utterance(
@@ -117,61 +192,26 @@ def score_utterance(
     balance: Optional[BalanceTable] = None,
     utterance_id: str = "",
 ) -> ScoreReport:
-    """Score every non-silence aligned phone under the configured variant.
+    """``score_utterances`` on one utterance, as a report of records.
 
-    predicted_durations must parallel the non-silence segments and is
-    required (with a balance table) whenever the duration factor is live,
-    i.e. for cagop and cagop_minus_ta with beta > 0.
+    predicted_durations parallels the non-silence segments.
     """
-    segments = alignment.non_silence(phone_set)
-    if not segments:
-        raise DataError(f"no non-silence phones to score in {utterance_id!r}")
-
-    lengths, firsts = _segment_offsets(segments)
-    deltas = None
-    if cfg.needs_durations:
-        if predicted_durations is None or balance is None:
-            raise DataError(
-                f"variant {cfg.variant!r} with beta={cfg.beta} needs predicted "
-                "durations and a balance table"
-            )
-        if len(predicted_durations) != len(segments):
-            raise DataError(
-                f"{len(predicted_durations)} duration predictions for "
-                f"{len(segments)} aligned phones"
-            )
-        speed = DurationSample.from_segments(segments).speed
-        deltas = duration_delta(
-            lengths, np.asarray(predicted_durations, dtype=np.float64),
-            np.array([lookup_tolerance(balance, s.phone, speed) for s in segments]),
-        )
-
-    ta, frames = tascore(pg, segments)
-    log_post = frames.log_posteriors
-    gop_scores = np.add.reduceat(log_post, firsts) / lengths
-    center = log_post[firsts + lengths // 2]
-    score = {
-        "gop": gop_scores, "center_gop": center, "cagop_minus_dur": ta,
-        "cagop": ta, "cagop_minus_ta": gop_scores,
-    }[cfg.variant]
-    if cfg.variant in ("cagop", "cagop_minus_ta"):
-        score = cagop_score(score, 0.0 if deltas is None else deltas, cfg.beta,
-                            cfg.clamp_delta_at_zero)
+    cols = score_utterances(
+        [(utterance_id, alignment, pg)], phone_set, cfg,
+        None if predicted_durations is None
+        else {utterance_id: predicted_durations}, balance,
+    )
+    n = len(cols.score)
+    deltas = [None] * n if cols.delta is None else cols.delta.tolist()
     records = tuple(
-        PhoneScore(phone=seg.phone, segment=seg, gop=g, center_gop=c,
-                   tascore=t, delta=d, score=f)
-        for seg, g, c, t, d, f in zip(
-            segments, gop_scores.tolist(), center.tolist(), ta.tolist(),
-            [None] * len(segments) if deltas is None else deltas.tolist(),
-            score.tolist(),
+        PhoneScore(seg.phone, seg, *fields) for seg, *fields in zip(
+            alignment.non_silence(phone_set), cols.gop.tolist(),
+            cols.center_gop.tolist(), cols.tascore.tolist(), deltas,
+            cols.score.tolist(),
         )
     )
-    return ScoreReport(
-        utterance_id=utterance_id,
-        variant=cfg.variant,
-        per_phone=records,
-        sentence_score=float(np.mean(score)),
-    )
+    return ScoreReport(utterance_id, cfg.variant, records,
+                       float(cols.sentence_scores[0]))
 
 
 @dataclass(frozen=True)

@@ -28,30 +28,3 @@ from .training import (
     phone_mean_baseline_mae,
     train,
 )
-
-__all__ = [
-    "DurationNetConfig",
-    "DurationNetParams",
-    "DurationSample",
-    "TrainLogEntry",
-    "attention",
-    "backward",
-    "clone_params",
-    "desk_config",
-    "evaluate_mae",
-    "forward",
-    "full_config",
-    "gradient_check",
-    "init_params",
-    "iter_tensors",
-    "noam_lr",
-    "overfit_single",
-    "phone_mean_baseline_mae",
-    "predict_durations",
-    "predict_durations_batch",
-    "sinusoidal_encoding",
-    "tiny_config",
-    "train",
-    "zeros_like_params",
-    "zeros_params",
-]

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..model import Alignment, DataError, PhoneSegment, PhoneSet
+from ..model import Alignment, DataError, PhoneSet
 
 LN_EPS = 1e-5
 MASK_NEG = -1e30
@@ -50,6 +50,8 @@ class DurationNetConfig:
             )
         if not 0.0 <= self.dropout_rate < 1.0:
             raise DataError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def head_dim(self) -> int:
@@ -126,15 +128,11 @@ class DurationSample:
     def from_alignment(
         cls, alignment: Alignment, phone_set: PhoneSet
     ) -> "DurationSample":
-        """Aligned non-silence phones with their segment lengths as targets."""
-        return cls.from_segments(alignment.non_silence(phone_set))
-
-    @classmethod
-    def from_segments(cls, segments: Sequence[PhoneSegment]) -> "DurationSample":
-        """Segment phones with their lengths as targets.
+        """Aligned non-silence phones with their segment lengths as targets.
 
         The speed is therefore the mean segment length.
         """
+        segments = alignment.non_silence(phone_set)
         if not segments:
             raise DataError("alignment has no non-silence phones")
         return cls.from_durations(

@@ -150,7 +150,10 @@ def write_posteriorgram_binary(path, pg: Posteriorgram) -> None:
 
 
 def read_posteriorgram_binary(path) -> Posteriorgram:
-    blob = _read_bytes(path)
+    return _posteriorgram_from_bytes(_read_bytes(path), path)
+
+
+def _posteriorgram_from_bytes(blob: bytes, path) -> Posteriorgram:
     if blob[: len(PGM_MAGIC)] != PGM_MAGIC:
         raise FormatError("bad magic, not a posteriorgram file", path=path)
     offset = len(PGM_MAGIC)
@@ -164,20 +167,17 @@ def read_posteriorgram_binary(path) -> Posteriorgram:
             f"body has {len(blob) - offset} bytes, expected {expected}",
             path=path,
         )
+    # Posteriorgram widens this float32 view into its one float64 copy.
     probs = np.frombuffer(blob, dtype="<f4", count=frames * phones, offset=offset)
-    probs = probs.astype(np.float64).reshape(frames, phones)
-    return _build(Posteriorgram, path, probs=probs, frame_shift_ms=shift)
+    return _build(Posteriorgram, path, probs=probs.reshape(frames, phones),
+                  frame_shift_ms=shift)
 
 
 def read_posteriorgram(path) -> Posteriorgram:
     """Load either twin: binary when the magic matches, text otherwise."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(PGM_MAGIC))
-    except OSError as exc:
-        raise FormatError(f"cannot read: {exc}", path=path) from exc
-    if head == PGM_MAGIC:
-        return read_posteriorgram_binary(path)
+    blob = _read_bytes(path)
+    if blob[: len(PGM_MAGIC)] == PGM_MAGIC:
+        return _posteriorgram_from_bytes(blob, path)
     return read_posteriorgram_text(path)
 
 
@@ -621,31 +621,34 @@ def read_training_log(path) -> list[TrainLogEntry]:
 # score reports
 
 @dataclass(frozen=True)
-class ScoreRow:
-    utt_id: str
-    position: int
-    phone: int
-    start: int
-    length: int
-    score: float
-    flag: Optional[bool] = None
-
-
-@dataclass(frozen=True)
 class ScoreFile:
+    """A score file as columns: one entry per phone row, in file order.
+
+    A row's flag is None when the row has no flag field.
+    """
+
     variant: str
-    rows: tuple[ScoreRow, ...]
+    utt_ids: tuple[str, ...]
+    positions: tuple[int, ...]
+    phones: tuple[int, ...]
+    starts: tuple[int, ...]
+    lengths: tuple[int, ...]
+    scores: tuple[float, ...]
+    flags: tuple[Optional[bool], ...]
     sentences: tuple[tuple[str, float], ...]
 
 
 def write_score_file(path, scores: ScoreFile, phone_set: PhoneSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#variant={scores.variant}\n")
-        for r in scores.rows:
-            flag = "" if r.flag is None else f"\t{int(r.flag)}"
+        for utt_id, pos, phone, start, length, score, flag in zip(
+            scores.utt_ids, scores.positions, scores.phones, scores.starts,
+            scores.lengths, scores.scores, scores.flags,
+        ):
+            flag = "" if flag is None else f"\t{int(flag)}"
             fh.write(
-                f"P\t{r.utt_id}\t{r.position}\t{phone_set.label(r.phone)}"
-                f"\t{r.start}\t{r.length}\t{_fmt(r.score)}{flag}\n"
+                f"P\t{utt_id}\t{pos}\t{phone_set.label(phone)}"
+                f"\t{start}\t{length}\t{_fmt(score)}{flag}\n"
             )
         for utt_id, score in scores.sentences:
             fh.write(f"S\t{utt_id}\t{_fmt(score)}\n")
@@ -654,7 +657,7 @@ def write_score_file(path, scores: ScoreFile, phone_set: PhoneSet) -> None:
 def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
     lines = _read_lines(path)
     variant = _header(path, lines, ("#variant",))["#variant"]
-    rows: list[ScoreRow] = []
+    rows = []
     sentences: list[tuple[str, float]] = []
     for i, parts in _rows(
         path, lines[1:], {"P": (7, 8), "S": (3,)},
@@ -662,15 +665,15 @@ def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
         " or S<TAB>utt<TAB>score", first=2,
     ):
         if parts[0] == "P":
-            rows.append(ScoreRow(
-                utt_id=parts[1],
-                position=_parse_int(parts[2], path, i, "position"),
-                phone=_phone(phone_set, parts[3], path, i),
-                start=_parse_int(parts[4], path, i, "start"),
-                length=_parse_int(parts[5], path, i, "length"),
-                score=_parse_float(parts[6], path, i, "score"),
-                flag=(_parse_flag(parts[7], path, i, "flag")
-                      if len(parts) == 8 else None),
+            rows.append((
+                parts[1],
+                _parse_int(parts[2], path, i, "position"),
+                _phone(phone_set, parts[3], path, i),
+                _parse_int(parts[4], path, i, "start"),
+                _parse_int(parts[5], path, i, "length"),
+                _parse_float(parts[6], path, i, "score"),
+                (_parse_flag(parts[7], path, i, "flag")
+                 if len(parts) == 8 else None),
             ))
         else:
             sentences.append(
@@ -678,4 +681,4 @@ def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
             )
     if not rows:
         raise FormatError("score file has no phone rows", path=path)
-    return ScoreFile(variant=variant, rows=tuple(rows), sentences=tuple(sentences))
+    return ScoreFile(variant, *zip(*rows), sentences=tuple(sentences))

@@ -1,7 +1,8 @@
 """Core domain types: phone sets, posteriorgrams, segments, alignments, reports.
 
 Everything here is immutable after construction and safe to share across
-workers. Probabilities are stored and computed in float64; storage formats
+workers, except that ``validate_posteriorgram`` renormalizes near-one rows
+in place. Probabilities are stored and computed in float64; storage formats
 may be narrower (see formats module).
 """
 
@@ -58,8 +59,10 @@ class PhoneSet:
         for label in self.phones:
             if not label or label != label.strip():
                 raise DataError(f"bad phone label {label!r}")
-        if len(set(self.phones)) != len(self.phones):
+        index = {label: i for i, label in enumerate(self.phones)}
+        if len(index) != len(self.phones):
             raise DataError("duplicate phone labels")
+        object.__setattr__(self, "_index", index)
         if self.silence_index is not None and not (
             0 <= self.silence_index < len(self.phones)
         ):
@@ -75,8 +78,8 @@ class PhoneSet:
 
     def index(self, label: str) -> int:
         try:
-            return self.phones.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise DataError(f"unknown phone label {label!r}") from None
 
     def is_silence(self, index: int) -> bool:
@@ -91,7 +94,8 @@ class Posteriorgram:
     frame_shift_ms: float = DEFAULT_FRAME_SHIFT_MS
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        # The object's own float64 copy, converted and copied in one step.
+        probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 2:
             raise DataError(f"posteriorgram must be 2-D, got shape {probs.shape}")
         if probs.shape[0] < 1 or probs.shape[1] < 1:
@@ -100,7 +104,6 @@ class Posteriorgram:
             raise DataError(
                 f"frame shift must be finite and positive, got {self.frame_shift_ms}"
             )
-        probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -202,11 +205,11 @@ class ScoreReport:
 
 
 def validate_posteriorgram(pg: Posteriorgram, phone_set: PhoneSet) -> Posteriorgram:
-    """Check posteriorgram invariants against ``phone_set``.
+    """Check posteriorgram invariants against ``phone_set``; returns ``pg``.
 
-    Rows whose sums are within ``ROW_SUM_TOL`` of 1 are renormalized to sum
-    to 1 (to within 1e-15); anything worse is an error. Returns the input
-    object unchanged when nothing needed fixing.
+    Rows whose sums are within ``ROW_SUM_TOL`` of 1 are divided by their
+    sums in place, so they sum to 1 to within 1e-15 and no value moves by
+    more than that tolerance; anything worse is an error.
     """
     probs = pg.probs
     if probs.shape[1] != len(phone_set):
@@ -214,12 +217,12 @@ def validate_posteriorgram(pg: Posteriorgram, phone_set: PhoneSet) -> Posteriorg
             f"posteriorgram has {probs.shape[1]} phone columns, "
             f"phone set has {len(phone_set)}"
         )
-    if not np.all(np.isfinite(probs)):
-        bad = int(np.argwhere(~np.isfinite(probs))[0][0])
-        raise DataError(f"non-finite posterior at frame {bad}")
-    if np.any(probs < 0) or np.any(probs > 1):
-        bad = int(np.argwhere((probs < 0) | (probs > 1))[0][0])
-        raise DataError(f"posterior outside [0, 1] at frame {bad}")
+    # NaN fails these comparisons too, so one min and one max scan suffice
+    if not 0.0 <= probs.min() <= probs.max() <= 1.0:
+        bad = ~np.isfinite(probs)
+        what = "non-finite posterior" if bad.any() else "posterior outside [0, 1]"
+        bad = np.argwhere(bad if bad.any() else (probs < 0) | (probs > 1))
+        raise DataError(f"{what} at frame {int(bad[0][0])}")
     sums = probs.sum(axis=1)
     off = np.abs(sums - 1.0) > ROW_SUM_TOL
     if np.any(off):
@@ -227,9 +230,10 @@ def validate_posteriorgram(pg: Posteriorgram, phone_set: PhoneSet) -> Posteriorg
         raise DataError(
             f"row {bad} sums to {sums[bad]:.8f}, outside tolerance {ROW_SUM_TOL}"
         )
-    if np.all(sums == 1.0):
-        return pg
-    return Posteriorgram(probs / sums[:, None], frame_shift_ms=pg.frame_shift_ms)
+    probs.setflags(write=True)
+    np.divide(probs, sums[:, None], out=probs)
+    probs.setflags(write=False)
+    return pg
 
 
 def slice_segment(pg: Posteriorgram, seg: PhoneSegment) -> np.ndarray:

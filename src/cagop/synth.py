@@ -105,6 +105,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_utterances < 1:
             raise DataError("num_utterances must be >= 1")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.min_words <= self.max_words:
             raise DataError("need 1 <= min_words <= max_words")
 

@@ -48,7 +48,6 @@ from cagop.formats import (
     AnnotationSet,
     PhoneAnnotation,
     ScoreFile,
-    ScoreRow,
     SentenceRating,
     read_annotations,
     read_balance_table,
@@ -529,17 +528,14 @@ def _roundtrip_tables(rng, tmp_path, ps) -> int:
             start = 0
             for pos in range(int(rng.integers(1, 4))):
                 length = int(rng.integers(1, 4))
-                rows.append(ScoreRow(
-                    utt_id=f"u{j}", position=pos,
-                    phone=int(rng.integers(1, len(ps))),
-                    start=start, length=length,
-                    score=_random_float(rng),
-                    flag=[None, True, False][int(rng.integers(3))],
+                rows.append((
+                    f"u{j}", pos, int(rng.integers(1, len(ps))), start,
+                    length, _random_float(rng),
+                    [None, True, False][int(rng.integers(3))],
                 ))
                 start += length
         score_file = ScoreFile(
-            variant=VARIANTS[i % len(VARIANTS)],
-            rows=tuple(rows),
+            VARIANTS[i % len(VARIANTS)], *zip(*rows),
             sentences=tuple(
                 (f"u{j}", _random_float(rng))
                 for j in range(int(rng.integers(1, 3)))
@@ -612,17 +608,13 @@ def test_criterion_10_determinism_and_roundtrips(tmp_path, verdict):
             report = score_utterance(utt.posteriorgram, alignment, ps, vcfg,
                                      utterance_id=utt.utt_id)
             for pos, rec in enumerate(report.per_phone):
-                rows.append(ScoreRow(
-                    utt_id=utt.utt_id, position=pos, phone=rec.phone,
-                    start=rec.segment.start, length=rec.segment.length,
-                    score=rec.score, flag=None,
-                ))
+                rows.append((utt.utt_id, pos, rec.phone, rec.segment.start,
+                             rec.segment.length, rec.score, None))
             sentences.append((utt.utt_id, report.sentence_score))
         path = tmp_path / f"report_{run}.tsv"
         write_score_file(
             path,
-            ScoreFile(variant="gop", rows=tuple(rows),
-                      sentences=tuple(sentences)),
+            ScoreFile("gop", *zip(*rows), sentences=tuple(sentences)),
             ps,
         )
         files.append(path.read_bytes())

@@ -160,6 +160,32 @@ def test_bucket_width_scales_the_axis():
     assert speed_bucket(11.0, bucket_width=2.0) == 6
 
 
+@pytest.mark.parametrize("entries, backoff", [({(-1, 5): 1.0}, {}),
+                                              ({}, {-2: 1.0})])
+def test_table_rejects_negative_phones(entries, backoff):
+    with pytest.raises(DataError, match="negative phone index"):
+        BalanceTable(entries=entries, phone_backoff=backoff,
+                     global_backoff=1.0)
+
+
+def test_bucket_of_an_array_is_the_bucket_of_each_speed():
+    speeds = [0.3, 1.49, 1.5, 4.6, 5.4, 5.5, 19.49, 19.5, 57.0]
+    for width in (1.0, 0.5, 2.0):
+        got = speed_bucket(np.array(speeds), bucket_width=width)
+        assert got.dtype == np.int64
+        assert got.tolist() == [speed_bucket(s, bucket_width=width)
+                                for s in speeds]
+    assert type(speed_bucket(5.0)) is int
+
+
+@pytest.mark.parametrize("speed", [float("nan"), float("inf")])
+def test_bucket_requires_a_finite_speed(speed):
+    with pytest.raises(DataError, match="speed must be finite"):
+        speed_bucket(speed)
+    with pytest.raises(DataError, match="speed must be finite"):
+        speed_bucket([4.0, speed])
+
+
 @pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -1.0])
 def test_table_requires_finite_positive_bucket_width(width):
     with pytest.raises(DataError, match="bucket_width"):

@@ -65,3 +65,31 @@ def test_forward_batch_passes_the_mask_where_the_tracer_reads_it():
     # one epoch over four samples, one validation pass, one prediction pass
     assert tracer.counts[("setup", "duration.tokens")] == real + real
     assert tracer.counts[("setup", "duration.steps")] == 1
+
+
+def test_a_two_argument_tascore_wrapper_still_moves_score_utterance(monkeypatch):
+    # benchmarks/selftest.py perturbs the scores by wrapping
+    # cagop.detector.tascore this way and expects every reported tascore
+    # to move; benchmarks/tracing.py counts its calls the same way.
+    import cagop.detector
+    from cagop import AlignConfig, DetectorConfig, PhoneSet, align, score_utterance
+    from conftest import random_pg
+
+    ps = PhoneSet(("SIL", "A", "B", "C"), silence_index=0)
+    pg = random_pg(np.random.default_rng(3), 12, 4)
+    al = align(pg, [1, 2, 3], AlignConfig(min_segment_frames=2))
+    cfg = DetectorConfig(variant="cagop_minus_dur")
+    before = score_utterance(pg, al, ps, cfg)
+    original = cagop.detector.tascore
+
+    def skewed(pg, seg):
+        score, frames = original(pg, seg)
+        return score + 1e-6, frames
+
+    monkeypatch.setattr(cagop.detector, "tascore", skewed)
+    after = score_utterance(pg, al, ps, cfg)
+    for b, a in zip(before.per_phone, after.per_phone):
+        assert a.tascore == b.tascore + 1e-6
+        assert a.score == b.score + 1e-6
+        assert a.gop == b.gop
+

@@ -1,9 +1,11 @@
 """End-to-end CLI pipeline and exit-code behavior."""
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,9 @@ from scipy import stats
 
 import cagop
 
-from cagop import Alignment, FormatError, PhoneSegment, Posteriorgram
+from cagop import (
+    Alignment, FormatError, PhoneSegment, PhoneSet, Posteriorgram,
+)
 from cagop.cli import main
 from cagop.formats import (
     CKPT_MAGIC,
@@ -27,6 +31,7 @@ from cagop.formats import (
     read_thresholds,
     read_training_log,
     write_ctm,
+    write_phone_set,
     write_posteriorgram_binary,
 )
 from cagop.scoring import entropy_profile
@@ -154,10 +159,10 @@ def test_score_file_contents(pipeline):
     total = sum(
         len(a.non_silence(ps)) for _, a in read_ctm(pipeline["ctm"], ps)
     )
-    assert len(sf.rows) == total
-    assert all(r.flag is None for r in sf.rows)
+    assert len(sf.scores) == total
+    assert all(flag is None for flag in sf.flags)
     assert len(sf.sentences) == 40
-    assert all(math.isfinite(r.score) for r in sf.rows)
+    assert all(math.isfinite(score) for score in sf.scores)
 
 
 def test_thresholds_are_readable(pipeline):
@@ -208,7 +213,7 @@ def test_score_with_thresholds_sets_flags_and_evaluates(pipeline):
                  "--thresholds", str(pipeline["thresholds"]),
                  "--out", str(flagged)]) == 0
     sf = read_score_file(flagged, ps)
-    assert all(r.flag is not None for r in sf.rows)
+    assert all(flag is not None for flag in sf.flags)
     out = pipeline["root"] / "eval_flagged.tsv"
     assert main(["evaluate",
                  "--scores", str(flagged),
@@ -232,8 +237,7 @@ def test_zero_beta_cagop_equals_duration_free_variant(pipeline):
                  "--out", str(out_b)]) == 0
     a = read_score_file(out_a, ps)
     b = read_score_file(out_b, ps)
-    assert a.rows == b.rows
-    assert a.sentences == b.sentences
+    assert a == dataclasses.replace(b, variant="cagop")
 
 
 def test_synth_corpus_is_byte_deterministic(tmp_path):
@@ -444,3 +448,53 @@ def test_score_rejects_utterance_longer_than_the_duration_net(
                  "--out", str(tmp_path / "scores.tsv")])
     assert code == 2
     assert f"sequence length {n} exceeds 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth-corpus", "train-dur"])
+def test_negative_seed_exits_two(tmp_path, capsys, command):
+    args = {"synth-corpus": ["--out", str(tmp_path / "corpus")],
+            "train-dur": ["--ctm", str(tmp_path / "absent.ctm"),
+                          "--phones", str(tmp_path / "absent.txt"),
+                          "--out", str(tmp_path / "dur.ckpt")]}[command]
+    assert main([command, *args, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not any(tmp_path.iterdir())
+
+
+def _wide_corpus(root, utterances, frames=40, columns=300):
+    """Posteriorgrams with many phone columns, one CTM, one phone set."""
+    ps = PhoneSet(tuple(f"p{i}" for i in range(columns)), silence_index=0)
+    rng = np.random.default_rng(5)
+    (root / "post").mkdir(parents=True)
+    entries = []
+    for u in range(utterances):
+        probs = rng.dirichlet(np.full(columns, 0.5), size=frames)
+        write_posteriorgram_binary(root / "post" / f"u{u}.pgm",
+                                   Posteriorgram(probs, 30.0))
+        entries.append((f"u{u}", Alignment(tuple(
+            PhoneSegment(int(rng.integers(1, columns)), start, 4)
+            for start in range(0, frames, 4)))))
+    write_phone_set(root / "phones.txt", ps)
+    write_ctm(root / "aligned.ctm", entries, ps)
+    return ["score", "--posteriors", str(root / "post"),
+            "--ctm", str(root / "aligned.ctm"),
+            "--phones", str(root / "phones.txt"),
+            "--variant", "cagop_minus_dur", "--out", str(root / "scores.tsv")]
+
+
+def test_score_memory_does_not_grow_with_posterior_columns(tmp_path):
+    # One 40 x 300 posteriorgram is 96 KB in float64; 120 of them are
+    # 11 MiB. Scoring keeps per-frame vectors, not frames x columns.
+    peaks = {}
+    for n in (30, 120):
+        argv = _wide_corpus(tmp_path / str(n), n)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    one_posteriorgram = 40 * 300 * 8
+    assert peaks[120] - peaks[30] < 90 * one_posteriorgram / 10
+    assert peaks[120] < 120 * one_posteriorgram / 4

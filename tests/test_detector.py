@@ -11,13 +11,16 @@ from cagop import (
     align,
     Alignment,
     PhoneSegment,
+    BalanceTable,
     ThresholdTable,
+    VARIANTS,
     cagop_score,
     calibrate_thresholds,
     center_gop,
     DurationSample,
     delta,
     detect_flags,
+    entropy_profile,
     fit_balance_table,
     gop,
     lookup_tolerance,
@@ -26,7 +29,8 @@ from cagop import (
     threshold_for,
 )
 import cagop.detector
-from cagop.detector import _sweep_threshold
+from cagop.balance import lookup_tolerances
+from cagop.detector import _sweep_threshold, score_utterances
 
 from conftest import make_pg, random_pg
 
@@ -174,7 +178,11 @@ def test_segment_list_tascore_concatenates_per_segment_frame_scores():
     pg = random_pg(rng, 20, 4)
     segments = [PhoneSegment(1, 0, 1), PhoneSegment(3, 2, 5),
                 PhoneSegment(2, 7, 13)]
-    scores, frames = cagop.detector.tascore(pg, segments)
+    frames = np.concatenate([np.arange(s.start, s.end) for s in segments])
+    lengths = np.array([s.length for s in segments])
+    phones = np.repeat([s.phone for s in segments], lengths)
+    scores, frames = cagop.detector.tascore(
+        (pg.probs[frames, phones], entropy_profile(pg)[frames]), lengths)
     oracle = [tascore(pg, seg) for seg in segments]
     assert scores == pytest.approx([s for s, _ in oracle], rel=1e-12, abs=0)
     for field in ("log_posteriors", "entropies", "weights"):
@@ -254,6 +262,104 @@ def test_segment_past_the_last_frame_is_rejected():
     al = Alignment((PhoneSegment(1, 0, 3), PhoneSegment(2, 3, 4)))
     with pytest.raises(DataError, match=r"segment \[3,7\) exceeds 6 frames"):
         score_utterance(pg, al, ps, DetectorConfig(variant="gop", beta=0.0))
+
+
+def _random_utterances(rng, ps, count):
+    """(utt_id, alignment, posteriorgram, predictions) of varied lengths."""
+    utts = []
+    while len(utts) < count:
+        num_frames = int(rng.integers(1, 40))
+        segments = _random_segmentation(rng, num_frames, len(ps))
+        speech = [s for s in segments if not ps.is_silence(s.phone)]
+        if speech:
+            preds = rng.uniform(0.5, 8.0, size=len(speech)).tolist()
+            utts.append((f"u{len(utts)}", Alignment(tuple(segments)),
+                         random_pg(rng, num_frames, len(ps)), preds))
+    return utts
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_scoring_utterances_together_matches_one_at_a_time_bitwise():
+    ps = PhoneSet(("SIL", "A", "B", "C", "D"), silence_index=0)
+    balance = fit_balance_table(
+        [DurationSample.from_durations((p,) * 6, (5.0, 4.0, 6.0, 5.0, 3.0, 7.0))
+         for p in (1, 2, 3)],
+        [(4.0,) * 6] * 3,
+    )
+    utts = _random_utterances(np.random.default_rng(2024), ps, 200)
+    assert len({pg.num_frames for _, _, pg, _ in utts}) > 20
+    predicted = {u: preds for u, _, _, preds in utts}
+    thresholds = ThresholdTable({1: -1.2, 3: -0.4}, -0.8)
+    for variant in VARIANTS:
+        for clamp in (False, True):
+            cfg = DetectorConfig(variant=variant, beta=0.3,
+                                 clamp_delta_at_zero=clamp)
+            cols = score_utterances(((u, al, pg) for u, al, pg, _ in utts),
+                                    ps, cfg, predicted, balance)
+            reports = [score_utterance(pg, al, ps, cfg, preds, balance, u)
+                       for u, al, pg, preds in utts]
+            records = [r for rep in reports for r in rep.per_phone]
+            assert cols.utterance_ids == tuple(u for u, *_ in utts)
+            assert cols.counts.tolist() == [len(r.per_phone) for r in reports]
+            assert cols.phone.tolist() == [r.phone for r in records]
+            assert cols.start.tolist() == [r.segment.start for r in records]
+            assert cols.length.tolist() == [r.segment.length for r in records]
+            for field in ("gop", "center_gop", "tascore", "score"):
+                assert _bits(getattr(cols, field)) == _bits(
+                    [getattr(r, field) for r in records]), field
+            if cfg.needs_durations:
+                assert _bits(cols.delta) == _bits([r.delta for r in records])
+            else:
+                assert cols.delta is None
+                assert all(r.delta is None for r in records)
+            assert _bits(cols.sentence_scores) == _bits(
+                [rep.sentence_score for rep in reports])
+            flags = detect_flags(cols.phone.tolist(), cols.score.tolist(),
+                                 thresholds)
+            assert any(flags) and not all(flags)
+            assert flags == [
+                flag for rep in reports for flag in detect_flags(
+                    [r.phone for r in rep.per_phone], rep.scores, thresholds)
+            ]
+
+
+def test_dense_tolerances_equal_lookup_tolerance():
+    table = BalanceTable(
+        entries={(1, 2): 0.5, (1, 7): 1.5, (2, 20): 2.5, (2, 30): 9.0,
+                 (7, 5): 8.0},
+        phone_backoff={1: 1.0, 2: 2.0, 4: 4.5, 9: 9.5},
+        global_backoff=3.0,
+        bucket_width=0.5,
+    )
+    # below the range, half-way points, inside, the edges, above the range
+    speeds = [0.1, 0.75, 1.0, 1.24, 1.25, 3.5, 3.74, 3.75, 9.9, 10.0, 10.25,
+              40.0]
+    # phones 10 and 11 lie past every phone the table names
+    phones = np.repeat(np.arange(12), len(speeds))
+    speed_col = np.tile(speeds, 12)
+    got = lookup_tolerances(table, phones, speed_col)
+    want = [lookup_tolerance(table, int(p), float(s))
+            for p, s in zip(phones, speed_col)]
+    assert got.tolist() == want
+    # every level of the backoff is exercised
+    assert {0.5, 1.5, 2.5, 1.0, 2.0, 4.5, 3.0} <= set(want)
+
+
+def test_segment_past_the_last_frame_names_the_utterance():
+    rng = np.random.default_rng(13)
+    ps = PhoneSet(("SIL", "A", "B"), silence_index=0)
+    pg = random_pg(rng, 6, 3)
+    fine = Alignment((PhoneSegment(1, 0, 3), PhoneSegment(2, 3, 3)))
+    late = Alignment((PhoneSegment(1, 0, 3), PhoneSegment(2, 3, 4)))
+    with pytest.raises(DataError,
+                       match=r"segment \[3,7\) exceeds 6 frames in 'late'"):
+        score_utterances([("fine", fine, pg), ("late", late, pg)], ps,
+                         DetectorConfig(variant="gop", beta=0.0))
+    with pytest.raises(DataError, match="no utterances to score"):
+        score_utterances([], ps, DetectorConfig(variant="gop", beta=0.0))
 
 
 def test_sentence_score_is_the_mean():

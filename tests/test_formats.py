@@ -21,7 +21,6 @@ from cagop.formats import (
     AnnotationSet,
     PhoneAnnotation,
     ScoreFile,
-    ScoreRow,
     SentenceRating,
     read_annotations,
     read_balance_table,
@@ -438,11 +437,13 @@ def test_training_log_requires_header(tmp_path):
 def test_score_file_roundtrip(tmp_path):
     scores = ScoreFile(
         variant="cagop",
-        rows=(
-            ScoreRow("u1", 0, 1, 0, 3, -0.125, flag=True),
-            ScoreRow("u1", 1, 2, 3, 2, -0.0625, flag=False),
-            ScoreRow("u2", 0, 3, 0, 5, -1.75, flag=None),
-        ),
+        utt_ids=("u1", "u1", "u2"),
+        positions=(0, 1, 0),
+        phones=(1, 2, 3),
+        starts=(0, 3, 0),
+        lengths=(3, 2, 5),
+        scores=(-0.125, -0.0625, -1.75),
+        flags=(True, False, None),
         sentences=(("u1", -0.09375), ("u2", -1.75)),
     )
     path = tmp_path / "scores.tsv"

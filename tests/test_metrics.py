@@ -10,7 +10,6 @@ from cagop.formats import (
     AnnotationSet,
     PhoneAnnotation,
     ScoreFile,
-    ScoreRow,
     SentenceRating,
     write_annotations,
     write_phone_set,
@@ -177,10 +176,11 @@ def evaluate_correlations(tmp_path, system, raters):
     utts = [f"u{i:02d}" for i in range(len(system))]
     paths = {k: tmp_path / f"{k}.tsv" for k in ("phones", "scores", "ann", "out")}
     write_phone_set(paths["phones"], ps)
+    n = len(utts)
     write_score_file(paths["scores"], ScoreFile(
-        variant="gop",
-        rows=tuple(ScoreRow(u, 0, 1, 0, 2, s, flag=i % 2 == 0)
-                   for i, (u, s) in enumerate(zip(utts, system))),
+        variant="gop", utt_ids=tuple(utts), positions=(0,) * n,
+        phones=(1,) * n, starts=(0,) * n, lengths=(2,) * n,
+        scores=tuple(system), flags=tuple(i % 2 == 0 for i in range(n)),
         sentences=tuple(zip(utts, system)),
     ), ps)
     write_annotations(paths["ann"], AnnotationSet(

@@ -1,5 +1,7 @@
 """Core type invariants: posteriorgram validation, segments, alignments, reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,59 @@ def test_phone_set_lookup_roundtrip():
 def test_phone_set_rejects_duplicates():
     with pytest.raises(DataError):
         PhoneSet(("A", "A"))
+
+
+def test_phone_set_index_keeps_value_semantics():
+    labels = tuple(f"P{i}" for i in range(200))
+    ps = PhoneSet(labels)
+    assert [ps.index(label) for label in labels] == list(range(200))
+    with pytest.raises(DataError, match="unknown phone label 'P200'"):
+        ps.index("P200")
+    # the map is not a field: equality, hashing and repr are unchanged
+    assert ps == PhoneSet(labels) and hash(ps) == hash(PhoneSet(labels))
+    assert repr(ps).endswith("silence_index=None)")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.5, 0.5], [float("nan"), 1.0]], "non-finite posterior at frame 1"),
+    ([[0.5, 0.5], [0.5, float("inf")]], "non-finite posterior at frame 1"),
+    ([[0.5, 0.5], [0.5, 0.5], [1.2, -0.2]], r"posterior outside \[0, 1\] at frame 2"),
+    ([[0.5, 0.5], [0.7, 0.7]], r"row 1 sums to 1.40000000, outside tolerance"),
+])
+def test_validation_messages_name_the_frame(rows, message):
+    with pytest.raises(DataError, match=message):
+        validate_posteriorgram(make_pg(rows), ps2())
+
+
+def test_renormalization_is_in_place_and_bit_identical():
+    rng = np.random.default_rng(4)
+    probs = rng.dirichlet(np.ones(4), size=50)
+    probs *= 1.0 + rng.uniform(-9e-7, 9e-7, size=(50, 1))
+    pg = Posteriorgram(probs)
+    want = probs / probs.sum(axis=1)[:, None]
+    out = validate_posteriorgram(pg, PhoneSet(("A", "B", "C", "D")))
+    assert out is pg
+    assert out.probs.tobytes() == want.tobytes()
+    assert not out.probs.flags.writeable
+
+
+def test_read_and_validate_make_one_float64_copy(tmp_path):
+    from cagop.formats import read_posteriorgram, write_posteriorgram_binary
+
+    frames, columns = 4000, 40
+    rng = np.random.default_rng(8)
+    path = tmp_path / "u.pgm"
+    write_posteriorgram_binary(
+        path, Posteriorgram(rng.dirichlet(np.ones(columns), size=frames)))
+    ps = PhoneSet(tuple(f"p{i}" for i in range(columns)))
+    float64_bytes = frames * columns * 8
+    tracemalloc.start()
+    try:
+        pg = validate_posteriorgram(read_posteriorgram(path), ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 file body plus one float64 array; the rows did need
+    # renormalizing, since float32 values leave no row summing to 1
+    assert peak < float64_bytes / 2 + float64_bytes * 1.2
+    assert np.all(np.abs(pg.probs.sum(axis=1) - 1.0) <= 1e-15)
