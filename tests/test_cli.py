@@ -1,6 +1,7 @@
 """End-to-end CLI pipeline and exit-code behavior."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -120,6 +121,28 @@ def test_alignment_covers_reference_phones(pipeline):
     for utt_id, alignment in entries:
         positions = [p for (u, p) in labels if u == utt_id]
         assert len(alignment.non_silence(ps)) == len(positions)
+
+
+PIPELINE_DIGESTS = {
+    "ctm": "622e31e5f3b47ac63962d2b7bcd42cf8c24daa6cfba7ce5d69fe09d1fe2e3a4d",
+    "trainlog":
+        "27e142cf5932dccb6827e2265c54b8a727b50277ef9ad76ff1afae9beb960db6",
+    "preds": "afec32e3630b0bcac1a4405efa9dee93f4345ea71b1c070915317e962ff827d0",
+    "balance":
+        "3214962c582c0a182667ff3fb0b7736de1c158004c989615ca250fba236987cc",
+    "scores":
+        "32cc27ef776f7a849447517d0ab7bdd04ef00788d38a4c72a06af2b528329dc0",
+    "thresholds":
+        "fec216faa535321845712bb37965c44b2f1d55a05b91676556c37e7a30961508",
+    "evalout":
+        "4dea3f30a82872ac2ee52a5607d149b482c551b9822c5804cdc2bae25f332fef",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PIPELINE_DIGESTS))
+def test_pipeline_outputs_are_pinned(pipeline, key):
+    digest = hashlib.sha256(pipeline[key].read_bytes()).hexdigest()
+    assert digest == PIPELINE_DIGESTS[key], pipeline[key].name
 
 
 def test_checkpoint_and_log_round_trip(pipeline):
