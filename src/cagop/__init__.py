@@ -9,7 +9,7 @@ aligner, threshold calibration, evaluation metrics, file formats, a
 command-line pipeline, and a synthetic corpus generator.
 """
 
-from .align import AlignConfig, align, alignment_log_score
+from .align import AlignConfig, align
 from .balance import (
     BalanceTable,
     delta,
@@ -40,7 +40,9 @@ from .model import (
     PhoneSet,
     Posteriorgram,
     ScoreReport,
+    SegmentColumns,
     slice_segment,
+    utterance_speeds,
     validate_posteriorgram,
 )
 from .scoring import (

@@ -21,7 +21,6 @@ from .model import (
     DataError,
     PhoneSegment,
     Posteriorgram,
-    slice_segment,
 )
 
 
@@ -164,12 +163,3 @@ def align(
         t = start
     segments.reverse()
     return Alignment(tuple(segments))
-
-
-def alignment_log_score(pg: Posteriorgram, al: Alignment) -> float:
-    """Sum of floored log posteriors of each segment's phone over its frames."""
-    total = 0.0
-    for seg in al.segments:
-        rows = slice_segment(pg, seg)
-        total += float(np.sum(np.log(np.maximum(rows[:, seg.phone], PROB_FLOOR))))
-    return total

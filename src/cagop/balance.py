@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .duration.net import DurationSample
 from .model import DataError
 
 DEFAULT_BUCKET_WIDTH = 1.0
@@ -88,55 +87,64 @@ def _tolerance(errors: Sequence[float]) -> float:
     return float(arr.mean() + STD_WEIGHT * arr.std())
 
 
+def _grouped_tolerances(keys: np.ndarray, errors: np.ndarray, min_count: int):
+    """key -> ``_tolerance`` of its errors, for keys seen min_count times.
+
+    One sort by (key, error) leaves each key's errors contiguous and
+    already in the order ``_tolerance`` sums them in.
+    """
+    order = np.lexsort((errors, keys))
+    keys, errors = keys[order], errors[order]
+    firsts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    lasts = np.r_[firsts[1:], len(keys)]
+    return {
+        key: _tolerance(errors[a:b])
+        for key, a, b in zip(keys[firsts].tolist(), firsts, lasts)
+        if b - a >= min_count
+    }
+
+
 def fit_balance_table(
-    samples: Sequence[DurationSample],
-    predicted: Sequence[Sequence[float]],
+    phones: Sequence[int],
+    lengths: Sequence[float],
+    predicted: Sequence[float],
+    speeds: Sequence[float],
     bucket_width: float = DEFAULT_BUCKET_WIDTH,
     bucket_range: tuple[int, int] = DEFAULT_BUCKET_RANGE,
     min_count: int = MIN_CELL_COUNT,
 ) -> BalanceTable:
     """Fit per-(phone, speed-bucket) tolerances with two-level backoff.
 
-    ``predicted`` holds one positive prediction per phone of each sample.
-    A sample is bucketed by its speed, the mean aligned duration, which is
-    also the speed scoring looks its tolerances up by. Cells with fewer
-    than min_count observations are dropped; lookups for them fall back to
-    the phone-level tolerance and then to the global one.
+    The four columns hold one entry per aligned phone: its phone, aligned
+    length, positive predicted duration, and its utterance's speed
+    (``utterance_speeds``), which is also the speed scoring looks its
+    tolerances up by. Cells with fewer than min_count observations are
+    dropped; lookups for them fall back to the phone-level tolerance and
+    then to the global one.
     """
-    if not samples:
+    phones = np.asarray(phones, dtype=np.int64)
+    columns = [np.asarray(c, dtype=np.float64)
+               for c in (lengths, predicted, speeds)]
+    if not phones.size:
         raise DataError("cannot fit a balance table from an empty corpus")
-    if len(predicted) != len(samples):
-        raise DataError(
-            f"{len(predicted)} prediction sequences for {len(samples)} samples"
-        )
+    if any(c.shape != phones.shape for c in columns):
+        raise DataError("phone, length, prediction and speed columns differ "
+                        f"in length: {[len(c) for c in (phones, *columns)]}")
     if min_count < 1:
         raise DataError(f"min_count must be >= 1, got {min_count}")
-    by_cell: dict[tuple[int, int], list[float]] = {}
-    by_phone: dict[int, list[float]] = {}
-    everything: list[float] = []
-    buckets = speed_bucket([s.speed for s in samples], bucket_width,
-                           bucket_range).tolist()
-    for sample, preds, bucket in zip(samples, predicted, buckets):
-        preds = [float(p) for p in preds]
-        if len(preds) != len(sample):
-            raise DataError(f"{len(preds)} predictions for {len(sample)} phones")
-        if not all(p > 0 for p in preds):
-            raise DataError("predicted durations must be positive")
-        for phone, d_align, d_pred in zip(sample.phones, sample.durations, preds):
-            err = abs(d_align - d_pred)
-            by_cell.setdefault((phone, bucket), []).append(err)
-            by_phone.setdefault(phone, []).append(err)
-            everything.append(err)
-    entries = {
-        cell: _tolerance(errs)
-        for cell, errs in by_cell.items()
-        if len(errs) >= min_count
-    }
-    phone_backoff = {phone: _tolerance(errs) for phone, errs in by_phone.items()}
+    lengths, predicted, speeds = columns
+    if not (predicted > 0).all():
+        raise DataError("predicted durations must be positive")
+    errors = np.abs(lengths - predicted)
+    buckets = speed_bucket(speeds, bucket_width, bucket_range)
+    lo, width = bucket_range[0], bucket_range[1] - bucket_range[0] + 1
+    cells = _grouped_tolerances(phones * width + (buckets - lo), errors,
+                                min_count)
     return BalanceTable(
-        entries=entries,
-        phone_backoff=phone_backoff,
-        global_backoff=_tolerance(everything),
+        entries={(cell // width, cell % width + lo): t
+                 for cell, t in cells.items()},
+        phone_backoff=_grouped_tolerances(phones, errors, 1),
+        global_backoff=_tolerance(errors),
         bucket_width=bucket_width,
         bucket_range=bucket_range,
     )

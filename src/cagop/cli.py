@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,15 @@ from .duration.net import (  # noqa: F401
     tiny_config,
 )
 from .duration.training import train
-from .formats import (
+# read_ctm stays importable here: benchmarks/tracing.py times its calls
+# under this module name.
+from .formats import (  # noqa: F401
     ScoreFile,
     read_annotations,
     read_balance_table,
     read_checkpoint,
     read_ctm,
+    read_ctm_columns,
     read_lexicon,
     read_phone_set,
     read_posteriorgram,
@@ -57,8 +61,22 @@ from .formats import (
     write_thresholds,
     write_training_log,
 )
-from .metrics import confusion_counts, pearson, spearman
-from .model import CagopError, DataError, NumericError, validate_posteriorgram
+# pearson and spearman stay importable here: benchmarks/tracing.py times
+# their calls under this module name.
+from .metrics import (  # noqa: F401
+    confusion_counts,
+    mean_rater_correlation,
+    pearson,
+    spearman,
+)
+from .model import (
+    CagopError,
+    DataError,
+    NumericError,
+    SegmentColumns,
+    utterance_speeds,
+    validate_posteriorgram,
+)
 from .scoring import entropy_profile
 from .synth import SynthConfig, generate_corpus, write_corpus
 
@@ -127,32 +145,42 @@ def _cmd_align(args) -> int:
     return EXIT_OK
 
 
-def _predict_durations(checkpoint_path, samples):
-    """Predictions for every DurationSample, in one batched call."""
-    params, net_cfg = read_checkpoint(checkpoint_path)
-    return predict_durations_batch(
-        params, net_cfg, [(s.phones, s.speed) for s in samples]
+def _speech_segments(segments: SegmentColumns) -> SegmentColumns:
+    """``segments`` without the utterances that have no rows."""
+    kept = segments.counts > 0
+    return SegmentColumns(
+        tuple(compress(segments.utterance_ids, kept)), segments.counts[kept],
+        segments.phone, segments.start, segments.length,
     )
 
 
-def _duration_samples(entries, phone_set):
-    """utt_id -> sample for every CTM entry with a non-silence phone."""
-    return {
-        utt_id: DurationSample.from_alignment(alignment, phone_set)
-        for utt_id, alignment in entries
-        if alignment.non_silence(phone_set)
-    }
+def _duration_corpus(ctm_path, phone_set) -> SegmentColumns:
+    """The CTM's non-silence segments of every utterance that has some."""
+    segments = _speech_segments(
+        read_ctm_columns(ctm_path, phone_set).non_silence(phone_set))
+    if not segments.utterance_ids:
+        raise DataError("alignment file has no non-silence phones")
+    return segments
+
+
+def _predict_durations(checkpoint_path, segments) -> np.ndarray:
+    """Predictions for every row of ``segments`` (no utterance without one)."""
+    params, net_cfg = read_checkpoint(checkpoint_path)
+    predicted = predict_durations_batch(params, net_cfg, list(zip(
+        segments.split(segments.phone),
+        utterance_speeds(segments.length, segments.counts).tolist(),
+    )))
+    return np.concatenate([np.empty(0), *predicted])
 
 
 def _cmd_score(args) -> int:
     phone_set = read_phone_set(args.phones)
-    entries = read_ctm(args.ctm, phone_set)
+    segments = read_ctm_columns(args.ctm, phone_set).non_silence(phone_set)
     cfg = DetectorConfig(
         beta=args.beta, variant=args.variant,
         clamp_delta_at_zero=args.clamp_delta,
     )
-    balance = None
-    predicted = {}
+    balance = predicted = None
     if cfg.needs_durations:
         if args.balance is None or args.checkpoint is None:
             raise UsageError(
@@ -160,20 +188,18 @@ def _cmd_score(args) -> int:
                 "--balance and --checkpoint"
             )
         balance = read_balance_table(args.balance, phone_set)
-        samples = _duration_samples(entries, phone_set)
-        predicted = dict(zip(
-            samples, _predict_durations(args.checkpoint, samples.values())
-        ))
+        predicted = _predict_durations(args.checkpoint,
+                                       _speech_segments(segments))
     thresholds = (
         read_thresholds(args.thresholds, phone_set)
         if args.thresholds is not None else None
     )
 
+    ids = segments.utterance_ids
     cols = score_utterances(
-        ((utt_id, alignment, _posteriorgram_for(
-            utt_id, args.posteriors, len(entries) == 1, phone_set))
-         for utt_id, alignment in entries),
-        phone_set, cfg, predicted_durations=predicted, balance=balance,
+        segments, (_posteriorgram_for(utt_id, args.posteriors, len(ids) == 1,
+                                      phone_set) for utt_id in ids),
+        cfg, predicted_durations=predicted, balance=balance,
     )
     counts = cols.counts.tolist()
     phones, scores = cols.phone.tolist(), cols.score.tolist()
@@ -181,22 +207,14 @@ def _cmd_score(args) -> int:
              if thresholds is not None else [None] * len(scores))
     write_score_file(args.out, ScoreFile(
         args.variant,
-        tuple(utt_id for utt_id, n in zip(cols.utterance_ids, counts)
-              for _ in range(n)),
+        tuple(utt_id for utt_id, n in zip(ids, counts) for _ in range(n)),
         tuple(pos for n in counts for pos in range(n)), tuple(phones),
         tuple(cols.start.tolist()), tuple(cols.length.tolist()),
         tuple(scores), tuple(flags),
-        tuple(zip(cols.utterance_ids, cols.sentence_scores.tolist())),
+        tuple(zip(ids, cols.sentence_scores.tolist())),
     ), phone_set)
-    print(f"scored {len(entries)} utterances -> {args.out}")
+    print(f"scored {len(ids)} utterances -> {args.out}")
     return EXIT_OK
-
-
-def _samples_from_ctm(entries, phone_set):
-    samples = list(_duration_samples(entries, phone_set).values())
-    if not samples:
-        raise DataError("alignment file has no non-silence phones")
-    return samples
 
 
 def _cmd_train_dur(args) -> int:
@@ -206,7 +224,12 @@ def _cmd_train_dur(args) -> int:
         )
     net_cfg = _CONFIGS[args.config](seed=args.seed)
     phone_set = read_phone_set(args.phones)
-    samples = _samples_from_ctm(read_ctm(args.ctm, phone_set), phone_set)
+    segments = _duration_corpus(args.ctm, phone_set)
+    samples = [
+        DurationSample.from_durations(phones, lengths)
+        for phones, lengths in zip(segments.split(segments.phone),
+                                   segments.split(segments.length))
+    ]
     if len(samples) < 2:
         raise DataError("need at least 2 sequences to split train/validation")
     splitter = np.random.default_rng(args.seed)
@@ -230,17 +253,17 @@ def _cmd_train_dur(args) -> int:
 
 def _cmd_predict_dur(args) -> int:
     phone_set = read_phone_set(args.phones)
-    samples = _duration_samples(read_ctm(args.ctm, phone_set), phone_set)
-    predicted = _predict_durations(args.checkpoint, samples.values())
+    segments = _speech_segments(
+        read_ctm_columns(args.ctm, phone_set).non_silence(phone_set))
+    predicted = _predict_durations(args.checkpoint, segments).tolist()
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("utt\tpos\tphone\taligned\tpredicted\n")
-        for (utt_id, sample), preds in zip(samples.items(), predicted):
-            for pos, (phone, length, pred) in enumerate(
-                zip(sample.phones, sample.durations, preds)
-            ):
+        rows = zip(segments.phone.tolist(), segments.length.tolist(), predicted)
+        for utt_id, n in zip(segments.utterance_ids, segments.counts.tolist()):
+            for pos, (phone, length, pred) in zip(range(n), rows):
                 fh.write(
                     f"{utt_id}\t{pos}\t{phone_set.label(phone)}"
-                    f"\t{int(length)}\t{repr(float(pred))}\n"
+                    f"\t{length}\t{repr(pred)}\n"
                 )
     print(f"wrote duration predictions -> {args.out}")
     return EXIT_OK
@@ -248,14 +271,17 @@ def _cmd_predict_dur(args) -> int:
 
 def _cmd_fit_balance(args) -> int:
     phone_set = read_phone_set(args.phones)
-    samples = _samples_from_ctm(read_ctm(args.ctm, phone_set), phone_set)
+    segments = _duration_corpus(args.ctm, phone_set)
+    speeds = utterance_speeds(segments.length, segments.counts)
     table = fit_balance_table(
-        samples, _predict_durations(args.checkpoint, samples),
+        segments.phone, segments.length,
+        _predict_durations(args.checkpoint, segments),
+        np.repeat(speeds, segments.counts),
         bucket_width=args.bucket_width, min_count=args.min_count,
     )
     write_balance_table(args.out, table, phone_set)
     print(
-        f"fitted {len(table.entries)} cells from {len(samples)} utterances "
+        f"fitted {len(table.entries)} cells from {len(speeds)} utterances "
         f"-> {args.out}"
     )
     return EXIT_OK
@@ -319,31 +345,22 @@ def _cmd_evaluate(args) -> int:
         ("fn", counts.fn), ("tn", counts.tn),
     ]
 
-    system = dict(score_file.sentences)
-    raters = annotations.rater_scores()
-    per_rater_p, per_rater_s = [], []
-    for scores_by_utt in raters.values():
-        common = sorted(set(system) & set(scores_by_utt))
-        if len(common) < 2:
-            continue
-        sys_scores = [system[u] for u in common]
-        rater_scores = [scores_by_utt[u] for u in common]
-        if len(set(sys_scores)) < 2 or len(set(rater_scores)) < 2:
-            continue
-        per_rater_p.append(pearson(sys_scores, rater_scores))
-        per_rater_s.append(spearman(sys_scores, rater_scores))
-    if per_rater_p:
-        lines.append(("sentence_pearson", float(np.mean(per_rater_p))))
-        lines.append(("sentence_spearman", float(np.mean(per_rater_s))))
+    pearson_mean, spearman_mean, used, raters = mean_rater_correlation(
+        dict(score_file.sentences), annotations.rating_utt_ids,
+        annotations.rater_ids, annotations.ratings,
+    )
+    if used:
+        lines.append(("sentence_pearson", pearson_mean))
+        lines.append(("sentence_spearman", spearman_mean))
 
     with open(args.out, "w", encoding="utf-8") as fh:
         for name, value in lines:
             fh.write(f"{name}\t{repr(float(value))}\n")
     summary = " ".join(f"{n}={float(v):.4f}" for n, v in lines[:2])
-    print(f"{summary}, sentence correlation over {len(per_rater_p)} of "
-          f"{len(raters)} raters -> {args.out}")
-    if raters and not per_rater_p:
-        print(f"warning: all {len(raters)} raters left out of the sentence "
+    print(f"{summary}, sentence correlation over {used} of "
+          f"{raters} raters -> {args.out}")
+    if raters and not used:
+        print(f"warning: all {raters} raters left out of the sentence "
               "correlation (each needs two common utterances with varying "
               "scores); eval.tsv has no sentence_pearson or sentence_spearman",
               file=sys.stderr)

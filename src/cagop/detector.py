@@ -30,6 +30,8 @@ from .model import (
     PhoneSet,
     Posteriorgram,
     ScoreReport,
+    SegmentColumns,
+    utterance_speeds,
 )
 # gop and center_gop are the per-segment oracles of score_utterances;
 # benchmarks/tracing.py counts their calls under these module names.
@@ -116,60 +118,64 @@ class ScoreColumns:
 
 
 def score_utterances(
-    utterances: Iterable[tuple[str, Alignment, Posteriorgram]],
-    phone_set: PhoneSet,
+    segments: SegmentColumns,
+    posteriorgrams: Iterable[Posteriorgram],
     cfg: DetectorConfig,
-    predicted_durations: Optional[Mapping[str, Sequence[float]]] = None,
+    predicted_durations: Optional[Sequence[float]] = None,
     balance: Optional[BalanceTable] = None,
 ) -> ScoreColumns:
-    """Score every non-silence aligned phone of many utterances in one pass.
+    """Score the non-silence ``segments`` of many utterances in one pass.
 
-    Of each posteriorgram only the segment phone's posterior and the row
-    entropy at each segment frame are kept, so posteriorgrams loaded one
-    at a time are held one at a time. predicted_durations maps utterance
-    ids to predictions parallel to their non-silence segments; it and a
-    balance table are required when the duration factor is live.
+    ``posteriorgrams`` yields each utterance's posteriorgram in order; only
+    the segment phone's posterior and the row entropy at each segment frame
+    are kept, so posteriorgrams loaded one at a time are held one at a
+    time. predicted_durations holds one prediction per row of ``segments``;
+    it and a balance table are required when the duration factor is live.
     """
     if cfg.needs_durations and (predicted_durations is None or balance is None):
         raise DataError(
             f"variant {cfg.variant!r} with beta={cfg.beta} needs predicted "
             "durations and a balance table"
         )
-    ids, segs, posteriors, entropies, preds, speeds = [], [], [], [], [], []
-    for utt_id, alignment, pg in utterances:
-        segments = alignment.non_silence(phone_set)
-        if not segments:
-            raise DataError(f"no non-silence phones to score in {utt_id!r}")
-        phone, start, length = seg = np.array(
-            [(s.phone, s.start, s.length) for s in segments]).T
-        ends = start + length
-        if ends[-1] > pg.num_frames:
-            bad = segments[int(np.argmax(ends > pg.num_frames))]
-            raise DataError(f"segment [{bad.start},{bad.end}) exceeds "
-                            f"{pg.num_frames} frames in {utt_id!r}")
-        if cfg.needs_durations:
-            preds.append(np.asarray(predicted_durations.get(utt_id, ()), float))
-            if len(preds[-1]) != len(segments):
-                raise DataError(f"{len(preds[-1])} duration predictions for "
-                                f"{len(segments)} aligned phones in {utt_id!r}")
-            speeds.append(length.mean())
-        frames = np.arange(length.sum()) + np.repeat(ends - length.cumsum(), length)
-        posteriors.append(pg.probs[frames, np.repeat(phone, length)])
-        entropies.append(entropy_profile(pg)[frames])
-        ids.append(utt_id)
-        segs.append(seg)
-    if not segs:
+    ids, counts = segments.utterance_ids, segments.counts
+    phone, start, length = segments.phone, segments.start, segments.length
+    if not ids:
         raise DataError("no utterances to score")
-    phone, start, length = np.concatenate(segs, axis=1)
-    counts = np.array([s.shape[1] for s in segs])
+    if cfg.needs_durations:
+        preds = np.asarray(predicted_durations, dtype=np.float64)
+        if len(preds) != len(phone):
+            raise DataError(f"{len(preds)} duration predictions for "
+                            f"{len(phone)} aligned phones")
+    # Each segment frame's index in its posteriorgram, and its phone.
+    ends = start + length
     firsts = np.cumsum(length) - length
-    ta, frames = tascore((np.concatenate(posteriors), np.concatenate(entropies)),
-                         length)
-    gop_scores = np.add.reduceat(frames.log_posteriors, firsts) / length
-    center = frames.log_posteriors[firsts + length // 2]
+    frames = np.arange(length.sum()) + np.repeat(start - firsts, length)
+    frame_phones = np.repeat(phone, length)
+    row_bounds = [0, *np.cumsum(counts).tolist()]
+    frame_bounds = np.r_[0, np.cumsum(length)][row_bounds].tolist()
+    posteriors, entropies = [], []
+    for utt_id, a, b, fa, fb, pg in zip(
+        ids, row_bounds, row_bounds[1:], frame_bounds, frame_bounds[1:],
+        posteriorgrams,
+    ):
+        if a == b:
+            raise DataError(f"no non-silence phones to score in {utt_id!r}")
+        if ends[b - 1] > pg.num_frames:
+            bad = a + int(np.argmax(ends[a:b] > pg.num_frames))
+            raise DataError(f"segment [{start[bad]},{ends[bad]}) exceeds "
+                            f"{pg.num_frames} frames in {utt_id!r}")
+        posteriors.append(pg.probs[frames[fa:fb], frame_phones[fa:fb]])
+        entropies.append(entropy_profile(pg)[frames[fa:fb]])
+    if len(posteriors) != len(ids):
+        raise DataError(f"{len(posteriors)} posteriorgrams for {len(ids)} "
+                        "utterances")
+    ta, frame_scores = tascore(
+        (np.concatenate(posteriors), np.concatenate(entropies)), length)
+    gop_scores = np.add.reduceat(frame_scores.log_posteriors, firsts) / length
+    center = frame_scores.log_posteriors[firsts + length // 2]
     deltas = None if not cfg.needs_durations else duration_delta(
-        length, np.concatenate(preds),
-        lookup_tolerances(balance, phone, np.repeat(speeds, counts)))
+        length, preds, lookup_tolerances(
+            balance, phone, np.repeat(utterance_speeds(length, counts), counts)))
     score = {
         "gop": gop_scores, "center_gop": center, "cagop_minus_dur": ta,
         "cagop": ta, "cagop_minus_ta": gop_scores,
@@ -177,9 +183,8 @@ def score_utterances(
     if cfg.variant in ("cagop", "cagop_minus_ta"):
         score = cagop_score(score, 0.0 if deltas is None else deltas, cfg.beta,
                             cfg.clamp_delta_at_zero)
-    bounds = np.cumsum(counts).tolist()
-    sentences = [score[a:b].mean() for a, b in zip([0, *bounds], bounds)]
-    return ScoreColumns(tuple(ids), counts, np.array(sentences), phone, start,
+    sentences = [score[a:b].mean() for a, b in zip(row_bounds, row_bounds[1:])]
+    return ScoreColumns(ids, counts, np.array(sentences), phone, start,
                         length, gop_scores, center, ta, deltas, score)
 
 
@@ -196,11 +201,9 @@ def score_utterance(
 
     predicted_durations parallels the non-silence segments.
     """
-    cols = score_utterances(
-        [(utterance_id, alignment, pg)], phone_set, cfg,
-        None if predicted_durations is None
-        else {utterance_id: predicted_durations}, balance,
-    )
+    segments = SegmentColumns.from_alignments([(utterance_id, alignment)])
+    cols = score_utterances(segments.non_silence(phone_set), [pg], cfg,
+                            predicted_durations, balance)
     n = len(cols.score)
     deltas = [None] * n if cols.delta is None else cols.delta.tolist()
     records = tuple(

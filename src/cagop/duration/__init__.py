@@ -22,9 +22,6 @@ from .net import (
 from .training import (
     TrainLogEntry,
     evaluate_mae,
-    gradient_check,
     noam_lr,
-    overfit_single,
-    phone_mean_baseline_mae,
     train,
 )

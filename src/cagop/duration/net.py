@@ -11,12 +11,12 @@ dependency-free and exactly checkable against finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..model import Alignment, DataError, PhoneSet
+from ..model import DataError, utterance_speeds
 
 LN_EPS = 1e-5
 MASK_NEG = -1e30
@@ -97,11 +97,11 @@ def tiny_config(seed: int = 0) -> DurationNetConfig:
 
 @dataclass(frozen=True)
 class DurationSample:
-    """One training sequence: phones, target durations, utterance speed."""
+    """One training sequence: phones, target durations, and their mean speed."""
 
     phones: tuple[int, ...]
     durations: tuple[float, ...]
-    speed: float
+    speed: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "phones", tuple(int(p) for p in self.phones))
@@ -112,32 +112,14 @@ class DurationSample:
             raise DataError("phones and durations differ in length")
         if any(d <= 0 for d in self.durations):
             raise DataError("durations must be positive")
-        if abs(self.speed - float(np.mean(self.durations))) > 1e-9:
-            raise DataError(
-                f"speed {self.speed} is not the mean duration "
-                f"{float(np.mean(self.durations))}"
-            )
+        speed = utterance_speeds(np.array(self.durations), [len(self.phones)])
+        object.__setattr__(self, "speed", float(speed[0]))
 
     @classmethod
     def from_durations(
         cls, phones: Sequence[int], durations: Sequence[float]
     ) -> "DurationSample":
-        return cls(tuple(phones), tuple(durations), float(np.mean(durations)))
-
-    @classmethod
-    def from_alignment(
-        cls, alignment: Alignment, phone_set: PhoneSet
-    ) -> "DurationSample":
-        """Aligned non-silence phones with their segment lengths as targets.
-
-        The speed is therefore the mean segment length.
-        """
-        segments = alignment.non_silence(phone_set)
-        if not segments:
-            raise DataError("alignment has no non-silence phones")
-        return cls.from_durations(
-            [s.phone for s in segments], [float(s.length) for s in segments]
-        )
+        return cls(tuple(phones), tuple(durations))
 
     def __len__(self) -> int:
         return len(self.phones)

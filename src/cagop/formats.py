@@ -4,6 +4,12 @@ Text formats render floats with repr(), which round-trips float64 exactly,
 so write-then-read is equality-preserving everywhere. The two binary
 formats (posteriorgram, duration-net checkpoint) are little-endian with
 fixed magics.
+
+CTM, annotation and score files are read as columns (``SegmentColumns``,
+``AnnotationSet``, ``ScoreFile``): each field is parsed column-wise with
+``int()`` or ``float()``, then ranges, overlaps, contiguity and repeated
+keys are checked over whole columns. A failure names the file and the
+line of the first bad row; a field that does not parse comes first.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import compress, starmap
+from operator import ne
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,6 +41,7 @@ from .model import (
     PhoneSegment,
     PhoneSet,
     Posteriorgram,
+    SegmentColumns,
 )
 
 PGM_MAGIC = b"CAGPG1"
@@ -85,17 +94,57 @@ def _rows(path, lines, fields, usage: str, first: int = 1, sep="\t"):
     kind (the first part) to the part counts that kind allows. Any other
     row is a FormatError saying it expected ``usage``.
     """
-    for i, raw in enumerate(lines, start=first):
-        if not raw.strip():
-            continue
-        parts = raw.split(sep)
-        if isinstance(fields, dict):
-            ok = len(parts) in fields.get(parts[0], ())
-        else:
-            ok = len(parts) == fields
-        if not ok:
-            raise FormatError(f"expected {usage}", path=path, line=i)
-        yield i, parts
+    rows = [(i, raw.split(sep)) for i, raw in enumerate(lines, first)
+            if raw.strip()]
+    if isinstance(fields, dict):
+        bad = (i for i, parts in rows
+               if len(parts) not in fields.get(parts[0], ()))
+    else:
+        bad = (i for i, parts in rows if len(parts) != fields)
+    line = next(bad, None)
+    if line is not None:
+        raise FormatError(f"expected {usage}", path=path, line=line)
+    return rows
+
+
+def _raise_first(path, faults) -> None:
+    """A FormatError at the earliest bad row of any fault, if there is one.
+
+    A fault is (line numbers of some rows, mask of the bad ones, function
+    from a bad row's index to its message); on a tie the first fault wins.
+    """
+    found = []
+    for n, (lines, mask, message) in enumerate(faults):
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            found.append((lines[bad[0]], n, int(bad[0])))
+    if found:
+        line, n, k = min(found)
+        raise FormatError(faults[n][2](k), path=path, line=line)
+
+
+def _repeats(keys: Sequence) -> list[bool]:
+    """Mask of the keys that equal an earlier key."""
+    if len(set(keys)) == len(keys):
+        return [False] * len(keys)
+    seen: set = set()
+    return [key in seen or seen.add(key) for key in keys]
+
+
+def _columns(rows, width: int):
+    """The line numbers of ``rows`` and their first ``width`` fields as columns."""
+    lines, parts = zip(*rows) if rows else ((), ())
+    return lines, (tuple(zip(*parts)) or ((),) * width)[:width]
+
+
+def _int64(path, lines, values: list[int], what: str) -> np.ndarray:
+    """``values`` as an int64 array; one that does not fit is a FormatError."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
+        raise FormatError(f"{what} {values[k]} out of range", path=path,
+                          line=lines[k]) from None
 
 
 def _phone(phone_set: PhoneSet, label: str, path, line: int) -> int:
@@ -318,106 +367,130 @@ def write_ctm(
                 )
 
 
-def read_ctm(path, phone_set: PhoneSet) -> list[tuple[str, Alignment]]:
+def read_ctm_columns(path, phone_set: PhoneSet) -> SegmentColumns:
     """Parse utterance alignments; utterance lines must be contiguous."""
-    # (utterance, line of its first row, segments)
-    groups: list[tuple[str, int, list[PhoneSegment]]] = []
-    seen: set[str] = set()
-    for i, (utt_id, label, start, length) in _rows(
-        path, _read_lines(path), 4, "utt<TAB>phone<TAB>start<TAB>frames"
-    ):
-        if not groups or groups[-1][0] != utt_id:
-            if utt_id in seen:
-                raise FormatError(
-                    f"utterance {utt_id!r} appears in two places",
-                    path=path, line=i,
-                )
-            seen.add(utt_id)
-            groups.append((utt_id, i, []))
-        groups[-1][2].append(_build(
-            PhoneSegment, path, i,
-            phone=_phone(phone_set, label, path, i),
-            start=_parse_int(start, path, i, "start frame"),
-            length=_parse_int(length, path, i, "frame count"),
-        ))
-    if not groups:
+    rows = _rows(path, _read_lines(path), 4,
+                 "utt<TAB>phone<TAB>start<TAB>frames")
+    if not rows:
         raise FormatError("empty alignment file", path=path)
-    return [
-        (utt_id, _build(Alignment, path, line, segments=tuple(segments)))
-        for utt_id, line, segments in groups
-    ]
+    lines, (utts, labels, starts, lengths) = _columns(rows, 4)
+    try:
+        phone = list(map(phone_set.index, labels))
+        start = list(map(int, starts))
+        length = list(map(int, lengths))
+    except (DataError, ValueError):
+        # the fast path failed: find the first bad field, in row order
+        for i, (_, label, first, count) in rows:
+            _phone(phone_set, label, path, i)
+            _parse_int(first, path, i, "start frame")
+            _parse_int(count, path, i, "frame count")
+        raise
+    start = _int64(path, lines, start, "start frame")
+    length = _int64(path, lines, length, "frame count")
+    # each utterance's first row
+    firsts = [0, *compress(range(1, len(rows)), map(ne, utts[1:], utts[:-1]))]
+    ids = [utts[k] for k in firsts]
+    ends = start + length
+    overlap = np.r_[False, start[1:] < ends[:-1]]
+    overlap[firsts] = False
+    first_lines = [lines[k] for k in firsts]
+    _raise_first(path, [
+        (first_lines, [not u for u in ids], lambda k: "empty utterance id"),
+        (first_lines, _repeats(ids),
+         lambda k: f"utterance {ids[k]!r} appears in two places"),
+        (lines, start < 0, lambda k: f"negative segment start {start[k]}"),
+        (lines, length < 1,
+         lambda k: f"segment length must be >= 1, got {length[k]}"),
+        (lines, overlap, lambda k: (
+            f"overlapping segments: [{start[k - 1]},{ends[k - 1]}) then "
+            f"[{start[k]},{ends[k]})")),
+    ])
+    return SegmentColumns(tuple(ids), np.diff([*firsts, len(rows)]),
+                          np.array(phone, dtype=np.int64), start, length)
+
+
+def read_ctm(path, phone_set: PhoneSet) -> list[tuple[str, Alignment]]:
+    """``read_ctm_columns`` as one Alignment per utterance."""
+    cols = read_ctm_columns(path, phone_set)
+    rows = list(zip(*(c.tolist() for c in (cols.phone, cols.start, cols.length))))
+    bounds = np.cumsum(cols.counts).tolist()
+    return [(utt_id, Alignment(tuple(starmap(PhoneSegment, rows[a:b]))))
+            for utt_id, a, b in zip(cols.utterance_ids, [0, *bounds], bounds)]
 
 
 # ---------------------------------------------------------------------------
 # annotations
 
-@dataclass(frozen=True)
-class PhoneAnnotation:
-    utt_id: str
-    position: int
-    mispronounced: bool
-
-    def __post_init__(self):
-        if self.position < 0:
-            raise DataError(f"negative phone position {self.position}")
-
-
-@dataclass(frozen=True)
-class SentenceRating:
-    utt_id: str
-    rater_id: str
-    score: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.score <= 10.0:
-            raise DataError(f"rater score {self.score} outside [0, 10]")
+_FLAGS = {"0": False, "1": True}
 
 
 @dataclass(frozen=True)
 class AnnotationSet:
-    phones: tuple[PhoneAnnotation, ...]
-    sentences: tuple[SentenceRating, ...]
+    """Annotations as columns, in file order.
+
+    Phone labels: utterance, position among its non-silence phones, and
+    whether the phone is mispronounced. Sentence ratings: utterance,
+    rater, and a score in [0, 10].
+    """
+
+    label_utt_ids: tuple[str, ...] = ()
+    positions: tuple[int, ...] = ()
+    mispronounced: tuple[bool, ...] = ()
+    rating_utt_ids: tuple[str, ...] = ()
+    rater_ids: tuple[str, ...] = ()
+    ratings: tuple[float, ...] = ()
 
     def phone_label_map(self) -> dict[tuple[str, int], bool]:
-        return {(a.utt_id, a.position): a.mispronounced for a in self.phones}
-
-    def rater_scores(self) -> dict[str, dict[str, float]]:
-        """rater id -> utterance -> score."""
-        out: dict[str, dict[str, float]] = {}
-        for r in self.sentences:
-            out.setdefault(r.rater_id, {})[r.utt_id] = r.score
-        return out
+        return dict(zip(zip(self.label_utt_ids, self.positions),
+                        self.mispronounced))
 
 
-def write_annotations(path, annotations: AnnotationSet) -> None:
+def write_annotations(path, a: AnnotationSet) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for a in annotations.phones:
-            fh.write(f"P\t{a.utt_id}\t{a.position}\t{int(a.mispronounced)}\n")
-        for r in annotations.sentences:
-            fh.write(f"S\t{r.utt_id}\t{r.rater_id}\t{_fmt(r.score)}\n")
+        for utt_id, pos, wrong in zip(a.label_utt_ids, a.positions,
+                                      a.mispronounced):
+            fh.write(f"P\t{utt_id}\t{pos}\t{int(wrong)}\n")
+        for utt_id, rater, score in zip(a.rating_utt_ids, a.rater_ids,
+                                        a.ratings):
+            fh.write(f"S\t{utt_id}\t{rater}\t{_fmt(score)}\n")
 
 
 def read_annotations(path) -> AnnotationSet:
-    phones: list[PhoneAnnotation] = []
-    sentences: list[SentenceRating] = []
-    for i, (kind, utt_id, field, value) in _rows(
-        path, _read_lines(path), {"P": (4,), "S": (4,)},
-        "P<TAB>utt<TAB>pos<TAB>label or S<TAB>utt<TAB>rater<TAB>score",
-    ):
-        if kind == "P":
-            phones.append(_build(
-                PhoneAnnotation, path, i, utt_id=utt_id,
-                position=_parse_int(field, path, i, "position"),
-                mispronounced=_parse_flag(value, path, i, "label"),
-            ))
-        else:
-            sentences.append(_build(
-                SentenceRating, path, i, utt_id=utt_id, rater_id=field,
-                score=_parse_float(value, path, i, "rater score"),
-            ))
-    if not phones and not sentences:
+    rows = _rows(path, _read_lines(path), {"P": (4,), "S": (4,)},
+                 "P<TAB>utt<TAB>pos<TAB>label or S<TAB>utt<TAB>rater<TAB>score")
+    if not rows:
         raise FormatError("empty annotation file", path=path)
-    return AnnotationSet(phones=tuple(phones), sentences=tuple(sentences))
+    p_lines, (_, p_utts, p_pos, p_flags) = _columns(
+        [r for r in rows if r[1][0] == "P"], 4)
+    s_lines, (_, s_utts, raters, s_scores) = _columns(
+        [r for r in rows if r[1][0] == "S"], 4)
+    try:
+        positions = list(map(int, p_pos))
+        labels = [_FLAGS[flag] for flag in p_flags]
+        scores = list(map(float, s_scores))
+        if not all(map(math.isfinite, scores)):
+            raise ValueError
+    except (KeyError, ValueError):
+        # the fast path failed: find the first bad field, in row order
+        for i, (kind, _, field, value) in rows:
+            if kind == "P":
+                _parse_int(field, path, i, "position")
+                _parse_flag(value, path, i, "label")
+            else:
+                _parse_float(value, path, i, "rater score")
+        raise
+    _raise_first(path, [
+        (p_lines, [p < 0 for p in positions],
+         lambda k: f"negative phone position {positions[k]}"),
+        (s_lines, [not 0.0 <= s <= 10.0 for s in scores],
+         lambda k: f"rater score {scores[k]} outside [0, 10]"),
+        (p_lines, _repeats(list(zip(p_utts, positions))),
+         lambda k: f"second label for phone {positions[k]} of {p_utts[k]!r}"),
+        (s_lines, _repeats(list(zip(s_utts, raters))),
+         lambda k: f"second score from rater {raters[k]!r} for {s_utts[k]!r}"),
+    ])
+    return AnnotationSet(p_utts, tuple(positions), tuple(labels), s_utts,
+                         raters, tuple(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -657,28 +730,48 @@ def write_score_file(path, scores: ScoreFile, phone_set: PhoneSet) -> None:
 def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
     lines = _read_lines(path)
     variant = _header(path, lines, ("#variant",))["#variant"]
-    rows = []
-    sentences: list[tuple[str, float]] = []
-    for i, parts in _rows(
+    rows = _rows(
         path, lines[1:], {"P": (7, 8), "S": (3,)},
         "P<TAB>utt<TAB>pos<TAB>phone<TAB>start<TAB>frames<TAB>score[<TAB>flag]"
         " or S<TAB>utt<TAB>score", first=2,
-    ):
-        if parts[0] == "P":
-            rows.append((
-                parts[1],
-                _parse_int(parts[2], path, i, "position"),
-                _phone(phone_set, parts[3], path, i),
-                _parse_int(parts[4], path, i, "start"),
-                _parse_int(parts[5], path, i, "length"),
-                _parse_float(parts[6], path, i, "score"),
-                (_parse_flag(parts[7], path, i, "flag")
-                 if len(parts) == 8 else None),
-            ))
-        else:
-            sentences.append(
-                (parts[1], _parse_float(parts[2], path, i, "sentence score"))
-            )
-    if not rows:
+    )
+    p_rows = [r for r in rows if r[1][0] == "P"]
+    p_lines, (_, utts, positions, labels, starts, lengths, scores) = _columns(
+        p_rows, 7)
+    s_lines, (_, s_utts, s_scores) = _columns(
+        [r for r in rows if r[1][0] == "S"], 3)
+    try:
+        positions = tuple(map(int, positions))
+        phones = tuple(map(phone_set.index, labels))
+        starts = tuple(map(int, starts))
+        lengths = tuple(map(int, lengths))
+        scores = tuple(map(float, scores))
+        flags = tuple(None if len(parts) == 7 else _FLAGS[parts[7]]
+                      for _, parts in p_rows)
+        s_scores = tuple(map(float, s_scores))
+        if not all(map(math.isfinite, scores + s_scores)):
+            raise ValueError
+    except (DataError, KeyError, ValueError):
+        # the fast path failed: find the first bad field, in row order
+        for i, parts in rows:
+            if parts[0] == "P":
+                _parse_int(parts[2], path, i, "position")
+                _phone(phone_set, parts[3], path, i)
+                _parse_int(parts[4], path, i, "start")
+                _parse_int(parts[5], path, i, "length")
+                _parse_float(parts[6], path, i, "score")
+                if len(parts) == 8:
+                    _parse_flag(parts[7], path, i, "flag")
+            else:
+                _parse_float(parts[2], path, i, "sentence score")
+        raise
+    if not p_rows:
         raise FormatError("score file has no phone rows", path=path)
-    return ScoreFile(variant, *zip(*rows), sentences=tuple(sentences))
+    _raise_first(path, [
+        (p_lines, _repeats(list(zip(utts, positions))),
+         lambda k: f"second score for phone {positions[k]} of {utts[k]!r}"),
+        (s_lines, _repeats(s_utts),
+         lambda k: f"second sentence score for {s_utts[k]!r}"),
+    ])
+    return ScoreFile(variant, utts, positions, phones, starts, lengths, scores,
+                     flags, tuple(zip(s_utts, s_scores)))

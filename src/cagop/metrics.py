@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,37 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman correlation, defined as pearson on average ranks."""
     x, y = _paired_arrays(x, y, "spearman")
     return pearson(rankdata(x), rankdata(y))
+
+
+def mean_rater_correlation(
+    system: Mapping[str, float],
+    utt_ids: Sequence[str],
+    rater_ids: Sequence[str],
+    ratings: Sequence[float],
+) -> tuple[Optional[float], Optional[float], int, int]:
+    """Mean Pearson and Spearman correlation of system and rater scores.
+
+    Each rater (in order of first appearance) is compared on the sorted
+    utterances both scored; one with fewer than two, or with constant
+    scores on them, is left out. Returns both means (None when every rater
+    is left out), the number of raters averaged and of all raters.
+    """
+    by_rater: dict[str, dict[str, float]] = {}
+    for utt_id, rater, score in zip(utt_ids, rater_ids, ratings):
+        by_rater.setdefault(rater, {})[utt_id] = score
+    per_pearson, per_spearman = [], []
+    for scores in by_rater.values():
+        common = sorted(set(system) & set(scores))
+        x = [system[u] for u in common]
+        y = [scores[u] for u in common]
+        if len(set(x)) < 2 or len(set(y)) < 2:
+            continue
+        per_pearson.append(pearson(x, y))
+        per_spearman.append(spearman(x, y))
+    if not per_pearson:
+        return None, None, 0, len(by_rater)
+    return (float(np.mean(per_pearson)), float(np.mean(per_spearman)),
+            len(per_pearson), len(by_rater))
 
 
 def mae_frames(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -165,6 +165,55 @@ class Alignment:
     def phone_sequence(self, phone_set: PhoneSet) -> tuple[int, ...]:
         """Reference phone order implied by the alignment, silences dropped."""
         return tuple(s.phone for s in self.non_silence(phone_set))
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentColumns:
+    """Phone segments of many utterances, one int64 array per field.
+
+    The first ``counts[0]`` rows are ``utterance_ids[0]``'s segments, in
+    order, and so on.
+    """
+
+    utterance_ids: tuple[str, ...]
+    counts: np.ndarray
+    phone: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def from_alignments(
+        cls, entries: Iterable[tuple[str, Alignment]]
+    ) -> "SegmentColumns":
+        ids, alignments = tuple(zip(*entries)) or ((), ())
+        rows = [(s.phone, s.start, s.length) for a in alignments
+                for s in a.segments]
+        counts = np.array([len(a.segments) for a in alignments], np.int64)
+        return cls(ids, counts, *np.array(rows, np.int64).reshape(-1, 3).T)
+
+    def non_silence(self, phone_set: PhoneSet) -> "SegmentColumns":
+        """The same utterances without their silence rows; counts may be 0."""
+        if phone_set.silence_index is None:
+            return self
+        keep = self.phone != phone_set.silence_index
+        owner = np.repeat(np.arange(len(self.counts)), self.counts)
+        counts = np.bincount(owner[keep], minlength=len(self.counts))
+        return SegmentColumns(self.utterance_ids, counts, self.phone[keep],
+                              self.start[keep], self.length[keep])
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """``values``, one per row, cut into one array per utterance."""
+        return np.split(values, np.cumsum(self.counts)[:-1])
+
+
+def utterance_speeds(length: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each utterance's speed: the mean length of its non-silence segments.
+
+    ``length`` holds every utterance's lengths back to back, ``counts[k]``
+    (> 0) of them for utterance k. Integer lengths sum exactly, so each
+    speed equals ``np.mean`` of its lengths bit for bit.
+    """
+    return np.add.reduceat(length, np.cumsum(counts) - counts) / counts
 
 
 @dataclass(frozen=True)

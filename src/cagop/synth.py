@@ -15,11 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .duration.net import DurationSample
 from .formats import (
     AnnotationSet,
-    PhoneAnnotation,
-    SentenceRating,
     read_text_manifest,  # noqa: F401  (re-exported)
     write_annotations,
     write_ctm,
@@ -119,7 +116,7 @@ class SynthUtterance:
     alignment: Alignment
     posteriorgram: Posteriorgram
     mispronounced: tuple[bool, ...]
-    ratings: tuple[SentenceRating, ...]
+    ratings: tuple[float, ...]  # rater f"r{k}" gave ratings[k]
 
 
 @dataclass(frozen=True)
@@ -129,15 +126,11 @@ class SynthCorpus:
     utterances: tuple[SynthUtterance, ...]
 
     def annotations(self) -> AnnotationSet:
-        phones = []
-        sentences = []
-        for utt in self.utterances:
-            for pos, wrong in enumerate(utt.mispronounced):
-                phones.append(PhoneAnnotation(
-                    utt_id=utt.utt_id, position=pos, mispronounced=wrong,
-                ))
-            sentences.extend(utt.ratings)
-        return AnnotationSet(phones=tuple(phones), sentences=tuple(sentences))
+        labels = [(u.utt_id, pos, wrong) for u in self.utterances
+                  for pos, wrong in enumerate(u.mispronounced)]
+        ratings = [(u.utt_id, f"r{k}", score) for u in self.utterances
+                   for k, score in enumerate(u.ratings)]
+        return AnnotationSet(*zip(*labels), *zip(*ratings))
 
 
 def _clear_distribution(
@@ -308,15 +301,11 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
 
         wrong_frac = sum(wrong) / len(wrong)
         ratings = tuple(
-            SentenceRating(
-                utt_id=utt_id,
-                rater_id=f"r{r}",
-                score=float(np.clip(
-                    10.0 * (1.0 - 1.8 * wrong_frac) + rng.normal(0.0, 0.5),
-                    0.0, 10.0,
-                )),
-            )
-            for r in range(NUM_RATERS)
+            float(np.clip(
+                10.0 * (1.0 - 1.8 * wrong_frac) + rng.normal(0.0, 0.5),
+                0.0, 10.0,
+            ))
+            for _ in range(NUM_RATERS)
         )
         utterances.append(SynthUtterance(
             utt_id=utt_id,
@@ -355,36 +344,3 @@ def write_corpus(directory, corpus: SynthCorpus) -> None:
     for utt in corpus.utterances:
         write_posteriorgram_binary(root / "post" / f"{utt.utt_id}.pgm",
                                    utt.posteriorgram)
-
-
-def rule_duration_corpus(
-    num_sequences: int,
-    seed: int,
-    min_len: int = 4,
-    max_len: int = 12,
-    tempo_low: float = 0.8,
-    tempo_high: float = 1.25,
-    noise: float = 0.5,
-) -> list[DurationSample]:
-    """Duration-only training data following the full duration rule.
-
-    Per-phone base plus neighbor effects plus tempo scaling plus rounding
-    noise: a predictor that reads the sequence context and the speed input
-    can beat any per-phone constant by a wide margin.
-    """
-    if num_sequences < 1:
-        raise DataError("num_sequences must be >= 1")
-    rng = np.random.default_rng(seed)
-    phone_set = default_phone_set()
-    real = [i for i in range(len(phone_set)) if not phone_set.is_silence(i)]
-    samples = []
-    for _ in range(num_sequences):
-        n = int(rng.integers(min_len, max_len + 1))
-        phones = [real[int(rng.integers(len(real)))] for _ in range(n)]
-        tempo = rng.uniform(tempo_low, tempo_high)
-        durations = [
-            float(d)
-            for d in rule_durations(rng, phone_set, phones, tempo, noise)
-        ]
-        samples.append(DurationSample.from_durations(phones, durations))
-    return samples

@@ -18,14 +18,15 @@ from cagop import (
     DetectorConfig,
     PhoneSegment,
     PhoneSet,
+    SegmentColumns,
     ThresholdTable,
     align,
-    alignment_log_score,
     calibrate_thresholds,
     detect_flags,
     fit_balance_table,
     lookup_tolerance,
     score_utterance,
+    utterance_speeds,
 )
 from cagop.balance import BalanceTable
 from cagop.detector import VARIANTS, cagop_score
@@ -39,16 +40,9 @@ from cagop.duration import (
     tiny_config,
     train,
 )
-from cagop.duration.training import (
-    gradient_check,
-    overfit_single,
-    phone_mean_baseline_mae,
-)
 from cagop.formats import (
     AnnotationSet,
-    PhoneAnnotation,
     ScoreFile,
-    SentenceRating,
     read_annotations,
     read_balance_table,
     read_checkpoint,
@@ -83,11 +77,17 @@ from cagop.scoring import frame_entropy, gop, tascore
 from cagop.synth import (
     SynthConfig,
     generate_corpus,
-    rule_duration_corpus,
     write_corpus,
 )
 
-from conftest import make_pg, random_pg
+from conftest import fit_on_samples, make_pg, random_pg
+from oracles import (
+    alignment_log_score,
+    gradient_check,
+    overfit_single,
+    phone_mean_baseline_mae,
+    rule_duration_corpus,
+)
 from test_align import brute_force_best
 
 
@@ -252,7 +252,13 @@ def test_criterion_07_detection_ordering(verdict):
         for utt in corpus.utterances
     ]
 
-    samples = [DurationSample.from_alignment(al, ps) for _, al in aligned]
+    speech = SegmentColumns.from_alignments(
+        (utt.utt_id, al) for utt, al in aligned).non_silence(ps)
+    samples = [
+        DurationSample.from_durations(phones, lengths)
+        for phones, lengths in zip(speech.split(speech.phone),
+                                   speech.split(speech.length))
+    ]
     order = np.random.default_rng(0).permutation(len(samples))
     n_val = max(1, len(samples) // 10)
     val = [samples[i] for i in order[:n_val]]
@@ -263,7 +269,11 @@ def test_criterion_07_detection_ordering(verdict):
     predicted = predict_durations_batch(
         params, dcfg, [(s.phones, s.speed) for s in samples]
     )
-    table = fit_balance_table(samples, predicted)
+    table = fit_balance_table(
+        speech.phone, speech.length, np.concatenate(predicted),
+        np.repeat(utterance_speeds(speech.length, speech.counts),
+                  speech.counts),
+    )
 
     variant_cfgs = {
         "gop": DetectorConfig(variant="gop", beta=0.0),
@@ -348,7 +358,7 @@ def _fit_errors(rows, **kwargs):
     Every phone of a row lasts ``speed`` frames, so the row's mean duration
     is that speed, and is predicted to last ``speed + error`` frames.
     """
-    return fit_balance_table(
+    return fit_on_samples(
         [DurationSample.from_durations([phone] * len(errors), [speed] * len(errors))
          for phone, errors, speed in rows],
         [[speed + e for e in errors] for _, errors, speed in rows],
@@ -469,18 +479,17 @@ def _roundtrip_tables(rng, tmp_path, ps) -> int:
         assert read_ctm(tmp_path / "a.ctm", ps) == entries
 
         # annotations
-        ann = AnnotationSet(
-            phones=tuple(
-                PhoneAnnotation(f"u{j}", pos, bool(rng.integers(2)))
-                for j in range(int(rng.integers(1, 3)))
-                for pos in range(int(rng.integers(1, 4)))
-            ),
-            sentences=tuple(
-                SentenceRating(f"u{j}", f"r{k}", float(rng.uniform(0, 10)))
-                for j in range(int(rng.integers(1, 3)))
-                for k in range(int(rng.integers(1, 3)))
-            ),
-        )
+        labels = [
+            (f"u{j}", pos, bool(rng.integers(2)))
+            for j in range(int(rng.integers(1, 3)))
+            for pos in range(int(rng.integers(1, 4)))
+        ]
+        ratings = [
+            (f"u{j}", f"r{k}", float(rng.uniform(0, 10)))
+            for j in range(int(rng.integers(1, 3)))
+            for k in range(int(rng.integers(1, 3)))
+        ]
+        ann = AnnotationSet(*zip(*labels), *zip(*ratings))
         write_annotations(tmp_path / "ann.tsv", ann)
         assert read_annotations(tmp_path / "ann.tsv") == ann
 

@@ -13,12 +13,12 @@ from cagop import (
     DataError,
     PhoneSegment,
     align,
-    alignment_log_score,
 )
 from cagop.model import CagopError
 from cagop.synth import SynthConfig, generate_corpus
 
 from conftest import make_pg, random_pg
+from oracles import alignment_log_score
 
 
 def brute_force_best(pg, phones, cfg):

@@ -5,19 +5,28 @@ import pytest
 
 from cagop import (
     BalanceTable,
-    DurationSample,
     delta,
     fit_balance_table,
     lookup_tolerance,
     speed_bucket,
+    utterance_speeds,
 )
 from cagop.model import DataError
 
 
+def columns(rows):
+    """Per-phone columns of (phones, aligned, predicted) utterance rows."""
+    counts = [len(aligned) for _, aligned, _ in rows]
+    phones, aligned, predicted = (
+        np.concatenate([np.asarray(row[k], dtype=float) for row in rows])
+        for k in range(3))
+    speeds = np.repeat(utterance_speeds(aligned, counts), counts)
+    return phones.astype(int), aligned, predicted, speeds
+
+
 def fit(rows, **kwargs):
     """Table fitted on (phones, aligned, predicted) rows, one per utterance."""
-    samples = [DurationSample.from_durations(p, a) for p, a, _ in rows]
-    return fit_balance_table(samples, [pred for *_, pred in rows], **kwargs)
+    return fit_balance_table(*columns(rows), **kwargs)
 
 
 def rec(phone, aligned, predicted):
@@ -116,18 +125,19 @@ def test_gaussian_errors_rarely_exceed_their_tolerance():
 
 def test_empty_corpus_rejected():
     with pytest.raises(DataError):
-        fit_balance_table([], [])
+        fit_balance_table([], [], [], [])
 
 
 def test_record_length_mismatch_rejected():
-    with pytest.raises(DataError, match="1 predictions for 2 phones"):
-        fit([((0, 1), (5.0, 4.0), (4.0,))])
+    phones, aligned, _, speeds = columns([((0, 1), (5.0, 4.0), (4.0, 4.0))])
+    with pytest.raises(DataError, match=r"in length: \[2, 2, 1, 2\]"):
+        fit_balance_table(phones, aligned, [4.0], speeds)
 
 
 def test_prediction_count_must_match_samples():
-    sample = DurationSample.from_durations((0, 1), (5.0, 4.0))
-    with pytest.raises(DataError, match="1 prediction sequences for 2"):
-        fit_balance_table([sample, sample], [(4.0, 4.0)])
+    phones, aligned, predicted, _ = columns([((0, 1), (5.0, 4.0), (4.0, 4.0))])
+    with pytest.raises(DataError, match=r"in length: \[2, 2, 2, 1\]"):
+        fit_balance_table(phones, aligned, predicted, [4.5])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])

@@ -209,7 +209,11 @@ def test_evaluate_report_is_consistent(pipeline):
     assert counts == len(labeled)
     ps = read_phone_set(pipeline["phones"])
     system = dict(read_score_file(pipeline["scores"], ps).sentences)
-    raters = read_annotations(pipeline["annotations"]).rater_scores()
+    ann = read_annotations(pipeline["annotations"])
+    raters = {}
+    for utt, rater, score in zip(ann.rating_utt_ids, ann.rater_ids,
+                                 ann.ratings):
+        raters.setdefault(rater, {})[utt] = score
     assert len(raters) > 1
     per_rater = []
     for by_utt in raters.values():

@@ -11,6 +11,7 @@ from cagop import (
     align,
     Alignment,
     PhoneSegment,
+    SegmentColumns,
     BalanceTable,
     ThresholdTable,
     VARIANTS,
@@ -21,7 +22,6 @@ from cagop import (
     delta,
     detect_flags,
     entropy_profile,
-    fit_balance_table,
     gop,
     lookup_tolerance,
     score_utterance,
@@ -32,7 +32,7 @@ import cagop.detector
 from cagop.balance import lookup_tolerances
 from cagop.detector import _sweep_threshold, score_utterances
 
-from conftest import make_pg, random_pg
+from conftest import fit_on_samples, make_pg, random_pg
 
 # composition of the 2-frame scoring fixture with delta -1.5, beta 0.1
 FIX_TASCORE = -0.23742194311661857
@@ -137,7 +137,7 @@ def test_duration_variant_requires_inputs():
 
 
 def test_duration_variant_consumes_balance_and_predictions():
-    balance = fit_balance_table(
+    balance = fit_on_samples(
         [DurationSample.from_durations((p,) * 6, (5.0,) * 6) for p in (1, 2, 3)],
         [(4.0,) * 6] * 3,
     )
@@ -207,7 +207,7 @@ def _random_segmentation(rng, num_frames, num_phones):
 
 def test_one_pass_scorer_matches_per_segment_oracle():
     ps = PhoneSet(("SIL", "A", "B", "C", "D"), silence_index=0)
-    balance = fit_balance_table(
+    balance = fit_on_samples(
         [DurationSample.from_durations((p,) * 6, (5.0, 4.0, 6.0, 5.0, 3.0, 7.0))
          for p in (1, 2, 3)],
         [(4.0,) * 6] * 3,
@@ -284,21 +284,23 @@ def _bits(values):
 
 def test_scoring_utterances_together_matches_one_at_a_time_bitwise():
     ps = PhoneSet(("SIL", "A", "B", "C", "D"), silence_index=0)
-    balance = fit_balance_table(
+    balance = fit_on_samples(
         [DurationSample.from_durations((p,) * 6, (5.0, 4.0, 6.0, 5.0, 3.0, 7.0))
          for p in (1, 2, 3)],
         [(4.0,) * 6] * 3,
     )
     utts = _random_utterances(np.random.default_rng(2024), ps, 200)
     assert len({pg.num_frames for _, _, pg, _ in utts}) > 20
-    predicted = {u: preds for u, _, _, preds in utts}
+    segments = SegmentColumns.from_alignments(
+        (u, al) for u, al, _, _ in utts).non_silence(ps)
+    predicted = np.concatenate([preds for *_, preds in utts])
     thresholds = ThresholdTable({1: -1.2, 3: -0.4}, -0.8)
     for variant in VARIANTS:
         for clamp in (False, True):
             cfg = DetectorConfig(variant=variant, beta=0.3,
                                  clamp_delta_at_zero=clamp)
-            cols = score_utterances(((u, al, pg) for u, al, pg, _ in utts),
-                                    ps, cfg, predicted, balance)
+            cols = score_utterances(segments, (pg for _, _, pg, _ in utts),
+                                    cfg, predicted, balance)
             reports = [score_utterance(pg, al, ps, cfg, preds, balance, u)
                        for u, al, pg, preds in utts]
             records = [r for rep in reports for r in rep.per_phone]
@@ -356,10 +358,12 @@ def test_segment_past_the_last_frame_names_the_utterance():
     late = Alignment((PhoneSegment(1, 0, 3), PhoneSegment(2, 3, 4)))
     with pytest.raises(DataError,
                        match=r"segment \[3,7\) exceeds 6 frames in 'late'"):
-        score_utterances([("fine", fine, pg), ("late", late, pg)], ps,
-                         DetectorConfig(variant="gop", beta=0.0))
+        score_utterances(
+            SegmentColumns.from_alignments([("fine", fine), ("late", late)]),
+            [pg, pg], DetectorConfig(variant="gop", beta=0.0))
     with pytest.raises(DataError, match="no utterances to score"):
-        score_utterances([], ps, DetectorConfig(variant="gop", beta=0.0))
+        score_utterances(SegmentColumns.from_alignments([]), [],
+                         DetectorConfig(variant="gop", beta=0.0))
 
 
 def test_sentence_score_is_the_mean():

@@ -262,8 +262,9 @@ def test_train_mode_dropout_is_seeded():
 
 
 def test_sample_speed_must_be_mean_duration():
-    DurationSample((0, 1), (4.0, 6.0), 5.0)
-    with pytest.raises(DataError):
+    # the speed is derived, so a sample with another speed cannot be built
+    assert DurationSample((0, 1), (4.0, 6.0)).speed == 5.0
+    with pytest.raises(TypeError):
         DurationSample((0, 1), (4.0, 6.0), 5.5)
 
 
@@ -275,7 +276,7 @@ def test_sample_from_durations_sets_speed():
 
 def test_sample_durations_must_be_positive():
     with pytest.raises(DataError):
-        DurationSample((0,), (0.0,), 0.0)
+        DurationSample((0,), (0.0,))
 
 
 def test_predictions_are_clamped_to_one_frame():

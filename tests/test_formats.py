@@ -12,16 +12,13 @@ from cagop import (
     PhoneSet,
     Posteriorgram,
     ThresholdTable,
-    fit_balance_table,
 )
 from cagop.duration import TrainLogEntry, init_params, tiny_config, iter_tensors
 from cagop.formats import (
     PGM_MAGIC,
     _PGM_HEADER,
     AnnotationSet,
-    PhoneAnnotation,
     ScoreFile,
-    SentenceRating,
     read_annotations,
     read_balance_table,
     read_checkpoint,
@@ -48,7 +45,7 @@ from cagop.formats import (
     write_training_log,
 )
 
-from conftest import random_pg
+from conftest import fit_on_samples, random_pg
 
 PS = PhoneSet(("SIL", "AA", "B", "G", "OW"), silence_index=0)
 
@@ -255,15 +252,12 @@ def test_ctm_rejects_unknown_label(tmp_path):
 
 def test_annotations_roundtrip(tmp_path):
     ann = AnnotationSet(
-        phones=(
-            PhoneAnnotation("u1", 0, False),
-            PhoneAnnotation("u1", 1, True),
-            PhoneAnnotation("u2", 0, False),
-        ),
-        sentences=(
-            SentenceRating("u1", "r1", 7.25),
-            SentenceRating("u1", "r2", 10.0),
-        ),
+        label_utt_ids=("u1", "u1", "u2"),
+        positions=(0, 1, 0),
+        mispronounced=(False, True, False),
+        rating_utt_ids=("u1", "u1"),
+        rater_ids=("r1", "r2"),
+        ratings=(7.25, 10.0),
     )
     path = tmp_path / "ann.tsv"
     write_annotations(path, ann)
@@ -285,12 +279,9 @@ def test_annotations_reject_score_out_of_range(tmp_path):
 
 
 def test_annotation_helpers():
-    ann = AnnotationSet(
-        phones=(PhoneAnnotation("u1", 1, True),),
-        sentences=(SentenceRating("u1", "r1", 5.0),),
-    )
-    assert ann.phone_label_map() == {("u1", 1): True}
-    assert ann.rater_scores() == {"r1": {"u1": 5.0}}
+    ann = AnnotationSet(("u1", "u2"), (1, 0), (True, False), ("u1",), ("r1",),
+                        (5.0,))
+    assert ann.phone_label_map() == {("u1", 1): True, ("u2", 0): False}
 
 
 # --- balance tables and thresholds --------------------------------------------
@@ -306,8 +297,8 @@ def balance_fixture():
             [phone] * n, rng.uniform(2, 12, size=n).tolist()
         ))
         predicted.append(rng.uniform(2, 12, size=n).tolist())
-    return fit_balance_table(samples, predicted, bucket_width=2.0,
-                             bucket_range=(2, 15))
+    return fit_on_samples(samples, predicted, bucket_width=2.0,
+                          bucket_range=(2, 15))
 
 
 def test_balance_table_roundtrip(tmp_path):

@@ -8,9 +8,7 @@ from cagop import PhoneSet
 from cagop.cli import main
 from cagop.formats import (
     AnnotationSet,
-    PhoneAnnotation,
     ScoreFile,
-    SentenceRating,
     write_annotations,
     write_phone_set,
     write_score_file,
@@ -19,6 +17,7 @@ from cagop.metrics import (
     ConfusionCounts,
     confusion_counts,
     mae_frames,
+    mean_rater_correlation,
     pearson,
     rankdata,
     spearman,
@@ -183,11 +182,11 @@ def evaluate_correlations(tmp_path, system, raters):
         scores=tuple(system), flags=tuple(i % 2 == 0 for i in range(n)),
         sentences=tuple(zip(utts, system)),
     ), ps)
+    rated = [(u, rater, score) for rater, scores in raters.items()
+             for u, score in zip(utts, scores)]
     write_annotations(paths["ann"], AnnotationSet(
-        phones=tuple(PhoneAnnotation(u, 0, i % 3 == 0) for i, u in enumerate(utts)),
-        sentences=tuple(SentenceRating(u, rater, score)
-                        for rater, scores in raters.items()
-                        for u, score in zip(utts, scores)),
+        tuple(utts), (0,) * n, tuple(i % 3 == 0 for i in range(n)),
+        *zip(*rated),
     ))
     assert main(["evaluate", "--scores", str(paths["scores"]),
                  "--annotations", str(paths["ann"]),
@@ -245,3 +244,34 @@ def test_evaluate_reports_how_many_raters_it_averaged(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "sentence correlation over 0 of 1 raters" in out
     assert "warning: all 1 raters left out of the sentence correlation" in err
+
+
+def test_mean_rater_correlation_matches_scipy():
+    rng = np.random.default_rng(17)
+    utts = [f"u{i:02d}" for i in range(12)]
+    system = dict(zip(utts, rng.normal(size=12).tolist()))
+    # rater columns in file order: r2 first, r1 on a subset, r3 constant,
+    # r4 on a single common utterance
+    rows = [(u, "r2", float(rng.uniform(0, 10))) for u in utts]
+    rows += [(u, "r1", float(rng.uniform(0, 10))) for u in utts[::2]]
+    rows += [(u, "r3", 4.0) for u in utts[:5]]
+    rows += [("u03", "r4", 1.0), ("elsewhere", "r4", 2.0)]
+    rng.shuffle(rows)
+    p_mean, s_mean, used, raters = mean_rater_correlation(system, *zip(*rows))
+    per_rater = []
+    for rater in ("r1", "r2"):
+        by_utt = {u: score for u, r, score in rows if r == rater}
+        common = sorted(set(system) & set(by_utt))
+        x = [system[u] for u in common]
+        y = [by_utt[u] for u in common]
+        per_rater.append((stats.pearsonr(x, y).statistic,
+                          stats.spearmanr(x, y).statistic))
+    want_p, want_s = np.mean(per_rater, axis=0)
+    assert (used, raters) == (2, 4)
+    assert abs(p_mean - want_p) <= 1e-12 and abs(s_mean - want_s) <= 1e-12
+
+
+def test_mean_rater_correlation_without_usable_raters():
+    got = mean_rater_correlation({"a": 1.0, "b": 2.0}, ("a", "b"),
+                                 ("flat", "flat"), (3.0, 3.0))
+    assert got == (None, None, 0, 1)

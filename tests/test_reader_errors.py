@@ -8,7 +8,13 @@ relocates an error shows here.
 import pytest
 
 from cagop import FormatError, PhoneSet
-from cagop.formats import read_annotations, read_ctm, read_score_file
+from cagop.cli import main
+from cagop.formats import (
+    read_annotations,
+    read_ctm,
+    read_phone_set,
+    read_score_file,
+)
 
 PS = PhoneSet(("SIL", "AA", "B", "G", "OW"), silence_index=0)
 CTM_USAGE = "expected utt<TAB>phone<TAB>start<TAB>frames"
@@ -38,12 +44,15 @@ CASES = [
     ("ctm", "u1\tAA\t0\t2\nu1\tB\t-4\t3\n", 2, "negative segment start -4"),
     ("ctm", "u1\tAA\t0\t0\n", 1, "segment length must be >= 1, got 0"),
     ("ctm", "u1\tAA\t0\t-2\n", 1, "segment length must be >= 1, got -2"),
-    ("ctm", "u1\tAA\t0\t3\nu1\tB\t2\t2\n", 1,
+    # an overlap is reported at the row that overlaps its predecessor
+    ("ctm", "u1\tAA\t0\t3\nu1\tB\t2\t2\n", 2,
      "overlapping segments: [0,3) then [2,4)"),
-    ("ctm", "u1\tAA\t0\t3\nu1\tB\t3\t2\nu1\tG\t4\t1\n", 1,
+    ("ctm", "u1\tAA\t0\t3\nu1\tB\t3\t2\nu1\tG\t4\t1\n", 3,
      "overlapping segments: [3,5) then [4,5)"),
     ("ctm", "u1\tAA\t0\t2\nu2\tAA\t0\t2\nu1\tB\t2\t2\n", 3,
      "utterance 'u1' appears in two places"),
+    ("ctm", "u1\tAA\t0\t2\nu1\tB\t2\t99999999999999999999\n", 2,
+     "frame count 99999999999999999999 out of range"),
     ("ctm", "", None, "empty alignment file"),
     ("ctm", "\n  \n", None, "empty alignment file"),
     ("annotations", "P\tu1\t0\n", 1, ANN_USAGE),
@@ -103,3 +112,35 @@ def test_int_fields_accept_what_int_accepts(tmp_path):
     assert utt == "u1"
     assert [(s.phone, s.start, s.length) for s in alignment.segments] == [
         (1, 0, 3), (2, 30, 2)]
+
+
+# Repeated rows are rejected at the later row instead of the last one
+# silently winning.
+REPEATS = [
+    ("ctm", "u1\tAA\t0\t3\n\tB\t0\t3\n", 2, "empty utterance id"),
+    ("annotations", "P\tu1\t0\t1\nP\tu2\t0\t1\nP\tu1\t0\t0\n", 3,
+     "second label for phone 0 of 'u1'"),
+    ("annotations", "S\tu1\tr1\t5\nS\tu1\tr2\t5\nS\tu1\tr1\t6\n", 3,
+     "second score from rater 'r1' for 'u1'"),
+    ("scores", H + P + "S\tu1\t-0.5\nS\tu1\t-0.25\n", 4,
+     "second sentence score for 'u1'"),
+    ("scores", H + P + "P\tu1\t0\tB\t3\t2\t-0.5\n", 3,
+     "second score for phone 0 of 'u1'"),
+]
+
+
+@pytest.mark.parametrize("reader, text, line, message", REPEATS,
+                         ids=["ctm-empty-utterance", "phone-label",
+                              "rater-score", "sentence-score", "phone-score"])
+def test_repeated_rows_are_rejected(tmp_path, reader, text, line, message):
+    test_reader_error_text(tmp_path, reader, text, line, message)
+
+
+def test_synth_corpus_reads_cleanly(tmp_path):
+    assert main(["synth-corpus", "--out", str(tmp_path), "--seed", "3",
+                 "--utterances", "30"]) == 0
+    phone_set = read_phone_set(tmp_path / "phones.txt")
+    assert len(read_ctm(tmp_path / "reference.ctm", phone_set)) == 30
+    annotations = read_annotations(tmp_path / "annotations.tsv")
+    assert len(set(annotations.label_utt_ids)) == 30
+    assert len(annotations.ratings) == 30 * len(set(annotations.rater_ids))

@@ -19,10 +19,11 @@ from cagop.synth import (
     default_phone_set,
     generate_corpus,
     read_text_manifest,
-    rule_duration_corpus,
     rule_durations,
     write_corpus,
 )
+
+from oracles import rule_duration_corpus
 
 SMALL = SynthConfig(num_utterances=30, seed=5)
 
@@ -114,8 +115,8 @@ def test_corpus_utterances_are_internally_consistent():
         covered = sum(s.length for s in utt.alignment.segments)
         assert covered == utt.posteriorgram.num_frames
         assert len(utt.ratings) == NUM_RATERS
-        for r in utt.ratings:
-            assert 0.0 <= r.score <= 10.0
+        for score in utt.ratings:
+            assert 0.0 <= score <= 10.0
         for word in utt.text.split():
             assert word in corpus.lexicon
     assert len(ids) == 30
@@ -133,7 +134,7 @@ def test_wrong_utterances_are_rated_lower():
     corpus = generate_corpus(SynthConfig(num_utterances=120, seed=13))
     clean, dirty = [], []
     for u in corpus.utterances:
-        mean_rating = np.mean([r.score for r in u.ratings])
+        mean_rating = np.mean(u.ratings)
         if any(u.mispronounced):
             dirty.append(mean_rating)
         else:

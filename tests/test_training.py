@@ -17,12 +17,12 @@ from cagop.duration import (
     init_params,
     iter_tensors,
     noam_lr,
-    overfit_single,
     train,
 )
 from cagop.duration.net import Workspace, _forward_batch, masked_l1_and_grads
 from cagop.duration.training import _pad_batch
 from cagop.model import DataError, NumericError
+from oracles import overfit_single
 
 
 def quick_cfg(seed=0):
@@ -152,7 +152,7 @@ def test_overlong_sample_rejected():
 
 def test_divergence_reports_numeric_error_with_step():
     # astronomically large duration overflows the speed pathway to NaN
-    bad = DurationSample((1,), (1e308,), 1e308)
+    bad = DurationSample((1,), (1e308,))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="step"):
         train([bad], desk_config(seed=0), [bad], num_phones=5, epochs=1)
 
