@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from itertools import compress
 from pathlib import Path
 
@@ -148,10 +149,8 @@ def _cmd_align(args) -> int:
 def _speech_segments(segments: SegmentColumns) -> SegmentColumns:
     """``segments`` without the utterances that have no rows."""
     kept = segments.counts > 0
-    return SegmentColumns(
-        tuple(compress(segments.utterance_ids, kept)), segments.counts[kept],
-        segments.phone, segments.start, segments.length,
-    )
+    return replace(segments, counts=segments.counts[kept],
+                   utterance_ids=tuple(compress(segments.utterance_ids, kept)))
 
 
 def _duration_corpus(ctm_path, phone_set) -> SegmentColumns:

@@ -6,10 +6,11 @@ formats (posteriorgram, duration-net checkpoint) are little-endian with
 fixed magics.
 
 CTM, annotation and score files are read as columns (``SegmentColumns``,
-``AnnotationSet``, ``ScoreFile``): each field is parsed column-wise with
-``int()`` or ``float()``, then ranges, overlaps, contiguity and repeated
-keys are checked over whole columns. A failure names the file and the
-line of the first bad row; a field that does not parse comes first.
+``AnnotationSet``, ``ScoreFile``): one pass parses each row's fields with
+``int()``, ``float()`` or a table look-up into column lists, then ranges,
+overlaps, contiguity and repeated keys are checked over whole columns. A
+failure names the file and the line of the first bad row; a field that
+does not parse is reported before any of those checks.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from itertools import compress, starmap
-from operator import ne
+from itertools import starmap
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -94,17 +94,17 @@ def _rows(path, lines, fields, usage: str, first: int = 1, sep="\t"):
     kind (the first part) to the part counts that kind allows. Any other
     row is a FormatError saying it expected ``usage``.
     """
-    rows = [(i, raw.split(sep)) for i, raw in enumerate(lines, first)
-            if raw.strip()]
-    if isinstance(fields, dict):
-        bad = (i for i, parts in rows
-               if len(parts) not in fields.get(parts[0], ()))
-    else:
-        bad = (i for i, parts in rows if len(parts) != fields)
-    line = next(bad, None)
-    if line is not None:
-        raise FormatError(f"expected {usage}", path=path, line=line)
-    return rows
+    for i, raw in enumerate(lines, start=first):
+        if not raw.strip():
+            continue
+        parts = raw.split(sep)
+        if isinstance(fields, dict):
+            ok = len(parts) in fields.get(parts[0], ())
+        else:
+            ok = len(parts) == fields
+        if not ok:
+            raise FormatError(f"expected {usage}", path=path, line=i)
+        yield i, parts
 
 
 def _raise_first(path, faults) -> None:
@@ -129,12 +129,6 @@ def _repeats(keys: Sequence) -> list[bool]:
         return [False] * len(keys)
     seen: set = set()
     return [key in seen or seen.add(key) for key in keys]
-
-
-def _columns(rows, width: int):
-    """The line numbers of ``rows`` and their first ``width`` fields as columns."""
-    lines, parts = zip(*rows) if rows else ((), ())
-    return lines, (tuple(zip(*parts)) or ((),) * width)[:width]
 
 
 def _int64(path, lines, values: list[int], what: str) -> np.ndarray:
@@ -177,6 +171,12 @@ def _parse_float(text: str, path, line: int, what: str) -> float:
     if not math.isfinite(value):
         raise FormatError(f"{what} must be finite, got {text!r}",
                           path=path, line=line)
+    return value
+
+
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(value)
     return value
 
 
@@ -369,27 +369,29 @@ def write_ctm(
 
 def read_ctm_columns(path, phone_set: PhoneSet) -> SegmentColumns:
     """Parse utterance alignments; utterance lines must be contiguous."""
-    rows = _rows(path, _read_lines(path), 4,
-                 "utt<TAB>phone<TAB>start<TAB>frames")
-    if not rows:
-        raise FormatError("empty alignment file", path=path)
-    lines, (utts, labels, starts, lengths) = _columns(rows, 4)
+    index = {label: k for k, label in enumerate(phone_set.phones)}
+    # firsts: each utterance's first row
+    lines, firsts, ids, phone, start, length = [], [], [], [], [], []
     try:
-        phone = list(map(phone_set.index, labels))
-        start = list(map(int, starts))
-        length = list(map(int, lengths))
-    except (DataError, ValueError):
-        # the fast path failed: find the first bad field, in row order
-        for i, (_, label, first, count) in rows:
-            _phone(phone_set, label, path, i)
-            _parse_int(first, path, i, "start frame")
-            _parse_int(count, path, i, "frame count")
+        for i, (utt, label, first, count) in _rows(
+            path, _read_lines(path), 4, "utt<TAB>phone<TAB>start<TAB>frames"
+        ):
+            if not ids or utt != ids[-1]:
+                firsts.append(len(lines))
+                ids.append(utt)
+            lines.append(i)
+            phone.append(index[label])
+            start.append(int(first))
+            length.append(int(count))
+    except (KeyError, ValueError):
+        _phone(phone_set, label, path, i)
+        _parse_int(first, path, i, "start frame")
+        _parse_int(count, path, i, "frame count")
         raise
+    if not lines:
+        raise FormatError("empty alignment file", path=path)
     start = _int64(path, lines, start, "start frame")
     length = _int64(path, lines, length, "frame count")
-    # each utterance's first row
-    firsts = [0, *compress(range(1, len(rows)), map(ne, utts[1:], utts[:-1]))]
-    ids = [utts[k] for k in firsts]
     ends = start + length
     overlap = np.r_[False, start[1:] < ends[:-1]]
     overlap[firsts] = False
@@ -405,7 +407,7 @@ def read_ctm_columns(path, phone_set: PhoneSet) -> SegmentColumns:
             f"overlapping segments: [{start[k - 1]},{ends[k - 1]}) then "
             f"[{start[k]},{ends[k]})")),
     ])
-    return SegmentColumns(tuple(ids), np.diff([*firsts, len(rows)]),
+    return SegmentColumns(tuple(ids), np.diff([*firsts, len(lines)]),
                           np.array(phone, dtype=np.int64), start, length)
 
 
@@ -456,29 +458,32 @@ def write_annotations(path, a: AnnotationSet) -> None:
 
 
 def read_annotations(path) -> AnnotationSet:
-    rows = _rows(path, _read_lines(path), {"P": (4,), "S": (4,)},
-                 "P<TAB>utt<TAB>pos<TAB>label or S<TAB>utt<TAB>rater<TAB>score")
-    if not rows:
-        raise FormatError("empty annotation file", path=path)
-    p_lines, (_, p_utts, p_pos, p_flags) = _columns(
-        [r for r in rows if r[1][0] == "P"], 4)
-    s_lines, (_, s_utts, raters, s_scores) = _columns(
-        [r for r in rows if r[1][0] == "S"], 4)
+    p_lines, p_utts, positions, labels = [], [], [], []
+    s_lines, s_utts, raters, scores = [], [], [], []
     try:
-        positions = list(map(int, p_pos))
-        labels = [_FLAGS[flag] for flag in p_flags]
-        scores = list(map(float, s_scores))
-        if not all(map(math.isfinite, scores)):
-            raise ValueError
-    except (KeyError, ValueError):
-        # the fast path failed: find the first bad field, in row order
-        for i, (kind, _, field, value) in rows:
+        for i, (kind, utt, field, value) in _rows(
+            path, _read_lines(path), {"P": (4,), "S": (4,)},
+            "P<TAB>utt<TAB>pos<TAB>label or S<TAB>utt<TAB>rater<TAB>score",
+        ):
             if kind == "P":
-                _parse_int(field, path, i, "position")
-                _parse_flag(value, path, i, "label")
+                p_lines.append(i)
+                p_utts.append(utt)
+                positions.append(int(field))
+                labels.append(_FLAGS[value])
             else:
-                _parse_float(value, path, i, "rater score")
+                s_lines.append(i)
+                s_utts.append(utt)
+                raters.append(field)
+                scores.append(_finite(float(value)))
+    except (KeyError, ValueError):
+        if kind == "P":
+            _parse_int(field, path, i, "position")
+            _parse_flag(value, path, i, "label")
+        else:
+            _parse_float(value, path, i, "rater score")
         raise
+    if not p_lines and not s_lines:
+        raise FormatError("empty annotation file", path=path)
     _raise_first(path, [
         (p_lines, [p < 0 for p in positions],
          lambda k: f"negative phone position {positions[k]}"),
@@ -489,8 +494,8 @@ def read_annotations(path) -> AnnotationSet:
         (s_lines, _repeats(list(zip(s_utts, raters))),
          lambda k: f"second score from rater {raters[k]!r} for {s_utts[k]!r}"),
     ])
-    return AnnotationSet(p_utts, tuple(positions), tuple(labels), s_utts,
-                         raters, tuple(scores))
+    return AnnotationSet(tuple(p_utts), tuple(positions), tuple(labels),
+                         tuple(s_utts), tuple(raters), tuple(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -730,48 +735,45 @@ def write_score_file(path, scores: ScoreFile, phone_set: PhoneSet) -> None:
 def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
     lines = _read_lines(path)
     variant = _header(path, lines, ("#variant",))["#variant"]
-    rows = _rows(
-        path, lines[1:], {"P": (7, 8), "S": (3,)},
-        "P<TAB>utt<TAB>pos<TAB>phone<TAB>start<TAB>frames<TAB>score[<TAB>flag]"
-        " or S<TAB>utt<TAB>score", first=2,
-    )
-    p_rows = [r for r in rows if r[1][0] == "P"]
-    p_lines, (_, utts, positions, labels, starts, lengths, scores) = _columns(
-        p_rows, 7)
-    s_lines, (_, s_utts, s_scores) = _columns(
-        [r for r in rows if r[1][0] == "S"], 3)
+    index = {label: k for k, label in enumerate(phone_set.phones)}
+    cols = p_lines, utts, positions, phones, starts, lengths, scores, flags = (
+        [], [], [], [], [], [], [], [])
+    s_lines, sentences = [], []
     try:
-        positions = tuple(map(int, positions))
-        phones = tuple(map(phone_set.index, labels))
-        starts = tuple(map(int, starts))
-        lengths = tuple(map(int, lengths))
-        scores = tuple(map(float, scores))
-        flags = tuple(None if len(parts) == 7 else _FLAGS[parts[7]]
-                      for _, parts in p_rows)
-        s_scores = tuple(map(float, s_scores))
-        if not all(map(math.isfinite, scores + s_scores)):
-            raise ValueError
-    except (DataError, KeyError, ValueError):
-        # the fast path failed: find the first bad field, in row order
-        for i, parts in rows:
+        for i, parts in _rows(
+            path, lines[1:], {"P": (7, 8), "S": (3,)},
+            "P<TAB>utt<TAB>pos<TAB>phone<TAB>start<TAB>frames<TAB>score"
+            "[<TAB>flag] or S<TAB>utt<TAB>score", first=2,
+        ):
             if parts[0] == "P":
-                _parse_int(parts[2], path, i, "position")
-                _phone(phone_set, parts[3], path, i)
-                _parse_int(parts[4], path, i, "start")
-                _parse_int(parts[5], path, i, "length")
-                _parse_float(parts[6], path, i, "score")
-                if len(parts) == 8:
-                    _parse_flag(parts[7], path, i, "flag")
+                p_lines.append(i)
+                utts.append(parts[1])
+                positions.append(int(parts[2]))
+                phones.append(index[parts[3]])
+                starts.append(int(parts[4]))
+                lengths.append(int(parts[5]))
+                scores.append(_finite(float(parts[6])))
+                flags.append(_FLAGS[parts[7]] if len(parts) == 8 else None)
             else:
-                _parse_float(parts[2], path, i, "sentence score")
+                s_lines.append(i)
+                sentences.append((parts[1], _finite(float(parts[2]))))
+    except (KeyError, ValueError):
+        if parts[0] == "P":
+            _parse_int(parts[2], path, i, "position")
+            _phone(phone_set, parts[3], path, i)
+            _parse_int(parts[4], path, i, "start")
+            _parse_int(parts[5], path, i, "length")
+            _parse_float(parts[6], path, i, "score")
+            _parse_flag(parts[7], path, i, "flag")
+        else:
+            _parse_float(parts[2], path, i, "sentence score")
         raise
-    if not p_rows:
+    if not p_lines:
         raise FormatError("score file has no phone rows", path=path)
     _raise_first(path, [
         (p_lines, _repeats(list(zip(utts, positions))),
          lambda k: f"second score for phone {positions[k]} of {utts[k]!r}"),
-        (s_lines, _repeats(s_utts),
-         lambda k: f"second sentence score for {s_utts[k]!r}"),
+        (s_lines, _repeats([utt for utt, _ in sentences]),
+         lambda k: f"second sentence score for {sentences[k][0]!r}"),
     ])
-    return ScoreFile(variant, utts, positions, phones, starts, lengths, scores,
-                     flags, tuple(zip(s_utts, s_scores)))
+    return ScoreFile(variant, *map(tuple, cols[1:]), tuple(sentences))
