@@ -8,6 +8,7 @@ stderr. All commands are deterministic given their --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -377,7 +378,9 @@ def _cmd_entropy_dump(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="cagop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -44,6 +44,8 @@ from .scoring import (  # noqa: F401
 )
 
 VARIANTS = ("gop", "center_gop", "cagop", "cagop_minus_dur", "cagop_minus_ta")
+# the variants whose score is scaled by the duration factor (1 - beta*delta)
+DURATION_VARIANTS = ("cagop", "cagop_minus_ta")
 CALIBRATION_MIN_COUNT = 10
 
 
@@ -64,7 +66,7 @@ class DetectorConfig:
     @property
     def needs_durations(self) -> bool:
         """Duration inputs are only needed when the factor can move the score."""
-        return self.variant in ("cagop", "cagop_minus_ta") and self.beta > 0
+        return self.variant in DURATION_VARIANTS and self.beta > 0
 
 
 def cagop_score(ta_score, delta, beta: float, clamp_delta_at_zero: bool = False):
@@ -180,7 +182,7 @@ def score_utterances(
         "gop": gop_scores, "center_gop": center, "cagop_minus_dur": ta,
         "cagop": ta, "cagop_minus_ta": gop_scores,
     }[cfg.variant]
-    if cfg.variant in ("cagop", "cagop_minus_ta"):
+    if cfg.variant in DURATION_VARIANTS:
         score = cagop_score(score, 0.0 if deltas is None else deltas, cfg.beta,
                             cfg.clamp_delta_at_zero)
     sentences = [score[a:b].mean() for a, b in zip(row_bounds, row_bounds[1:])]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -125,7 +126,7 @@ class DurationSample:
         return len(self.phones)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockParams:
     attn_query: np.ndarray
     attn_key: np.ndarray
@@ -142,15 +143,22 @@ class BlockParams:
     log_sigma: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class DurationNetParams:
-    """All trainable tensors; gradient objects share this structure."""
+    """All trainable tensors; gradient objects share this structure.
+
+    ``flat`` is one float64 vector holding every tensor, and each tensor is
+    a reshaped view of its slice of it, in ``iter_tensors`` order. Writing
+    a tensor writes ``flat`` and the other way round. Tensors change only
+    in place: the dataclasses are frozen, so no attribute can be rebound.
+    """
 
     phone_embeddings: np.ndarray
     speed_projection: np.ndarray
     blocks: list[BlockParams]
     out_weight: np.ndarray
     out_bias: np.ndarray
+    flat: np.ndarray = field(repr=False)
 
     @property
     def num_phones(self) -> int:
@@ -171,89 +179,56 @@ def iter_tensors(params: DurationNetParams) -> Iterator[tuple[str, np.ndarray]]:
     yield "out_bias", params.out_bias
 
 
-def _map_params(
-    params: DurationNetParams, make: Callable[[str, np.ndarray], np.ndarray]
-) -> DurationNetParams:
-    """A params object whose every tensor is make(path, tensor)."""
-    return DurationNetParams(
-        phone_embeddings=make("phone_embeddings", params.phone_embeddings),
-        speed_projection=make("speed_projection", params.speed_projection),
-        blocks=[
-            BlockParams(**{
-                f: make(f"blocks[{i}].{f}", getattr(b, f)) for f in _BLOCK_FIELDS
-            })
-            for i, b in enumerate(params.blocks)
-        ],
-        out_weight=make("out_weight", params.out_weight),
-        out_bias=make("out_bias", params.out_bias),
+def param_shapes(
+    cfg: DurationNetConfig, num_phones: int
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every tensor, lazily and in ``iter_tensors`` order."""
+    if num_phones < 1:
+        raise DataError("need at least one phone")
+    d, f, h = cfg.embed_dim, cfg.ffn_dim, cfg.num_heads
+    block = (("attn_query", (d, d)), ("attn_key", (d, d)),
+             ("attn_value", (d, d)), ("attn_out", (d, d)),
+             ("ffn_in", (d, f)), ("ffn_in_bias", (f,)), ("ffn_out", (f, d)),
+             ("ffn_out_bias", (d,)), ("ln1_gain", (d,)), ("ln1_offset", (d,)),
+             ("ln2_gain", (d,)), ("ln2_offset", (d,)), ("log_sigma", (h,)))
+    return chain(
+        [("phone_embeddings", (num_phones, d)), ("speed_projection", (1, d))],
+        ((f"blocks[{i}].{name}", shape)
+         for i in range(cfg.num_blocks) for name, shape in block),
+        [("out_weight", (d, 1)), ("out_bias", (1,))],
     )
+
+
+def _carve(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> DurationNetParams:
+    """A params object whose tensors are consecutive slices of ``flat``."""
+    bounds = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    views = iter([part.reshape(shape)
+                  for part, shape in zip(np.split(flat, bounds), shapes)])
+    num_blocks = (len(shapes) - 4) // len(_BLOCK_FIELDS)
+    return DurationNetParams(
+        next(views), next(views),
+        [BlockParams(*islice(views, len(_BLOCK_FIELDS)))
+         for _ in range(num_blocks)],
+        next(views), next(views), flat,
+    )
+
+
+def _shapes(params: DurationNetParams) -> list[tuple[int, ...]]:
+    return [t.shape for _, t in iter_tensors(params)]
 
 
 def zeros_like_params(params: DurationNetParams) -> DurationNetParams:
-    return _map_params(params, lambda _, t: np.zeros_like(t))
-
-
-def block_shapes(cfg: DurationNetConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor of one block, in declaration order."""
-    d, f, h = cfg.embed_dim, cfg.ffn_dim, cfg.num_heads
-    return {
-        "attn_query": (d, d), "attn_key": (d, d), "attn_value": (d, d),
-        "attn_out": (d, d), "ffn_in": (d, f), "ffn_in_bias": (f,),
-        "ffn_out": (f, d), "ffn_out_bias": (d,), "ln1_gain": (d,),
-        "ln1_offset": (d,), "ln2_gain": (d,), "ln2_offset": (d,),
-        "log_sigma": (h,),
-    }
-
-
-def outer_shapes(
-    cfg: DurationNetConfig, num_phones: int
-) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor outside the blocks."""
-    if num_phones < 1:
-        raise DataError("need at least one phone")
-    d = cfg.embed_dim
-    return {
-        "phone_embeddings": (num_phones, d), "speed_projection": (1, d),
-        "out_weight": (d, 1), "out_bias": (1,),
-    }
-
-
-def _build_params(
-    cfg: DurationNetConfig,
-    num_phones: int,
-    make: Callable[[str, tuple[int, ...]], np.ndarray],
-) -> DurationNetParams:
-    """Every tensor as make(name, shape), called in declaration order."""
-    outer = outer_shapes(cfg, num_phones)
-    block = block_shapes(cfg)
-    phone_embeddings = make("phone_embeddings", outer["phone_embeddings"])
-    speed_projection = make("speed_projection", outer["speed_projection"])
-    blocks = [
-        BlockParams(**{name: make(name, s) for name, s in block.items()})
-        for _ in range(cfg.num_blocks)
-    ]
-    return DurationNetParams(
-        phone_embeddings=phone_embeddings,
-        speed_projection=speed_projection,
-        blocks=blocks,
-        out_weight=make("out_weight", outer["out_weight"]),
-        out_bias=make("out_bias", outer["out_bias"]),
-    )
+    return _carve(np.zeros_like(params.flat), _shapes(params))
 
 
 def zeros_params(cfg: DurationNetConfig, num_phones: int) -> DurationNetParams:
     """All-zero tensors with the shapes init_params would produce."""
-    return _build_params(cfg, num_phones, lambda name, shape: np.zeros(shape))
+    shapes = [shape for _, shape in param_shapes(cfg, num_phones)]
+    return _carve(np.zeros(sum(map(math.prod, shapes))), shapes)
 
 
 def clone_params(params: DurationNetParams) -> DurationNetParams:
-    return _map_params(params, lambda _, t: t.copy())
-
-
-def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    fan_in, fan_out = shape
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return _carve(params.flat.copy(), _shapes(params))
 
 
 def init_params(
@@ -264,16 +239,17 @@ def init_params(
     Tensors are drawn in declaration order, so a given rng state fixes the
     initialization bit for bit.
     """
-    def make(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if len(shape) == 2:
-            return _glorot(rng, shape)
-        if name.endswith("_gain"):
-            return np.ones(shape)
-        if name == "log_sigma":
-            return np.full(shape, np.log(SIGMA_INIT))
-        return np.zeros(shape)
-
-    return _build_params(cfg, num_phones, make)
+    params = zeros_params(cfg, num_phones)
+    for name, tensor in iter_tensors(params):
+        if tensor.ndim == 2:
+            fan_in, fan_out = tensor.shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            tensor[...] = rng.uniform(-limit, limit, size=tensor.shape)
+        elif name.endswith("_gain"):
+            tensor.fill(1.0)
+        elif name.endswith("log_sigma"):
+            tensor.fill(np.log(SIGMA_INIT))
+    return params
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:
@@ -532,7 +508,7 @@ def _backward_batch(
     plain (N, a)^T @ (N, b) product over the packed real tokens. The
     returned gradients are views into ``ws``.
     """
-    grads = _map_params(params, lambda name, t: ws.take(("grad", name), t.shape))
+    grads = _carve(ws.take("grads", params.flat.shape), _shapes(params))
     dropping = _dropout_on(cfg, train)
     h, nb = cfg.num_heads, len(params.blocks)
     rows = np.nonzero(mask)[0]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -17,9 +17,7 @@ from .net import (
     _pad_phones,
     clone_params,
     init_params,
-    iter_tensors,
     masked_l1_and_grads,
-    zeros_like_params,
 )
 
 ADAM_BETA1 = 0.9
@@ -47,26 +45,23 @@ class TrainLogEntry:
 
 class _AdamState:
     def __init__(self, params: DurationNetParams):
-        self.m = zeros_like_params(params)
-        self.v = zeros_like_params(params)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.step = 0
 
     def update(
         self, params: DurationNetParams, grads: DurationNetParams, lr: float
     ) -> None:
         self.step += 1
-        # Bias-corrected moments, applied tensor by tensor in place.
+        # Bias-corrected moments, applied in place to the whole flat vector.
         correct1 = 1.0 - ADAM_BETA1 ** self.step
         correct2 = 1.0 - ADAM_BETA2 ** self.step
-        for (_, p), (_, g), (_, m), (_, v) in zip(
-            iter_tensors(params), iter_tensors(grads),
-            iter_tensors(self.m), iter_tensors(self.v),
-        ):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        p, g, m, v = params.flat, grads.flat, self.m, self.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
 
 
 def _pad_batch(samples: Sequence[DurationSample]):
@@ -116,7 +111,6 @@ def train(
     validation: Sequence[DurationSample],
     num_phones: Optional[int] = None,
     epochs: int = 100,
-    callback: Optional[Callable[[TrainLogEntry], None]] = None,
 ) -> tuple[DurationNetParams, list[TrainLogEntry]]:
     """Fit the duration net; returns the best-validation snapshot and a log.
 
@@ -170,10 +164,7 @@ def train(
             tokens += n
             adam.update(params, grads, noam_lr(adam.step + 1, cfg))
         val_mae = evaluate_mae(params, cfg, validation, ws)
-        entry = TrainLogEntry(epoch, abs_err / tokens, val_mae)
-        log.append(entry)
-        if callback is not None:
-            callback(entry)
+        log.append(TrainLogEntry(epoch, abs_err / tokens, val_mae))
         if val_mae < best_mae:
             best_mae = val_mae
             best = clone_params(params)

@@ -28,9 +28,8 @@ from .detector import ThresholdTable
 from .duration.net import (
     DurationNetConfig,
     DurationNetParams,
-    block_shapes,
     iter_tensors,
-    outer_shapes,
+    param_shapes,
     zeros_params,
 )
 from .duration.training import TrainLogEntry
@@ -601,11 +600,6 @@ def write_checkpoint(
             fh.write(tensor.astype("<f8").tobytes())
 
 
-def _stored_tensor_bytes(shapes) -> int:
-    """Bytes write_checkpoint spends on tensors of these shapes."""
-    return sum(4 + 4 * len(shape) + 8 * math.prod(shape) for shape in shapes)
-
-
 def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
     blob = _read_bytes(path)
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
@@ -624,32 +618,30 @@ def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
             lr_scale=lr_scale, warmup_steps=warmup, batch_size=batch,
             seed=seed,
         )
-        expected = (
-            _stored_tensor_bytes(outer_shapes(cfg, num_phones).values())
-            + num_blocks * _stored_tensor_bytes(block_shapes(cfg).values())
-        )
+        shapes = param_shapes(cfg, num_phones)
     except DataError as exc:
         raise FormatError(f"bad checkpoint header: {exc}", path=path) from exc
-    # Checked before anything is allocated, so a corrupt header cannot ask
-    # for more memory than the file could fill.
-    if len(blob) - offset < expected:
-        raise FormatError(
-            f"truncated: header implies {expected} tensor bytes, "
-            f"file has {len(blob) - offset}",
-            path=path,
-        )
+    # Summed before anything is allocated and only as far as the file
+    # reaches, so a corrupt header cannot ask for more memory or time than
+    # the file could fill. Every read below then stays inside the file.
+    available = len(blob) - offset
+    expected = 0
+    for _, shape in shapes:
+        expected += 4 + 4 * len(shape) + 8 * math.prod(shape)
+        if expected > available:
+            raise FormatError(
+                f"truncated: header implies at least {expected} tensor "
+                f"bytes, file has {available}",
+                path=path,
+            )
     params = zeros_params(cfg, num_phones)
     for name, tensor in iter_tensors(params):
-        if len(blob) < offset + 4:
-            raise FormatError(f"truncated before tensor {name}", path=path)
         (rank,) = struct.unpack_from("<I", blob, offset)
         offset += 4
         if rank != tensor.ndim:
             raise FormatError(
                 f"tensor {name}: rank {rank}, expected {tensor.ndim}", path=path
             )
-        if len(blob) < offset + 4 * rank:
-            raise FormatError(f"truncated inside tensor {name} dims", path=path)
         dims = struct.unpack_from(f"<{rank}I", blob, offset)
         offset += 4 * rank
         if dims != tensor.shape:
@@ -657,14 +649,10 @@ def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
                 f"tensor {name}: shape {dims}, expected {tensor.shape}",
                 path=path,
             )
-        count = int(np.prod(dims, dtype=np.int64))
-        end = offset + 8 * count
-        if len(blob) < end:
-            raise FormatError(f"truncated inside tensor {name}", path=path)
         tensor[...] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=offset
+            blob, dtype="<f8", count=tensor.size, offset=offset
         ).reshape(dims)
-        offset = end
+        offset += 8 * tensor.size
     if offset != len(blob):
         raise FormatError(
             f"{len(blob) - offset} trailing bytes after tensors", path=path
@@ -771,6 +759,12 @@ def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
     if not p_lines:
         raise FormatError("score file has no phone rows", path=path)
     _raise_first(path, [
+        (p_lines, [p < 0 for p in positions],
+         lambda k: f"negative phone position {positions[k]}"),
+        (p_lines, [s < 0 for s in starts],
+         lambda k: f"negative segment start {starts[k]}"),
+        (p_lines, [n < 1 for n in lengths],
+         lambda k: f"segment length must be >= 1, got {lengths[k]}"),
         (p_lines, _repeats(list(zip(utts, positions))),
          lambda k: f"second score for phone {positions[k]} of {utts[k]!r}"),
         (s_lines, _repeats([utt for utt, _ in sentences]),

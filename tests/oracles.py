@@ -18,7 +18,13 @@ from cagop.duration.net import (
     init_params,
     iter_tensors,
 )
-from cagop.duration.training import _AdamState, noam_lr
+from cagop.duration.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    _AdamState,
+    noam_lr,
+)
 from cagop.model import (
     PROB_FLOOR,
     Alignment,
@@ -101,6 +107,32 @@ def overfit_single(
             break
         adam.update(params, grads, noam_lr(adam.step + 1, eval_cfg))
     return params, trace
+
+
+def adam_step_per_tensor(
+    params: DurationNetParams,
+    grads: DurationNetParams,
+    m: DurationNetParams,
+    v: DurationNetParams,
+    step: int,
+    lr: float,
+) -> None:
+    """One Adam step applied tensor by tensor, in place.
+
+    The reference for ``_AdamState.update``: ``m`` and ``v`` are the first
+    and second moments, shaped like ``params``, and ``step`` counts from 1.
+    """
+    correct1 = 1.0 - ADAM_BETA1 ** step
+    correct2 = 1.0 - ADAM_BETA2 ** step
+    for (_, p), (_, g), (_, mt), (_, vt) in zip(
+        iter_tensors(params), iter_tensors(grads),
+        iter_tensors(m), iter_tensors(v),
+    ):
+        mt *= ADAM_BETA1
+        mt += (1.0 - ADAM_BETA1) * g
+        vt *= ADAM_BETA2
+        vt += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (mt / correct1) / (np.sqrt(vt / correct2) + ADAM_EPS)
 
 
 def gradient_check(

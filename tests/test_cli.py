@@ -124,6 +124,7 @@ def test_alignment_covers_reference_phones(pipeline):
 
 
 PIPELINE_DIGESTS = {
+    "ckpt": "478052fa4d87a05a8cd95a82e78e99c3f83ed316eadff064150bca7f2e11db63",
     "ctm": "622e31e5f3b47ac63962d2b7bcd42cf8c24daa6cfba7ce5d69fe09d1fe2e3a4d",
     "trainlog":
         "27e142cf5932dccb6827e2265c54b8a727b50277ef9ad76ff1afae9beb960db6",
@@ -299,6 +300,16 @@ def test_usage_errors_exit_one(capsys):
     assert main(["score"]) == 1
     assert main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_usage_error_then_valid_command_in_one_process(tmp_path, capsys):
+    # one parser serves every call of a process, so a failed parse must not
+    # leak into the next call
+    out = tmp_path / "corpus"
+    assert main(["synth-corpus", "--out", str(out), "--utterances", "x"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert main(["synth-corpus", "--out", str(out), "--utterances", "2"]) == 0
+    assert (out / "text.tsv").exists()
 
 
 def test_module_entry_point_runs_the_command(tmp_path):

@@ -1,5 +1,6 @@
 """Duration network building blocks: bias, attention, encoding, forward pass."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from cagop.duration import (
     DurationNetConfig,
     DurationSample,
     attention,
+    clone_params,
     desk_config,
     evaluate_mae,
     forward,
@@ -21,6 +23,9 @@ from cagop.duration import (
     tiny_config,
     zeros_params,
 )
+from cagop.duration.net import Workspace, masked_l1_and_grads
+from cagop.duration.training import _pad_batch
+from cagop.formats import read_checkpoint, write_checkpoint
 from cagop.model import DataError
 
 
@@ -329,3 +334,53 @@ def test_batched_prediction_matches_per_sequence_forward():
         assert np.array_equal(predict_durations(params, cfg, phones, speed),
                               predict_durations_batch(params, cfg,
                                                       [(phones, speed)])[0])
+
+
+# --- parameter layout -------------------------------------------------------
+
+
+def _params_from(source, tmp_path):
+    cfg = small_cfg(dropout_rate=0.1)
+    params = init_params(cfg, num_phones=6, rng=np.random.default_rng(13))
+    if source == "init_params":
+        return params
+    if source == "zeros_params":
+        return zeros_params(cfg, num_phones=6)
+    if source == "clone_params":
+        clone = clone_params(params)
+        assert not np.shares_memory(clone.flat, params.flat)
+        return clone
+    if source == "read_checkpoint":
+        write_checkpoint(tmp_path / "net.ckpt", params, cfg)
+        return read_checkpoint(tmp_path / "net.ckpt")[0]
+    batch = _pad_batch([DurationSample.from_durations([1, 4, 2], [3.0, 5.0, 2.0]),
+                        DurationSample.from_durations([5], [7.0])])
+    _, grads = masked_l1_and_grads(params, cfg, *batch, train=True,
+                                   rng=np.random.default_rng(14),
+                                   workspace=Workspace())
+    return grads
+
+
+@pytest.mark.parametrize("source", ["init_params", "zeros_params",
+                                    "clone_params", "read_checkpoint",
+                                    "gradients"])
+def test_every_tensor_is_a_view_of_flat(source, tmp_path):
+    params = _params_from(source, tmp_path)
+    tensors = list(iter_tensors(params))
+    assert params.flat.dtype == np.float64 and params.flat.ndim == 1
+    assert params.flat.size == sum(t.size for _, t in tensors)
+    params.flat[:] = np.arange(params.flat.size)
+    offset = 0
+    for name, tensor in tensors:
+        assert np.shares_memory(tensor, params.flat), name
+        assert np.array_equal(tensor.ravel(),
+                              np.arange(offset, offset + tensor.size)), name
+        offset += tensor.size
+
+
+def test_tensor_attributes_cannot_be_rebound():
+    params = zeros_params(small_cfg(), num_phones=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.out_bias = np.ones(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.blocks[0].log_sigma = np.ones(2)

@@ -15,7 +15,9 @@ from cagop import (
 )
 from cagop.duration import TrainLogEntry, init_params, tiny_config, iter_tensors
 from cagop.formats import (
+    CKPT_MAGIC,
     PGM_MAGIC,
+    _CKPT_HEADER,
     _PGM_HEADER,
     AnnotationSet,
     ScoreFile,
@@ -390,8 +392,33 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path = tmp_path / "t.ckpt"
     write_checkpoint(path, params, cfg)
     blob = path.read_bytes()
-    path.write_bytes(blob[:-9])
-    with pytest.raises(FormatError, match="truncated"):
+    # a cut inside the last tensor's values, at every tensor boundary and
+    # inside every dims field: the size check on the header catches them all
+    cuts = [len(blob) - 9]
+    offset = len(CKPT_MAGIC) + _CKPT_HEADER.size
+    for _, tensor in iter_tensors(params):
+        cuts += [offset, offset + 4 + 2]
+        offset += 4 + 4 * tensor.ndim + 8 * tensor.size
+    assert offset == len(blob)
+    for cut in cuts:
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError, match="truncated: header implies"):
+            read_checkpoint(path)
+
+
+def test_checkpoint_size_check_stops_where_the_file_ends(tmp_path):
+    # 2**32 - 1 blocks of tiny tensors: summing every implied tensor would
+    # not finish, so the check must stop once the file is exceeded
+    cfg = tiny_config()
+    params = init_params(cfg, num_phones=5, rng=np.random.default_rng(0))
+    path = tmp_path / "t.ckpt"
+    write_checkpoint(path, params, cfg)
+    blob = bytearray(path.read_bytes())
+    header = list(_CKPT_HEADER.unpack_from(blob, len(CKPT_MAGIC)))
+    header[1] = 2**32 - 1  # num_blocks
+    _CKPT_HEADER.pack_into(blob, len(CKPT_MAGIC), *header)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="truncated: header implies at least"):
         read_checkpoint(path)
 
 

@@ -89,6 +89,12 @@ CASES = [
      "flag must be 0 or 1, got '2'"),
     ("scores", H + P + "S\tu1\tinf\n", 3,
      "sentence score must be finite, got 'inf'"),
+    ("scores", H + "P\tu1\t-3\tAA\t-5\t0\t-0.5\n", 2,
+     "negative phone position -3"),
+    ("scores", H + P + "P\tu1\t1\tB\t-5\t2\t-0.5\n", 3,
+     "negative segment start -5"),
+    ("scores", H + P + "P\tu1\t1\tB\t3\t0\t-0.5\n", 3,
+     "segment length must be >= 1, got 0"),
     ("scores", H, None, "score file has no phone rows"),
     ("scores", H + "S\tu1\t-0.5\n", None, "score file has no phone rows"),
 ]

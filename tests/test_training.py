@@ -18,11 +18,12 @@ from cagop.duration import (
     iter_tensors,
     noam_lr,
     train,
+    zeros_like_params,
 )
 from cagop.duration.net import Workspace, _forward_batch, masked_l1_and_grads
-from cagop.duration.training import _pad_batch
+from cagop.duration.training import _AdamState, _pad_batch
 from cagop.model import DataError, NumericError
-from oracles import overfit_single
+from oracles import adam_step_per_tensor, overfit_single
 
 
 def quick_cfg(seed=0):
@@ -130,14 +131,6 @@ def test_log_has_one_entry_per_epoch():
     assert all(isinstance(e, TrainLogEntry) for e in log)
 
 
-def test_callback_sees_every_epoch():
-    seen = []
-    data = toy_dataset(6, seed=8)
-    val = toy_dataset(2, seed=9)
-    train(data, quick_cfg(), val, num_phones=6, epochs=3, callback=seen.append)
-    assert [e.epoch for e in seen] == [1, 2, 3]
-
-
 def test_empty_dataset_rejected():
     with pytest.raises(DataError):
         train([], quick_cfg(), [], num_phones=4, epochs=1)
@@ -204,6 +197,28 @@ def test_desk_training_matches_pinned_trajectory():
     for name, sums in PINNED_SUMS.items():
         got = (tensors[name].sum(), np.abs(tensors[name]).sum())
         np.testing.assert_allclose(got, sums, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_adam_matches_the_per_tensor_reference_bit_for_bit():
+    cfg = desk_config(seed=5)
+    params = init_params(cfg, 12, np.random.default_rng(5))
+    reference = clone_params(params)
+    m, v = zeros_like_params(params), zeros_like_params(params)
+    adam = _AdamState(params)
+    rng = np.random.default_rng(6)
+    ws = Workspace()
+    for step in range(1, 7):
+        batch = desk_batch(8, 12, seed=20 + step)
+        _, grads = masked_l1_and_grads(params, cfg, *batch, train=True,
+                                       rng=rng, workspace=ws)
+        lr = noam_lr(step, cfg)
+        adam.update(params, grads, lr)
+        adam_step_per_tensor(reference, grads, m, v, step, lr)
+        for (name, got), (_, want) in zip(iter_tensors(params),
+                                          iter_tensors(reference)):
+            assert np.array_equal(got, want), (step, name)
+    start = init_params(cfg, 12, np.random.default_rng(5))
+    assert not np.array_equal(params.out_weight, start.out_weight)
 
 
 # --- workspace --------------------------------------------------------------
