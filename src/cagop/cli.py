@@ -76,6 +76,7 @@ from .model import (
     DataError,
     NumericError,
     SegmentColumns,
+    normalize_posteriors,
     utterance_speeds,
     validate_posteriorgram,
 )
@@ -368,8 +369,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_entropy_dump(args) -> int:
-    pg = read_posteriorgram(args.posteriors)
-    entropies = entropy_profile(pg)
+    entropies = entropy_profile(
+        normalize_posteriors(read_posteriorgram(args.posteriors)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("frame,entropy\n")
         for i, value in enumerate(entropies):

@@ -5,20 +5,22 @@ so write-then-read is equality-preserving everywhere. The two binary
 formats (posteriorgram, duration-net checkpoint) are little-endian with
 fixed magics.
 
-CTM, annotation and score files are read as columns (``SegmentColumns``,
-``AnnotationSet``, ``ScoreFile``): one pass parses each row's fields with
-``int()``, ``float()`` or a table look-up into column lists, then ranges,
-overlaps, contiguity and repeated keys are checked over whole columns. A
-failure names the file and the line of the first bad row; a field that
-does not parse is reported before any of those checks.
+Text readers convert each typed field a whole column at a time; each field
+kind (int, finite float, 0/1 flag, phone label) has one conversion and one
+error text. A failure names the file and the line of the first bad row: a
+wrong field count or a field that does not parse first (earliest line, then
+field order), then ranges, overlaps, contiguity and repeated keys, checked
+over whole columns. Every keyed file rejects a repeated key.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from itertools import starmap
+from dataclasses import astuple, dataclass
+from functools import partial
+from itertools import chain, compress, count, starmap, zip_longest
+from operator import ne
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -76,23 +78,34 @@ def _read_lines(path) -> list[str]:
         ) from None
 
 
-def _header(path, lines: list[str], keys: Sequence[str]) -> dict[str, str]:
-    """The key=value pairs of the first line; each of ``keys`` must be there."""
+def _header(path, lines: list[str], fields) -> list:
+    """The values of the first line's key=value pairs named by ``fields``.
+
+    Each field is (key, kind, what): the key must be there, and its value
+    converts by the field kind (``list`` keeps the text).
+    """
     first = lines[0] if lines else ""
     header = dict(p.split("=", 1) for p in first.split() if "=" in p)
-    for key in keys:
+    for key, _, _ in fields:
         if key not in header:
             raise FormatError(f"header missing {key}=", path=path, line=1)
-    return header
+    faults: list = []
+    values = [_column(faults, [1], [header[key]], kind, what)
+              for key, kind, what in fields]
+    _raise_first(path, faults)
+    return [value for (value,) in values]
 
 
-def _rows(path, lines, fields, usage: str, first: int = 1, sep="\t"):
-    """(line number, parts) of each non-blank line, split at ``sep``.
+def _rows(lines, fields, usage: str, first: int = 1, sep="\t"):
+    """The non-blank lines before the first one with a wrong field count.
 
+    Returns their line numbers, their parts split at ``sep``, and a fault
+    list for ``_raise_first``: empty, or the first wrong count's line.
     ``fields`` is the number of parts every row has, or a dict from a row
     kind (the first part) to the part counts that kind allows. Any other
-    row is a FormatError saying it expected ``usage``.
+    row is a fault saying it expected ``usage``.
     """
+    numbers, rows = [], []
     for i, raw in enumerate(lines, start=first):
         if not raw.strip():
             continue
@@ -102,24 +115,46 @@ def _rows(path, lines, fields, usage: str, first: int = 1, sep="\t"):
         else:
             ok = len(parts) == fields
         if not ok:
-            raise FormatError(f"expected {usage}", path=path, line=i)
-        yield i, parts
+            return numbers, rows, [([i], [True], lambda k: f"expected {usage}")]
+        numbers.append(i)
+        rows.append(parts)
+    return numbers, rows, []
 
 
-def _raise_first(path, faults) -> None:
-    """A FormatError at the earliest bad row of any fault, if there is one.
+def _pick(keep: list[int], *columns) -> list[list]:
+    """The entries at ``keep`` of each column."""
+    return [[column[k] for k in keep] for column in columns]
 
-    A fault is (line numbers of some rows, mask of the bad ones, function
-    from a bad row's index to its message); on a tie the first fault wins.
+
+def _columns(numbers, rows, width: int, kind: Optional[str] = None) -> list:
+    """The line numbers and first ``width`` columns of the rows.
+
+    Only rows whose first part is ``kind`` are taken, if it is given; a
+    row without a column's field has None there.
     """
-    found = []
-    for n, (lines, mask, message) in enumerate(faults):
-        bad = np.flatnonzero(mask)
-        if bad.size:
-            found.append((lines[bad[0]], n, int(bad[0])))
-    if found:
-        line, n, k = min(found)
-        raise FormatError(faults[n][2](k), path=path, line=line)
+    if kind is not None:
+        keep = [row[0] == kind for row in rows]
+        numbers, rows = list(compress(numbers, keep)), list(compress(rows, keep))
+    padding = [(None,) * len(rows)] * width
+    return [numbers, *[*zip_longest(*rows), *padding][:width]]
+
+
+def _raise_first(path, *groups) -> None:
+    """A FormatError at the earliest bad row of the first group with one.
+
+    A group is a list of faults: (line numbers of some rows, mask of the bad
+    ones, function from a bad row's index to its message). On a tie within
+    a group the first fault wins.
+    """
+    for faults in groups:
+        found = []
+        for n, (lines, mask, message) in enumerate(faults):
+            bad = np.flatnonzero(mask)
+            if bad.size:
+                found.append((lines[bad[0]], n, int(bad[0])))
+        if found:
+            line, n, k = min(found)
+            raise FormatError(faults[n][2](k), path=path, line=line)
 
 
 def _repeats(keys: Sequence) -> list[bool]:
@@ -128,6 +163,56 @@ def _repeats(keys: Sequence) -> list[bool]:
         return [False] * len(keys)
     seen: set = set()
     return [key in seen or seen.add(key) for key in keys]
+
+
+# Field kinds: each converts a whole column of texts. A text it rejects
+# raises ValueError with the kind's error text over ``what`` and the text;
+# for the phone-label kind, ``PhoneSet.indices``, a DataError.
+
+def _parsed(convert, texts) -> list:
+    try:
+        return list(map(convert, texts))
+    except ValueError:
+        raise ValueError("bad {what} {text!r}") from None
+
+
+_ints = partial(_parsed, int)
+
+
+def _floats(texts) -> list[float]:
+    values = _parsed(float, texts)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("{what} must be finite, got {text!r}")
+    return values
+
+
+def _flags(texts) -> list[Optional[bool]]:
+    if not set(texts) <= {"0", "1", None}:
+        raise ValueError("{what} must be 0 or 1, got {text!r}")
+    return list(map({"0": False, "1": True, None: None}.get, texts))
+
+
+def _column(faults: list, lines, texts, kind, what: str = "") -> list:
+    """``texts`` converted by the field kind ``kind`` in one call.
+
+    If that fails, the error of the first bad text, at its line, joins
+    ``faults`` for ``_raise_first`` and the column reads as empty.
+    """
+    try:
+        return kind(texts)
+    except (ValueError, DataError):
+        pass
+    for line, text in zip(lines, texts):
+        try:
+            kind([text])
+        except ValueError as exc:
+            error = exc.args[0].format(what=what, text=text)
+        except DataError as exc:
+            error = str(exc)
+        else:
+            continue
+        faults.append(([line], [True], lambda k: error))
+        return []
 
 
 def _int64(path, lines, values: list[int], what: str) -> np.ndarray:
@@ -140,50 +225,12 @@ def _int64(path, lines, values: list[int], what: str) -> np.ndarray:
                           line=lines[k]) from None
 
 
-def _phone(phone_set: PhoneSet, label: str, path, line: int) -> int:
-    try:
-        return phone_set.index(label)
-    except DataError as exc:
-        raise FormatError(str(exc), path=path, line=line) from None
-
-
-def _build(make, path, line: int | None = None, **kwargs):
-    """make(**kwargs), with its DataError raised as a FormatError at path/line."""
+def _build(make, path, **kwargs):
+    """make(**kwargs), with its DataError raised as a FormatError for path."""
     try:
         return make(**kwargs)
     except DataError as exc:
-        raise FormatError(str(exc), path=path, line=line) from exc
-
-
-def _parse_int(text: str, path, line: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(f"bad {what} {text!r}", path=path, line=line) from None
-
-
-def _parse_float(text: str, path, line: int, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise FormatError(f"bad {what} {text!r}", path=path, line=line) from None
-    if not math.isfinite(value):
-        raise FormatError(f"{what} must be finite, got {text!r}",
-                          path=path, line=line)
-    return value
-
-
-def _finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(value)
-    return value
-
-
-def _parse_flag(text: str, path, line: int, what: str) -> bool:
-    if text not in ("0", "1"):
-        raise FormatError(f"{what} must be 0 or 1, got {text!r}",
-                          path=path, line=line)
-    return text == "1"
+        raise FormatError(str(exc), path=path) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +290,25 @@ def write_posteriorgram_text(path, pg: Posteriorgram) -> None:
 
 def read_posteriorgram_text(path) -> Posteriorgram:
     lines = _read_lines(path)
-    header = _header(path, lines, ("frames", "phones", "shift_ms"))
-    frames = _parse_int(header["frames"], path, 1, "frame count")
-    phones = _parse_int(header["phones"], path, 1, "phone count")
-    shift = _parse_float(header["shift_ms"], path, 1, "frame shift")
+    frames, phones, shift = _header(path, lines, [
+        ("frames", _ints, "frame count"), ("phones", _ints, "phone count"),
+        ("shift_ms", _floats, "frame shift"),
+    ])
     if frames < 0 or phones < 0:
         raise FormatError("negative frame or phone count", path=path, line=1)
     # Values are kept only from rows of the declared width, so memory grows
     # with the file's size, never with the counts its header claims.
-    rows = [
-        [_parse_float(p, path, i, "probability") for p in parts]
-        for i, parts in _rows(path, lines[1:], phones,
-                              f"{phones} probabilities", first=2, sep=None)
-    ]
+    numbers, rows, faults = _rows(lines[1:], phones, f"{phones} probabilities",
+                                  first=2, sep=None)
+    values = _column(faults, [i for i in numbers for _ in range(phones)],
+                     list(chain.from_iterable(rows)), _floats, "probability")
+    _raise_first(path, faults)
     if len(rows) != frames:
         raise FormatError(
             f"expected {frames} rows, found {len(rows)}", path=path
         )
-    probs = np.array(rows, dtype=np.float64).reshape(frames, phones)
-    return _build(Posteriorgram, path, probs=probs, frame_shift_ms=shift)
+    return _build(Posteriorgram, path, frame_shift_ms=shift,
+                  probs=np.reshape(values, (frames, phones)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +323,29 @@ def write_phone_set(path, phone_set: PhoneSet) -> None:
 
 
 def read_phone_set(path) -> PhoneSet:
-    labels: list[str] = []
-    silence: Optional[str] = None
-    for i, (raw,) in _rows(path, _read_lines(path), 1, "one phone label"):
-        line = raw.strip()
-        if line.startswith("#silence="):
-            silence = line.split("=", 1)[1].strip()
-            if not silence:
-                raise FormatError("empty silence label", path=path, line=i)
-        elif not line.startswith("#"):
-            labels.append(line)
+    numbers, rows, faults = _rows(_read_lines(path), 1, "one phone label")
+    lines = [raw.strip() for raw, in rows]
+    label_lines, labels = _pick(
+        [k for k, line in enumerate(lines) if not line.startswith("#")],
+        numbers, lines)
+    silence_lines, silences = _pick(
+        [k for k, line in enumerate(lines) if line.startswith("#silence=")],
+        numbers, [line.split("=", 1)[-1].strip() for line in lines])
+    _raise_first(path, faults + [(silence_lines, [not s for s in silences],
+                                  lambda k: "empty silence label")])
     if not labels:
         raise FormatError("no phone labels", path=path)
-    silence_index = None
-    if silence is not None:
-        if silence not in labels:
-            raise FormatError(
-                f"silence label {silence!r} not in inventory", path=path
-            )
-        silence_index = labels.index(silence)
+    if silences and silences[0] not in labels:
+        raise FormatError(
+            f"silence label {silences[0]!r} not in inventory", path=path)
+    _raise_first(path, [
+        (label_lines, _repeats(labels),
+         lambda k: f"second phone label {labels[k]!r}"),
+        (silence_lines, [k > 0 for k in range(len(silences))],
+         lambda k: "second silence label"),
+    ])
     return _build(PhoneSet, path, phones=tuple(labels),
-                  silence_index=silence_index)
+                  silence_index=labels.index(silences[0]) if silences else None)
 
 
 def write_lexicon(path, lexicon: Mapping[str, tuple[str, ...]]) -> None:
@@ -306,31 +355,29 @@ def write_lexicon(path, lexicon: Mapping[str, tuple[str, ...]]) -> None:
 
 
 def read_lexicon(path, phone_set: PhoneSet) -> dict[str, tuple[str, ...]]:
-    lexicon: dict[str, tuple[str, ...]] = {}
-    for i, (word, pronunciation) in _rows(
-        path, _read_lines(path), 2, "WORD<TAB>phones"
-    ):
-        word = word.strip().upper()
-        phones = tuple(pronunciation.split())
-        if not word or not phones:
-            raise FormatError("empty word or pronunciation", path=path, line=i)
-        for label in phones:
-            _phone(phone_set, label, path, i)
-        lexicon[word] = phones
-    if not lexicon:
+    numbers, rows, faults = _rows(_read_lines(path), 2, "WORD<TAB>phones")
+    words = [word.strip().upper() for word, _ in rows]
+    prons = [tuple(pronunciation.split()) for _, pronunciation in rows]
+    faults.append((numbers, [not w or not p for w, p in zip(words, prons)],
+                   lambda k: "empty word or pronunciation"))
+    _column(faults, [i for i, p in zip(numbers, prons) for _ in p],
+            list(chain.from_iterable(prons)), phone_set.indices)
+    _raise_first(path, faults, [(numbers, _repeats(words), lambda k: (
+        f"second pronunciation for {words[k]!r}"))])
+    if not words:
         raise FormatError("empty lexicon", path=path)
-    return lexicon
+    return dict(zip(words, prons))
 
 
 def read_text_manifest(path) -> list[tuple[str, str]]:
     """Parse text.tsv lines utt_id<TAB>words."""
-    out = [
-        (utt_id, text) for _, (utt_id, text)
-        in _rows(path, _read_lines(path), 2, "utt<TAB>text")
-    ]
-    if not out:
+    numbers, rows, faults = _rows(_read_lines(path), 2, "utt<TAB>text")
+    ids = [utt_id for utt_id, _ in rows]
+    _raise_first(path, faults, [(numbers, _repeats(ids),
+                                 lambda k: f"second text for {ids[k]!r}")])
+    if not rows:
         raise FormatError("empty text manifest", path=path)
-    return out
+    return list(map(tuple, rows))
 
 
 def text_to_phones(
@@ -347,7 +394,7 @@ def text_to_phones(
         key = word.upper()
         if key not in lexicon:
             raise DataError(f"word {word!r} not in lexicon")
-        indices.extend(phone_set.index(label) for label in lexicon[key])
+        indices.extend(phone_set.indices(lexicon[key]))
     return indices
 
 
@@ -368,33 +415,23 @@ def write_ctm(
 
 def read_ctm_columns(path, phone_set: PhoneSet) -> SegmentColumns:
     """Parse utterance alignments; utterance lines must be contiguous."""
-    index = {label: k for k, label in enumerate(phone_set.phones)}
-    # firsts: each utterance's first row
-    lines, firsts, ids, phone, start, length = [], [], [], [], [], []
-    try:
-        for i, (utt, label, first, count) in _rows(
-            path, _read_lines(path), 4, "utt<TAB>phone<TAB>start<TAB>frames"
-        ):
-            if not ids or utt != ids[-1]:
-                firsts.append(len(lines))
-                ids.append(utt)
-            lines.append(i)
-            phone.append(index[label])
-            start.append(int(first))
-            length.append(int(count))
-    except (KeyError, ValueError):
-        _phone(phone_set, label, path, i)
-        _parse_int(first, path, i, "start frame")
-        _parse_int(count, path, i, "frame count")
-        raise
+    lines, rows, faults = _rows(_read_lines(path), 4,
+                                "utt<TAB>phone<TAB>start<TAB>frames")
+    lines, utts, labels, starts, lengths = _columns(lines, rows, 4)
+    phone = _column(faults, lines, labels, phone_set.indices)
+    start = _column(faults, lines, starts, _ints, "start frame")
+    length = _column(faults, lines, lengths, _ints, "frame count")
+    _raise_first(path, faults)
     if not lines:
         raise FormatError("empty alignment file", path=path)
+    # each utterance's first row
+    firsts = [0, *compress(count(1), map(ne, utts[1:], utts))]
+    ids, first_lines = _pick(firsts, utts, lines)
     start = _int64(path, lines, start, "start frame")
     length = _int64(path, lines, length, "frame count")
     ends = start + length
     overlap = np.r_[False, start[1:] < ends[:-1]]
     overlap[firsts] = False
-    first_lines = [lines[k] for k in firsts]
     _raise_first(path, [
         (first_lines, [not u for u in ids], lambda k: "empty utterance id"),
         (first_lines, _repeats(ids),
@@ -421,8 +458,6 @@ def read_ctm(path, phone_set: PhoneSet) -> list[tuple[str, Alignment]]:
 
 # ---------------------------------------------------------------------------
 # annotations
-
-_FLAGS = {"0": False, "1": True}
 
 
 @dataclass(frozen=True)
@@ -457,33 +492,16 @@ def write_annotations(path, a: AnnotationSet) -> None:
 
 
 def read_annotations(path) -> AnnotationSet:
-    p_lines, p_utts, positions, labels = [], [], [], []
-    s_lines, s_utts, raters, scores = [], [], [], []
-    try:
-        for i, (kind, utt, field, value) in _rows(
-            path, _read_lines(path), {"P": (4,), "S": (4,)},
-            "P<TAB>utt<TAB>pos<TAB>label or S<TAB>utt<TAB>rater<TAB>score",
-        ):
-            if kind == "P":
-                p_lines.append(i)
-                p_utts.append(utt)
-                positions.append(int(field))
-                labels.append(_FLAGS[value])
-            else:
-                s_lines.append(i)
-                s_utts.append(utt)
-                raters.append(field)
-                scores.append(_finite(float(value)))
-    except (KeyError, ValueError):
-        if kind == "P":
-            _parse_int(field, path, i, "position")
-            _parse_flag(value, path, i, "label")
-        else:
-            _parse_float(value, path, i, "rater score")
-        raise
-    if not p_lines and not s_lines:
-        raise FormatError("empty annotation file", path=path)
-    _raise_first(path, [
+    numbers, rows, faults = _rows(
+        _read_lines(path), {"P": (4,), "S": (4,)},
+        "P<TAB>utt<TAB>pos<TAB>label or S<TAB>utt<TAB>rater<TAB>score",
+    )
+    p_lines, _, p_utts, positions, labels = _columns(numbers, rows, 4, "P")
+    s_lines, _, s_utts, raters, scores = _columns(numbers, rows, 4, "S")
+    positions = _column(faults, p_lines, positions, _ints, "position")
+    labels = _column(faults, p_lines, labels, _flags, "label")
+    scores = _column(faults, s_lines, scores, _floats, "rater score")
+    _raise_first(path, faults, [
         (p_lines, [p < 0 for p in positions],
          lambda k: f"negative phone position {positions[k]}"),
         (s_lines, [not 0.0 <= s <= 10.0 for s in scores],
@@ -493,8 +511,10 @@ def read_annotations(path) -> AnnotationSet:
         (s_lines, _repeats(list(zip(s_utts, raters))),
          lambda k: f"second score from rater {raters[k]!r} for {s_utts[k]!r}"),
     ])
-    return AnnotationSet(tuple(p_utts), tuple(positions), tuple(labels),
-                         tuple(s_utts), tuple(raters), tuple(scores))
+    if not p_lines and not s_lines:
+        raise FormatError("empty annotation file", path=path)
+    return AnnotationSet(p_utts, tuple(positions), tuple(labels),
+                         s_utts, raters, tuple(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -524,34 +544,33 @@ def write_balance_table(path, table: BalanceTable, phone_set: PhoneSet) -> None:
 
 def read_balance_table(path, phone_set: PhoneSet) -> BalanceTable:
     lines = _read_lines(path)
-    header = _header(path, lines, ("bucket_width", "bucket_min", "bucket_max"))
-    entries: dict[tuple[int, int], float] = {}
-    phone_backoff: dict[int, float] = {}
-    global_backoff: Optional[float] = None
-    for i, (label, bucket, value) in _rows(
-        path, lines[1:], 3, "label<TAB>bucket<TAB>T", first=2
-    ):
-        value = _parse_float(value, path, i, "tolerance")
-        if bucket == GLOBAL_LABEL:
-            global_backoff = value
-        elif bucket == PHONE_LEVEL_LABEL:
-            phone_backoff[_phone(phone_set, label, path, i)] = value
-        else:
-            entries[(
-                _phone(phone_set, label, path, i),
-                _parse_int(bucket, path, i, "bucket index"),
-            )] = value
-    if global_backoff is None:
+    width, lo, hi = _header(path, lines, [
+        ("bucket_width", _floats, "bucket_width"),
+        ("bucket_min", _ints, "bucket min"), ("bucket_max", _ints, "bucket max"),
+    ])
+    numbers, rows, faults = _rows(lines[1:], 3, "label<TAB>bucket<TAB>T",
+                                  first=2)
+    numbers, labels, buckets, texts = _columns(numbers, rows, 3)
+    values = _column(faults, numbers, texts, _floats, "tolerance")
+    phoned = [k for k, b in enumerate(buckets) if b != GLOBAL_LABEL]
+    cells = [k for k in phoned if buckets[k] != PHONE_LEVEL_LABEL]
+    phones = dict(zip(phoned, _column(
+        faults, *_pick(phoned, numbers, labels), phone_set.indices)))
+    bucket_of = dict(zip(cells, _column(
+        faults, *_pick(cells, numbers, buckets), _ints, "bucket index")))
+    _raise_first(path, faults)
+    if GLOBAL_LABEL not in buckets:
         raise FormatError("missing GLOBAL tolerance row", path=path)
+    _raise_first(path, [(numbers, _repeats(
+        [(phones.get(k), bucket_of.get(k, b)) for k, b in enumerate(buckets)]),
+        lambda k: f"second tolerance for {labels[k]!r} at {buckets[k]}")])
     return _build(
         BalanceTable, path,
-        entries=entries,
-        phone_backoff=phone_backoff,
-        global_backoff=global_backoff,
-        bucket_width=_parse_float(header["bucket_width"], path, 1,
-                                  "bucket_width"),
-        bucket_range=(_parse_int(header["bucket_min"], path, 1, "bucket min"),
-                      _parse_int(header["bucket_max"], path, 1, "bucket max")),
+        entries={(phones[k], bucket_of[k]): values[k] for k in cells},
+        phone_backoff={phones[k]: values[k] for k in phoned
+                       if k not in bucket_of},
+        global_backoff=values[buckets.index(GLOBAL_LABEL)],
+        bucket_width=width, bucket_range=(lo, hi),
     )
 
 
@@ -566,19 +585,21 @@ def write_thresholds(path, table: ThresholdTable, phone_set: PhoneSet) -> None:
 
 
 def read_thresholds(path, phone_set: PhoneSet) -> ThresholdTable:
-    per_phone: dict[int, float] = {}
-    global_threshold: Optional[float] = None
-    for i, (label, value) in _rows(
-        path, _read_lines(path), 2, "label<TAB>threshold"
-    ):
-        value = _parse_float(value, path, i, "threshold")
-        if label == GLOBAL_LABEL:
-            global_threshold = value
-        else:
-            per_phone[_phone(phone_set, label, path, i)] = value
-    if global_threshold is None:
+    numbers, rows, faults = _rows(_read_lines(path), 2, "label<TAB>threshold")
+    numbers, labels, texts = _columns(numbers, rows, 2)
+    values = _column(faults, numbers, texts, _floats, "threshold")
+    phoned = [k for k, label in enumerate(labels) if label != GLOBAL_LABEL]
+    phones = _column(faults, *_pick(phoned, numbers, labels),
+                     phone_set.indices)
+    _raise_first(path, faults)
+    if GLOBAL_LABEL not in labels:
         raise FormatError("missing GLOBAL threshold row", path=path)
-    return ThresholdTable(per_phone=per_phone, global_threshold=global_threshold)
+    _raise_first(path, [(numbers, _repeats(labels),
+                         lambda k: f"second threshold for {labels[k]!r}")])
+    return ThresholdTable(
+        per_phone={p: values[k] for k, p in zip(phoned, phones)},
+        global_threshold=values[labels.index(GLOBAL_LABEL)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +610,16 @@ def write_checkpoint(
 ) -> None:
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        fh.write(_CKPT_HEADER.pack(
-            cfg.embed_dim, cfg.num_blocks, cfg.num_heads, cfg.ffn_dim,
-            cfg.dropout_rate, cfg.max_seq_len, cfg.lr_scale,
-            cfg.warmup_steps, cfg.batch_size, cfg.seed, params.num_phones,
-        ))
+        # the header holds the config fields in declaration order
+        fh.write(_CKPT_HEADER.pack(*astuple(cfg), params.num_phones))
         for _, tensor in iter_tensors(params):
-            fh.write(struct.pack("<I", tensor.ndim))
-            fh.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+            fh.write(_framing(tensor.shape))
             fh.write(tensor.astype("<f8").tobytes())
+
+
+def _framing(shape: tuple[int, ...]) -> bytes:
+    """The rank and dims that precede a tensor's values in a checkpoint."""
+    return struct.pack(f"<I{len(shape)}I", len(shape), *shape)
 
 
 def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
@@ -607,17 +629,10 @@ def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
     offset = len(CKPT_MAGIC)
     if len(blob) < offset + _CKPT_HEADER.size:
         raise FormatError("truncated header", path=path)
-    (embed_dim, num_blocks, num_heads, ffn_dim, dropout, max_seq_len,
-     lr_scale, warmup, batch, seed, num_phones) = _CKPT_HEADER.unpack_from(
-        blob, offset)
+    *fields, num_phones = _CKPT_HEADER.unpack_from(blob, offset)
     offset += _CKPT_HEADER.size
     try:
-        cfg = DurationNetConfig(
-            embed_dim=embed_dim, num_blocks=num_blocks, num_heads=num_heads,
-            ffn_dim=ffn_dim, dropout_rate=dropout, max_seq_len=max_seq_len,
-            lr_scale=lr_scale, warmup_steps=warmup, batch_size=batch,
-            seed=seed,
-        )
+        cfg = DurationNetConfig(*fields)
         shapes = param_shapes(cfg, num_phones)
     except DataError as exc:
         raise FormatError(f"bad checkpoint header: {exc}", path=path) from exc
@@ -627,31 +642,22 @@ def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
     available = len(blob) - offset
     expected = 0
     for _, shape in shapes:
-        expected += 4 + 4 * len(shape) + 8 * math.prod(shape)
+        expected += len(_framing(shape)) + 8 * math.prod(shape)
         if expected > available:
             raise FormatError(
                 f"truncated: header implies at least {expected} tensor "
-                f"bytes, file has {available}",
-                path=path,
+                f"bytes, file has {available}", path=path,
             )
     params = zeros_params(cfg, num_phones)
     for name, tensor in iter_tensors(params):
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if rank != tensor.ndim:
+        framing = _framing(tensor.shape)
+        if blob[offset:offset + len(framing)] != framing:
             raise FormatError(
-                f"tensor {name}: rank {rank}, expected {tensor.ndim}", path=path
+                f"tensor {name}: rank or dims differ from its shape "
+                f"{tensor.shape}", path=path,
             )
-        dims = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        if dims != tensor.shape:
-            raise FormatError(
-                f"tensor {name}: shape {dims}, expected {tensor.shape}",
-                path=path,
-            )
-        tensor[...] = np.frombuffer(
-            blob, dtype="<f8", count=tensor.size, offset=offset
-        ).reshape(dims)
+        offset += len(framing)
+        tensor.flat = np.frombuffer(blob, "<f8", tensor.size, offset)
         offset += 8 * tensor.size
     if offset != len(blob):
         raise FormatError(
@@ -671,16 +677,14 @@ def read_training_log(path) -> list[TrainLogEntry]:
     lines = _read_lines(path)
     if not lines or lines[0] != "epoch\ttrain_loss\tval_mae":
         raise FormatError("missing training-log header", path=path, line=1)
-    return [
-        TrainLogEntry(
-            epoch=_parse_int(epoch, path, i, "epoch"),
-            train_loss=_parse_float(loss, path, i, "train loss"),
-            val_mae=_parse_float(mae, path, i, "validation mae"),
-        )
-        for i, (epoch, loss, mae) in _rows(
-            path, lines[1:], 3, "epoch<TAB>loss<TAB>mae", first=2
-        )
-    ]
+    numbers, rows, faults = _rows(lines[1:], 3, "epoch<TAB>loss<TAB>mae",
+                                  first=2)
+    numbers, epochs, losses, maes = _columns(numbers, rows, 3)
+    columns = [_column(faults, numbers, epochs, _ints, "epoch"),
+               _column(faults, numbers, losses, _floats, "train loss"),
+               _column(faults, numbers, maes, _floats, "validation mae")]
+    _raise_first(path, faults)
+    return list(starmap(TrainLogEntry, zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -722,40 +726,23 @@ def write_score_file(path, scores: ScoreFile, phone_set: PhoneSet) -> None:
 
 def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
     lines = _read_lines(path)
-    variant = _header(path, lines, ("#variant",))["#variant"]
-    index = {label: k for k, label in enumerate(phone_set.phones)}
-    cols = p_lines, utts, positions, phones, starts, lengths, scores, flags = (
-        [], [], [], [], [], [], [], [])
-    s_lines, sentences = [], []
-    try:
-        for i, parts in _rows(
-            path, lines[1:], {"P": (7, 8), "S": (3,)},
-            "P<TAB>utt<TAB>pos<TAB>phone<TAB>start<TAB>frames<TAB>score"
-            "[<TAB>flag] or S<TAB>utt<TAB>score", first=2,
-        ):
-            if parts[0] == "P":
-                p_lines.append(i)
-                utts.append(parts[1])
-                positions.append(int(parts[2]))
-                phones.append(index[parts[3]])
-                starts.append(int(parts[4]))
-                lengths.append(int(parts[5]))
-                scores.append(_finite(float(parts[6])))
-                flags.append(_FLAGS[parts[7]] if len(parts) == 8 else None)
-            else:
-                s_lines.append(i)
-                sentences.append((parts[1], _finite(float(parts[2]))))
-    except (KeyError, ValueError):
-        if parts[0] == "P":
-            _parse_int(parts[2], path, i, "position")
-            _phone(phone_set, parts[3], path, i)
-            _parse_int(parts[4], path, i, "start")
-            _parse_int(parts[5], path, i, "length")
-            _parse_float(parts[6], path, i, "score")
-            _parse_flag(parts[7], path, i, "flag")
-        else:
-            _parse_float(parts[2], path, i, "sentence score")
-        raise
+    (variant,) = _header(path, lines, [("#variant", list, "")])
+    numbers, rows, faults = _rows(
+        lines[1:], {"P": (7, 8), "S": (3,)},
+        "P<TAB>utt<TAB>pos<TAB>phone<TAB>start<TAB>frames<TAB>score"
+        "[<TAB>flag] or S<TAB>utt<TAB>score", first=2,
+    )
+    (p_lines, _, utts, positions, phones, starts, lengths, scores,
+     flags) = _columns(numbers, rows, 8, "P")
+    s_lines, _, s_utts, s_scores = _columns(numbers, rows, 3, "S")
+    positions = _column(faults, p_lines, positions, _ints, "position")
+    phones = _column(faults, p_lines, phones, phone_set.indices)
+    starts = _column(faults, p_lines, starts, _ints, "start")
+    lengths = _column(faults, p_lines, lengths, _ints, "length")
+    scores = _column(faults, p_lines, scores, _floats, "score")
+    flags = _column(faults, p_lines, flags, _flags, "flag")
+    s_scores = _column(faults, s_lines, s_scores, _floats, "sentence score")
+    _raise_first(path, faults)
     if not p_lines:
         raise FormatError("score file has no phone rows", path=path)
     _raise_first(path, [
@@ -767,7 +754,9 @@ def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
          lambda k: f"segment length must be >= 1, got {lengths[k]}"),
         (p_lines, _repeats(list(zip(utts, positions))),
          lambda k: f"second score for phone {positions[k]} of {utts[k]!r}"),
-        (s_lines, _repeats([utt for utt, _ in sentences]),
-         lambda k: f"second sentence score for {sentences[k][0]!r}"),
+        (s_lines, _repeats(s_utts),
+         lambda k: f"second sentence score for {s_utts[k]!r}"),
     ])
-    return ScoreFile(variant, *map(tuple, cols[1:]), tuple(sentences))
+    return ScoreFile(variant, utts, *map(tuple, (
+        positions, phones, starts, lengths, scores, flags)),
+        tuple(zip(s_utts, s_scores)))

@@ -1,7 +1,7 @@
 """Core domain types: phone sets, posteriorgrams, segments, alignments, reports.
 
 Everything here is immutable after construction and safe to share across
-workers, except that ``validate_posteriorgram`` renormalizes near-one rows
+workers, except that ``normalize_posteriors`` renormalizes near-one rows
 in place. Probabilities are stored and computed in float64; storage formats
 may be narrower (see formats module).
 """
@@ -81,6 +81,9 @@ class PhoneSet:
             return self._index[label]
         except KeyError:
             raise DataError(f"unknown phone label {label!r}") from None
+
+    def indices(self, labels: Iterable[str]) -> list[int]:
+        return list(map(self.index, labels))
 
     def is_silence(self, index: int) -> bool:
         return self.silence_index is not None and index == self.silence_index
@@ -254,18 +257,23 @@ class ScoreReport:
 
 
 def validate_posteriorgram(pg: Posteriorgram, phone_set: PhoneSet) -> Posteriorgram:
-    """Check posteriorgram invariants against ``phone_set``; returns ``pg``.
+    """``normalize_posteriors(pg)``, once its columns match ``phone_set``."""
+    if pg.num_phones != len(phone_set):
+        raise DataError(
+            f"posteriorgram has {pg.num_phones} phone columns, "
+            f"phone set has {len(phone_set)}"
+        )
+    return normalize_posteriors(pg)
+
+
+def normalize_posteriors(pg: Posteriorgram) -> Posteriorgram:
+    """Check that each row of ``pg`` is a distribution; returns ``pg``.
 
     Rows whose sums are within ``ROW_SUM_TOL`` of 1 are divided by their
     sums in place, so they sum to 1 to within 1e-15 and no value moves by
     more than that tolerance; anything worse is an error.
     """
     probs = pg.probs
-    if probs.shape[1] != len(phone_set):
-        raise DataError(
-            f"posteriorgram has {probs.shape[1]} phone columns, "
-            f"phone set has {len(phone_set)}"
-        )
     # NaN fails these comparisons too, so one min and one max scan suffice
     if not 0.0 <= probs.min() <= probs.max() <= 1.0:
         bad = ~np.isfinite(probs)

@@ -291,8 +291,25 @@ def test_entropy_dump_matches_library(pipeline, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "frame,entropy"
     values = np.array([float(line.split(",")[1]) for line in lines[1:]])
-    expected = entropy_profile(read_posteriorgram(pgm))
+    expected = entropy_profile(cagop.validate_posteriorgram(
+        read_posteriorgram(pgm), read_phone_set(pipeline["phones"])))
     assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "non-finite posterior at frame 1"),
+    (1.5, "posterior outside [0, 1] at frame 1"),
+])
+def test_entropy_dump_rejects_what_score_rejects(tmp_path, capsys, bad,
+                                                 message):
+    pgm = tmp_path / "bad.pgm"
+    write_posteriorgram_binary(pgm, Posteriorgram(
+        np.array([[0.25, 0.75], [1.0 - bad, bad]])))
+    out = tmp_path / "entropy.csv"
+    assert main(["entropy-dump", "--posteriors", str(pgm),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -422,6 +422,26 @@ def test_checkpoint_size_check_stops_where_the_file_ends(tmp_path):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("field", [0, 2])  # the rank, the last dim
+def test_checkpoint_rejects_framing_that_differs_from_the_shape(
+        tmp_path, field):
+    cfg = tiny_config()
+    params = init_params(cfg, num_phones=5, rng=np.random.default_rng(0))
+    path = tmp_path / "t.ckpt"
+    write_checkpoint(path, params, cfg)
+    blob = bytearray(path.read_bytes())
+    offset = len(CKPT_MAGIC) + _CKPT_HEADER.size
+    (_, first), (name, tensor), *_ = iter_tensors(params)
+    offset += 4 + 4 * first.ndim + 8 * first.size
+    assert tensor.ndim == 2
+    blob[offset + 4 * field] += 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        read_checkpoint(path)
+    assert str(err.value) == (f"{path}: tensor {name}: rank or dims differ "
+                              f"from its shape {tensor.shape}")
+
+
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     cfg = tiny_config()
     params = init_params(cfg, num_phones=5, rng=np.random.default_rng(0))

@@ -145,3 +145,22 @@ def test_mutated_file_is_read_or_rejected_with_format_error(
             paths = {**files, key: path}
             argv = [token.format(**paths) for token in command.split()]
             assert main(argv) in (0, 2), (n, capsys.readouterr().err)
+
+
+# keyed format -> index of its first data line
+KEYED = {"phone_set": 0, "lexicon": 0, "text_manifest": 0, "ctm": 0,
+         "annotations": 0, "balance_table": 1, "thresholds": 0,
+         "score_file": 1}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED))
+def test_repeated_data_line_is_rejected_at_the_repeat(name, files, tmp_path):
+    key, reader, _ = FORMATS[name]
+    lines = files[key].read_text(encoding="utf-8").splitlines(keepends=True)
+    rng = np.random.default_rng(sorted(KEYED).index(name))
+    k = int(rng.integers(KEYED[name], len(lines)))
+    path = tmp_path / files[key].name
+    path.write_text("".join(lines[:k + 1] + lines[k:]), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        reader(files, path)
+    assert err.value.line == k + 2, (lines[k], str(err.value))
