@@ -19,7 +19,7 @@ import math
 import struct
 from dataclasses import astuple, dataclass
 from functools import partial
-from itertools import chain, compress, count, starmap, zip_longest
+from itertools import chain, compress, count, starmap
 from operator import ne
 from typing import Mapping, Optional, Sequence
 
@@ -99,26 +99,27 @@ def _header(path, lines: list[str], fields) -> list:
 def _rows(lines, fields, usage: str, first: int = 1, sep="\t"):
     """The non-blank lines before the first one with a wrong field count.
 
-    Returns their line numbers, their parts split at ``sep``, and a fault
-    list for ``_raise_first``: empty, or the first wrong count's line.
-    ``fields`` is the number of parts every row has, or a dict from a row
-    kind (the first part) to the part counts that kind allows. Any other
+    Returns their line numbers, their parts split at ``sep`` in one flat
+    list, and a fault list for ``_raise_first``: empty, or the first wrong
+    count's line. ``fields`` is the number of parts every row has, or a
+    dict from a row kind (the first part) to the part counts that kind
+    allows; each row is padded with None to the largest count. Any other
     row is a fault saying it expected ``usage``.
     """
-    numbers, rows = [], []
+    kinds = fields if isinstance(fields, dict) else {}
+    width = max(map(max, kinds.values())) if kinds else fields
+    numbers, flat = [], []
     for i, raw in enumerate(lines, start=first):
         if not raw.strip():
             continue
-        parts = raw.split(sep)
-        if isinstance(fields, dict):
-            ok = len(parts) in fields.get(parts[0], ())
-        else:
-            ok = len(parts) == fields
-        if not ok:
-            return numbers, rows, [([i], [True], lambda k: f"expected {usage}")]
+        row = raw.split(sep)
+        if len(row) not in (kinds.get(row[0], ()) if kinds else (fields,)):
+            return numbers, flat, [([i], [True], lambda k: f"expected {usage}")]
         numbers.append(i)
-        rows.append(parts)
-    return numbers, rows, []
+        flat += row
+        if len(row) < width:
+            flat += [None] * (width - len(row))
+    return numbers, flat, []
 
 
 def _pick(keep: list[int], *columns) -> list[list]:
@@ -126,17 +127,17 @@ def _pick(keep: list[int], *columns) -> list[list]:
     return [[column[k] for k in keep] for column in columns]
 
 
-def _columns(numbers, rows, width: int, kind: Optional[str] = None) -> list:
-    """The line numbers and first ``width`` columns of the rows.
+def _columns(numbers, parts, width: int, kind: Optional[str] = None) -> list:
+    """The line numbers and the ``width`` columns of ``_rows``' flat parts.
 
-    Only rows whose first part is ``kind`` are taken, if it is given; a
-    row without a column's field has None there.
+    Only rows whose first part is ``kind`` are taken, if it is given.
     """
+    columns = [parts[j::width] for j in range(width)]
     if kind is not None:
-        keep = [row[0] == kind for row in rows]
-        numbers, rows = list(compress(numbers, keep)), list(compress(rows, keep))
-    padding = [(None,) * len(rows)] * width
-    return [numbers, *[*zip_longest(*rows), *padding][:width]]
+        keep = [first == kind for first in columns[0]]
+        numbers, *columns = [list(compress(column, keep))
+                             for column in (numbers, *columns)]
+    return [numbers, *map(tuple, columns)]
 
 
 def _raise_first(path, *groups) -> None:
@@ -301,11 +302,11 @@ def read_posteriorgram_text(path) -> Posteriorgram:
     numbers, rows, faults = _rows(lines[1:], phones, f"{phones} probabilities",
                                   first=2, sep=None)
     values = _column(faults, [i for i in numbers for _ in range(phones)],
-                     list(chain.from_iterable(rows)), _floats, "probability")
+                     rows, _floats, "probability")
     _raise_first(path, faults)
-    if len(rows) != frames:
+    if len(numbers) != frames:
         raise FormatError(
-            f"expected {frames} rows, found {len(rows)}", path=path
+            f"expected {frames} rows, found {len(numbers)}", path=path
         )
     return _build(Posteriorgram, path, frame_shift_ms=shift,
                   probs=np.reshape(values, (frames, phones)))
@@ -324,7 +325,7 @@ def write_phone_set(path, phone_set: PhoneSet) -> None:
 
 def read_phone_set(path) -> PhoneSet:
     numbers, rows, faults = _rows(_read_lines(path), 1, "one phone label")
-    lines = [raw.strip() for raw, in rows]
+    lines = [raw.strip() for raw in rows]
     label_lines, labels = _pick(
         [k for k, line in enumerate(lines) if not line.startswith("#")],
         numbers, lines)
@@ -356,8 +357,8 @@ def write_lexicon(path, lexicon: Mapping[str, tuple[str, ...]]) -> None:
 
 def read_lexicon(path, phone_set: PhoneSet) -> dict[str, tuple[str, ...]]:
     numbers, rows, faults = _rows(_read_lines(path), 2, "WORD<TAB>phones")
-    words = [word.strip().upper() for word, _ in rows]
-    prons = [tuple(pronunciation.split()) for _, pronunciation in rows]
+    words = [word.strip().upper() for word in rows[0::2]]
+    prons = [tuple(pronunciation.split()) for pronunciation in rows[1::2]]
     faults.append((numbers, [not w or not p for w, p in zip(words, prons)],
                    lambda k: "empty word or pronunciation"))
     _column(faults, [i for i, p in zip(numbers, prons) for _ in p],
@@ -372,12 +373,12 @@ def read_lexicon(path, phone_set: PhoneSet) -> dict[str, tuple[str, ...]]:
 def read_text_manifest(path) -> list[tuple[str, str]]:
     """Parse text.tsv lines utt_id<TAB>words."""
     numbers, rows, faults = _rows(_read_lines(path), 2, "utt<TAB>text")
-    ids = [utt_id for utt_id, _ in rows]
+    ids = rows[0::2]
     _raise_first(path, faults, [(numbers, _repeats(ids),
                                  lambda k: f"second text for {ids[k]!r}")])
     if not rows:
         raise FormatError("empty text manifest", path=path)
-    return list(map(tuple, rows))
+    return list(zip(ids, rows[1::2]))
 
 
 def text_to_phones(
@@ -734,7 +735,7 @@ def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:
     )
     (p_lines, _, utts, positions, phones, starts, lengths, scores,
      flags) = _columns(numbers, rows, 8, "P")
-    s_lines, _, s_utts, s_scores = _columns(numbers, rows, 3, "S")
+    s_lines, _, s_utts, s_scores, *_ = _columns(numbers, rows, 8, "S")
     positions = _column(faults, p_lines, positions, _ints, "position")
     phones = _column(faults, p_lines, phones, phone_set.indices)
     starts = _column(faults, p_lines, starts, _ints, "start")
