@@ -9,7 +9,7 @@ aligner, threshold calibration, evaluation metrics, file formats, a
 command-line pipeline, and a synthetic corpus generator.
 """
 
-from .align import AlignConfig, align
+from .align import AlignConfig, align, align_utterances
 from .balance import (
     BalanceTable,
     delta,

@@ -17,7 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import AlignConfig, align as force_align
+from .align import AlignConfig, align_utterances
+# force_align stays importable here: benchmarks/tracing.py times its calls
+# under this module name.
+from .align import align as force_align  # noqa: F401
 from .balance import fit_balance_table
 # score_utterance stays importable here: benchmarks/tracing.py times its
 # calls under this module name.
@@ -53,7 +56,7 @@ from .formats import (  # noqa: F401
     read_phone_set,
     read_posteriorgram,
     read_score_file,
-    read_text_manifest,
+    read_text_manifest_rows,
     read_thresholds,
     text_to_phones,
     write_balance_table,
@@ -74,6 +77,7 @@ from .metrics import (  # noqa: F401
 from .model import (
     CagopError,
     DataError,
+    FormatError,
     NumericError,
     SegmentColumns,
     normalize_posteriors,
@@ -101,23 +105,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _posteriorgram_for(utt_id: str, posteriors: str, single_ok: bool,
-                       phone_set):
-    """The utterance's posteriorgram, read and validated."""
-    path = posteriors
-    if os.path.isdir(posteriors):
-        path = os.path.join(posteriors, f"{utt_id}.pgm")
-        if not os.path.exists(path):
-            path = os.path.join(posteriors, f"{utt_id}.pgt")
-        if not os.path.exists(path):
-            raise DataError(
-                f"no posteriorgram for {utt_id!r} under {Path(posteriors)}")
-    elif not single_ok:
+def _posteriorgram_reader(posteriors: str, utterances: int, phone_set):
+    """utt_id -> its posteriorgram, read and validated, from a directory of
+    ``<utt>.pgm`` or ``<utt>.pgt`` files, or one file for one utterance."""
+    directory = os.path.isdir(posteriors)
+    if not directory and utterances > 1:
         raise DataError(
             f"--posteriors {posteriors} is a single file but the input names "
             "several utterances"
         )
-    return validate_posteriorgram(read_posteriorgram(path), phone_set)
+
+    def read(utt_id: str):
+        path = posteriors
+        if directory:
+            path = os.path.join(posteriors, f"{utt_id}.pgm")
+            if not os.path.exists(path):
+                path = os.path.join(posteriors, f"{utt_id}.pgt")
+            if not os.path.exists(path):
+                raise DataError(
+                    f"no posteriorgram for {utt_id!r} under {Path(posteriors)}")
+        pg = read_posteriorgram(path)
+        try:
+            return validate_posteriorgram(pg, phone_set)
+        except DataError as exc:
+            raise DataError(f"{path}: utterance {utt_id!r}: {exc}") from None
+
+    return read
 
 
 def _cmd_synth_corpus(args) -> int:
@@ -130,21 +143,30 @@ def _cmd_synth_corpus(args) -> int:
 def _cmd_align(args) -> int:
     phone_set = read_phone_set(args.phones)
     lexicon = read_lexicon(args.lexicon, phone_set)
-    manifest = read_text_manifest(args.text)
+    manifest = read_text_manifest_rows(args.text)
     cfg = AlignConfig(
         allow_optional_silence=not args.no_silence,
         min_segment_frames=args.min_frames,
         silence_self_loop_penalty=args.silence_penalty,
         silence_index=phone_set.silence_index,
     )
-    entries = []
-    for utt_id, text in manifest:
-        pg = _posteriorgram_for(utt_id, args.posteriors, len(manifest) == 1,
-                                phone_set)
-        phones = text_to_phones(text, lexicon, phone_set)
-        entries.append((utt_id, force_align(pg, phones, cfg)))
-    write_ctm(args.out, entries, phone_set)
-    print(f"aligned {len(entries)} utterances -> {args.out}")
+    posteriorgram = _posteriorgram_reader(args.posteriors, len(manifest),
+                                          phone_set)
+
+    def reference_phones(line, utt_id, text):
+        try:
+            return text_to_phones(text, lexicon, phone_set)
+        except DataError as exc:
+            raise FormatError(f"utterance {utt_id!r}: {exc}", path=args.text,
+                              line=line) from None
+
+    # Each utterance is read, then converted, as the aligner takes it, so
+    # the first bad utterance in manifest order decides the error.
+    segments = align_utterances(
+        ((utt_id, posteriorgram(utt_id), reference_phones(line, utt_id, text))
+         for line, utt_id, text in manifest), cfg)
+    write_ctm(args.out, segments, phone_set)
+    print(f"aligned {len(manifest)} utterances -> {args.out}")
     return EXIT_OK
 
 
@@ -198,8 +220,8 @@ def _cmd_score(args) -> int:
 
     ids = segments.utterance_ids
     cols = score_utterances(
-        segments, (_posteriorgram_for(utt_id, args.posteriors, len(ids) == 1,
-                                      phone_set) for utt_id in ids),
+        segments, map(_posteriorgram_reader(args.posteriors, len(ids),
+                                            phone_set), ids),
         cfg, predicted_durations=predicted, balance=balance,
     )
     counts = cols.counts.tolist()

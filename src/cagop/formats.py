@@ -370,15 +370,20 @@ def read_lexicon(path, phone_set: PhoneSet) -> dict[str, tuple[str, ...]]:
     return dict(zip(words, prons))
 
 
-def read_text_manifest(path) -> list[tuple[str, str]]:
-    """Parse text.tsv lines utt_id<TAB>words."""
+def read_text_manifest_rows(path) -> list[tuple[int, str, str]]:
+    """Parse text.tsv lines utt_id<TAB>words into (line, utt_id, words)."""
     numbers, rows, faults = _rows(_read_lines(path), 2, "utt<TAB>text")
     ids = rows[0::2]
     _raise_first(path, faults, [(numbers, _repeats(ids),
                                  lambda k: f"second text for {ids[k]!r}")])
     if not rows:
         raise FormatError("empty text manifest", path=path)
-    return list(zip(ids, rows[1::2]))
+    return list(zip(numbers, ids, rows[1::2]))
+
+
+def read_text_manifest(path) -> list[tuple[str, str]]:
+    """Parse text.tsv lines utt_id<TAB>words."""
+    return [(utt_id, text) for _, utt_id, text in read_text_manifest_rows(path)]
 
 
 def text_to_phones(
@@ -403,15 +408,19 @@ def text_to_phones(
 # alignments (CTM-like)
 
 def write_ctm(
-    path, entries: Sequence[tuple[str, Alignment]], phone_set: PhoneSet
+    path,
+    entries: SegmentColumns | Sequence[tuple[str, Alignment]],
+    phone_set: PhoneSet,
 ) -> None:
+    """Write segment columns, or (utt_id, Alignment) pairs, one row each."""
+    cols = (entries if isinstance(entries, SegmentColumns)
+            else SegmentColumns.from_alignments(entries))
+    labels = list(map(phone_set.label, cols.phone.tolist()))
+    utts = [u for u, n in zip(cols.utterance_ids, cols.counts.tolist())
+            for _ in range(n)]
     with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, alignment in entries:
-            for seg in alignment.segments:
-                fh.write(
-                    f"{utt_id}\t{phone_set.label(seg.phone)}"
-                    f"\t{seg.start}\t{seg.length}\n"
-                )
+        fh.writelines(map("{}\t{}\t{}\t{}\n".format, utts, labels,
+                          cols.start.tolist(), cols.length.tolist()))
 
 
 def read_ctm_columns(path, phone_set: PhoneSet) -> SegmentColumns:

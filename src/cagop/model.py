@@ -77,13 +77,13 @@ class PhoneSet:
         return self.phones[index]
 
     def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise DataError(f"unknown phone label {label!r}") from None
+        return self.indices((label,))[0]
 
     def indices(self, labels: Iterable[str]) -> list[int]:
-        return list(map(self.index, labels))
+        try:
+            return list(map(self._index.__getitem__, labels))
+        except KeyError as exc:
+            raise DataError(f"unknown phone label {exc.args[0]!r}") from None
 
     def is_silence(self, index: int) -> bool:
         return self.silence_index is not None and index == self.silence_index

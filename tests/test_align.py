@@ -10,9 +10,11 @@ import pytest
 
 from cagop import (
     AlignConfig,
+    Alignment,
     DataError,
     PhoneSegment,
     align,
+    align_utterances,
 )
 from cagop.model import CagopError
 from cagop.synth import SynthConfig, generate_corpus
@@ -63,6 +65,16 @@ def brute_force_best(pg, phones, cfg):
                     score += cfg.silence_self_loop_penalty * (e - s)
             best = max(best, score)
     return best
+
+
+def aligned_together(cases, cfg):
+    """align_utterances on every (pg, phones) case, one Alignment each."""
+    cols = align_utterances(
+        [(f"u{k}", pg, phones) for k, (pg, phones) in enumerate(cases)], cfg)
+    assert cols.utterance_ids == tuple(f"u{k}" for k in range(len(cases)))
+    return [Alignment(tuple(map(PhoneSegment, *(c.tolist() for c in columns))))
+            for columns in zip(cols.split(cols.phone), cols.split(cols.start),
+                               cols.split(cols.length))]
 
 
 def test_two_phone_fixture_splits_at_the_obvious_boundary():
@@ -126,7 +138,7 @@ def test_uniform_tie_breaks_to_earliest_boundary():
 def test_matches_brute_force_without_silence():
     for min_frames, min_cases in ((1, 100), (2, 80), (3, 60)):
         cfg = AlignConfig(min_segment_frames=min_frames)
-        cases = 0
+        cases, alignments = [], []
         for seed in range(120):
             rng = np.random.default_rng(1000 + seed)
             num_frames = int(rng.integers(2, 11))
@@ -140,8 +152,12 @@ def test_matches_brute_force_without_silence():
             got = alignment_log_score(pg, al)
             assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
             assert [s.phone for s in al.segments] == phones
-            cases += 1
-        assert cases >= min_cases
+            cases.append((pg, phones))
+            alignments.append(al)
+        assert len(cases) >= min_cases
+        # the same cases several at a time (posteriorgrams of 2 and 3
+        # columns, 1 to 3 phones), each alignment unchanged
+        assert aligned_together(cases, cfg) == alignments
 
 
 def penalized_log_score(pg, al, cfg):
@@ -155,7 +171,7 @@ def test_matches_brute_force_with_optional_silence():
         cfg = AlignConfig(allow_optional_silence=True, silence_index=0,
                           min_segment_frames=min_frames,
                           silence_self_loop_penalty=penalty)
-        cases = 0
+        cases, alignments = [], []
         for seed in range(60):
             rng = np.random.default_rng(2000 + seed)
             num_frames = int(rng.integers(3, 11))
@@ -169,8 +185,10 @@ def test_matches_brute_force_with_optional_silence():
             assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
             assert [s.phone for s in al.segments if s.phone != 0] == phones
             assert all(s.length >= min_frames for s in al.segments if s.phone != 0)
-            cases += 1
-        assert cases >= min_cases
+            cases.append((pg, phones))
+            alignments.append(al)
+        assert len(cases) >= min_cases
+        assert aligned_together(cases, cfg) == alignments
 
 
 def test_optional_silence_never_hurts():
@@ -305,3 +323,57 @@ def test_long_form_align_memory_stays_bounded():
     # Unbanded (2N+2) x (F+1) tables with a cumulative sum per element peak
     # at about 90 MiB here, the banded ones at about 33 MiB.
     assert peak <= 64 * 2**20
+
+
+@pytest.mark.parametrize("cfg", SHORT_CONFIGS)
+def test_aligning_together_matches_aligning_alone(cfg):
+    # 1-15-phone utterances of 13-column posteriorgrams, every seed-1 corpus
+    # utterance the config can align and one 180-word paragraph, in one call
+    rng = np.random.default_rng(6)
+    cases = []
+    for k in range(60):
+        phones = [int(p) for p in rng.integers(1, 13, size=k % 15 + 1)]
+        frames = len(phones) * cfg.min_segment_frames + int(rng.integers(0, 40))
+        cases.append((random_pg(rng, frames, 13), phones))
+    for utt in generate_corpus(SynthConfig(num_utterances=50, seed=1)).utterances:
+        needed = len(utt.reference_phones) * cfg.min_segment_frames
+        if utt.posteriorgram.num_frames >= needed:
+            cases.append((utt.posteriorgram, list(utt.reference_phones)))
+    paragraph = generate_corpus(SynthConfig(num_utterances=1, seed=11, min_words=180,
+                                            max_words=180)).utterances[0]
+    cases.insert(len(cases) // 2,
+                 (paragraph.posteriorgram, list(paragraph.reference_phones)))
+    assert len(cases) >= 100
+    assert aligned_together(cases, cfg) == [align(pg, phones, cfg)
+                                            for pg, phones in cases]
+
+
+def test_align_utterances_reports_the_first_bad_utterance():
+    pg = make_pg([[0.5, 0.5]] * 4)
+    utterances = [("fine", pg, [0, 1]), ("long", pg, [0, 1, 0, 1, 0]),
+                  ("empty", pg, [])]
+    with pytest.raises(DataError, match="5 phones need >= 5 frames"):
+        align_utterances(utterances, AlignConfig())
+    cols = align_utterances([], AlignConfig())
+    assert cols.utterance_ids == () and cols.phone.size == 0
+
+
+def test_align_utterances_memory_stays_bounded():
+    # 2,000 short utterances (13 MiB of posteriors): padded tables are
+    # made for one chunk at a time, so only the output columns grow with
+    # the corpus. The peak was 1.8 MiB when written; padding all 2,000 at
+    # once would take over 30 MiB.
+    utterances = generate_corpus(SynthConfig(num_utterances=2000, seed=2)).utterances
+    peaks = {}
+    for n in (500, 2000):
+        triples = ((u.utt_id, u.posteriorgram, u.reference_phones)
+                   for u in utterances[:n])
+        tracemalloc.start()
+        try:
+            cols = align_utterances(triples, SILENCE_AT_TWO)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cols.utterance_ids) == n
+    assert peaks[2000] <= 4 * 2**20
+    assert peaks[2000] - peaks[500] < 1.5 * 2**20

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -144,6 +145,90 @@ PIPELINE_DIGESTS = {
 def test_pipeline_outputs_are_pinned(pipeline, key):
     digest = hashlib.sha256(pipeline[key].read_bytes()).hexdigest()
     assert digest == PIPELINE_DIGESTS[key], pipeline[key].name
+
+
+@pytest.fixture(scope="module")
+def seed_one_corpus(tmp_path_factory):
+    """The 400-utterance seed-1 corpus, written once."""
+    root = tmp_path_factory.mktemp("seed1") / "corpus"
+    assert main(["synth-corpus", "--out", str(root), "--seed", "1",
+                 "--utterances", "400"]) == 0
+    return root
+
+
+def _align_argv(corpus, out, *extra):
+    return ["align", "--posteriors", str(corpus / "post"),
+            "--phones", str(corpus / "phones.txt"),
+            "--lexicon", str(corpus / "lexicon.txt"),
+            "--text", str(corpus / "text.tsv"), "--min-frames", "2",
+            *extra, "--out", str(out)]
+
+
+@pytest.mark.parametrize("extra, digest", [
+    ((), "688091f812e52b6fcc4392dacdb6168d5ef6b5cabca9092f340cc140c2560a6e"),
+    (("--no-silence",),
+     "098d6d0e7b1631df778322b7b116a2b1916405925e74c88a2dad9b9f3ca7d8e6"),
+])
+def test_align_command_ctm_is_pinned(seed_one_corpus, tmp_path, extra, digest):
+    # Digests recorded with one align() call per utterance, before the
+    # command aligned padded chunks of utterances.
+    out = tmp_path / "aligned.ctm"
+    assert main(_align_argv(seed_one_corpus, out, *extra)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _corpus_copy(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    return corpus
+
+
+def test_bad_utterance_late_in_manifest_leaves_no_ctm(pipeline, tmp_path,
+                                                       capsys):
+    corpus = _corpus_copy(pipeline, tmp_path)
+    manifest = read_text_manifest(corpus / "text.tsv")
+    late = manifest[-3][0]
+    pgm = corpus / "post" / f"{late}.pgm"
+    write_posteriorgram_binary(pgm, Posteriorgram(
+        read_posteriorgram(pgm).probs[:3]))
+    out = tmp_path / "aligned.ctm"
+    assert main(_align_argv(corpus, out)) == 2
+    assert "posteriorgram has 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_posteriorgram_error_names_file_and_utterance(pipeline, tmp_path,
+                                                      capsys):
+    corpus = _corpus_copy(pipeline, tmp_path)
+    bad = read_text_manifest(corpus / "text.tsv")[17][0]
+    pgm = corpus / "post" / f"{bad}.pgm"
+    probs = read_posteriorgram(pgm).probs.copy()
+    probs[3, 0] = math.nan
+    write_posteriorgram_binary(pgm, Posteriorgram(probs))
+    out = tmp_path / "aligned.ctm"
+    assert main(_align_argv(corpus, out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {pgm}: utterance {bad!r}: non-finite posterior at frame 3\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{word} bogusword", "word 'bogusword' not in lexicon"),
+    ("", "empty reference text"),
+])
+def test_text_error_names_manifest_line_and_utterance(pipeline, tmp_path,
+                                                      capsys, text, message):
+    corpus = _corpus_copy(pipeline, tmp_path)
+    rows = (corpus / "text.tsv").read_text().splitlines()
+    utt, words = rows[5].split("\t")
+    rows[5] = f"{utt}\t{text.format(word=words.split()[0])}"
+    # a blank line before it: line numbers count every line of the file
+    (corpus / "text.tsv").write_text("\n".join(["", *rows]) + "\n")
+    out = tmp_path / "aligned.ctm"
+    assert main(_align_argv(corpus, out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {corpus / 'text.tsv'}: line 7: utterance {utt!r}: {message}\n")
+    assert not out.exists()
 
 
 def test_checkpoint_and_log_round_trip(pipeline):
