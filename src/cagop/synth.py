@@ -6,10 +6,18 @@ posteriors with uncertain (high-entropy) frames inside otherwise-correct
 segments, phone substitutions toward fixed confusion partners, duration
 distortions, and speed variation across utterances. Everything derives
 from one integer seed.
+
+The corpus is defined draw for draw on one NumPy ``Generator``. Each
+utterance's frames are made in two steps: a loop that only draws, in the
+order a per-frame recipe would, into preallocated arrays, then one
+vectorized pass that repeats NumPy's own uniform and Dirichlet arithmetic
+on those draws (``_uniform``, ``_simplex``) and the per-row mass carving,
+normalization and blur.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +25,6 @@ import numpy as np
 
 from .formats import (
     AnnotationSet,
-    read_text_manifest,  # noqa: F401  (re-exported)
     write_annotations,
     write_ctm,
     write_lexicon,
@@ -106,6 +113,9 @@ class SynthConfig:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.min_words <= self.max_words:
             raise DataError("need 1 <= min_words <= max_words")
+        if not 0 < self.tempo_low <= self.tempo_high < math.inf:
+            raise DataError("need finite 0 < tempo_low <= tempo_high, got "
+                            f"{self.tempo_low}, {self.tempo_high}")
 
 
 @dataclass(frozen=True)
@@ -131,40 +141,6 @@ class SynthCorpus:
         ratings = [(u.utt_id, f"r{k}", score) for u in self.utterances
                    for k, score in enumerate(u.ratings)]
         return AnnotationSet(*zip(*labels), *zip(*ratings))
-
-
-def _clear_distribution(
-    rng: np.random.Generator,
-    phone_set: PhoneSet,
-    true_phone: int,
-    leak_phone: int | None = None,
-    leak: float = 0.0,
-) -> np.ndarray:
-    """One confident frame: most mass on true_phone, optional leak phone."""
-    n = len(phone_set)
-    mass = rng.uniform(*CLEAR_MASS)
-    rest = np.asarray(rng.dirichlet(np.ones(n - 1)))
-    probs = np.empty(n)
-    others = [i for i in range(n) if i != true_phone]
-    probs[true_phone] = mass
-    probs[others] = rest * (1.0 - mass)
-    if leak_phone is not None:
-        # carve the leak out of the non-dominant remainder, keep sum at 1
-        take = min(leak, 1.0 - mass - 1e-6)
-        probs[others] *= (1.0 - mass - take) / probs[others].sum()
-        probs[leak_phone] += take
-    return probs / probs.sum()
-
-
-def _mumble_distribution(
-    rng: np.random.Generator, phone_set: PhoneSet
-) -> np.ndarray:
-    """One uncertain frame: near-flat posteriors.
-
-    MUMBLE_ALPHA controls flatness (higher = flatter = higher entropy);
-    these are the frames entropy weighting is supposed to discount.
-    """
-    return np.asarray(rng.dirichlet(np.full(len(phone_set), MUMBLE_ALPHA)))
 
 
 @dataclass(frozen=True)
@@ -202,30 +178,87 @@ def rule_durations(
     return out
 
 
-def _render_segment(
-    rng: np.random.Generator, phone_set: PhoneSet, plan: _SegmentPlan,
-    prev_realized: int | None,
+def _uniform(low: float, high: float, u):
+    """Generator.uniform(low, high), given the random() draw(s) u it makes."""
+    return low + (high - low) * u
+
+
+def _simplex(gammas: np.ndarray) -> np.ndarray:
+    """Generator.dirichlet rows from their Gamma draws (every alpha >= 0.1):
+    the draws times the reciprocal of their left-to-right running sum."""
+    return gammas * (1.0 / gammas.cumsum(axis=1)[:, -1:])
+
+
+def _render(
+    rng: np.random.Generator, plans: list[_SegmentPlan], width: int
 ) -> np.ndarray:
-    frames = np.empty((plan.length, len(phone_set)))
-    if plan.is_silence:
-        for i in range(plan.length):
-            frames[i] = _clear_distribution(rng, phone_set, plan.realized)
-    else:
-        mumble_rate = rng.uniform(*MUMBLE_RATE)
-        leak = rng.uniform(*LEAK)
-        for i in range(plan.length):
-            if rng.random() < mumble_rate:
-                frames[i] = _mumble_distribution(rng, phone_set)
-            else:
-                frames[i] = _clear_distribution(
-                    rng, phone_set, plan.realized,
-                    leak_phone=plan.leak_to, leak=leak,
-                )
-    if prev_realized is not None and plan.length > 0:
-        # coarticulation: the entry frame still carries the previous phone
-        carry = _clear_distribution(rng, phone_set, prev_realized)
-        frames[0] = BLUR_MIX * carry + (1.0 - BLUR_MIX) * frames[0]
-    return frames
+    """One utterance's frames: a loop that only draws, then one array pass.
+
+    Stream order: a speech segment draws its mumble rate and leak, then per
+    frame the random() mumble test and either width Gamma(MUMBLE_ALPHA)
+    draws (a near-flat, uncertain frame) or a confident frame: one random()
+    for the dominant mass and width - 1 exponentials (Gamma(1)) for the
+    rest. Each later segment then draws its blur carry, a confident frame
+    of the previous phone, kept in a row past the last frame.
+    """
+    starts = np.cumsum([0] + [p.length for p in plans]).tolist()
+    frames = starts[-1]
+    rows = frames + len(plans) - 1
+    draws = np.zeros((rows, width))
+    u = np.zeros(rows)
+    leak = np.zeros(rows)
+    mumble = np.zeros(rows, dtype=bool)
+    dominant = np.empty(rows, dtype=np.intp)
+    dominant[frames:] = [p.realized for p in plans[:-1]]
+    leak_to = np.full(rows, -1, dtype=np.intp)
+    full, head = list(draws), list(draws[:, :-1])
+    random, exponential, gamma = (
+        rng.random, rng.standard_exponential, rng.standard_gamma)
+    for k, plan in enumerate(plans):
+        lo, hi = starts[k], starts[k + 1]
+        dominant[lo:hi] = plan.realized
+        if plan.is_silence:
+            for i in range(lo, hi):
+                u[i] = random()
+                exponential(out=head[i])
+        else:
+            rate = rng.uniform(*MUMBLE_RATE)
+            leak[lo:hi] = rng.uniform(*LEAK)
+            if plan.leak_to is not None:
+                leak_to[lo:hi] = plan.leak_to
+            for i in range(lo, hi):
+                if random() < rate:
+                    mumble[i] = True
+                    gamma(MUMBLE_ALPHA, out=full[i])
+                else:
+                    u[i] = random()
+                    exponential(out=head[i])
+        if k:
+            u[frames + k - 1] = random()
+            exponential(out=head[frames + k - 1])
+
+    out = np.empty((rows, width))
+    out[mumble] = _simplex(draws[mumble])
+    clear = ~mumble
+    mass = _uniform(*CLEAR_MASS, u[clear])
+    rest = 1.0 - mass
+    others = _simplex(draws[clear, :-1]) * rest[:, None]
+    # carve the leak out of the non-dominant remainder, keep sum at 1
+    target = leak_to[clear]
+    carve = target >= 0
+    take = np.minimum(leak[clear][carve], rest[carve] - 1e-6)
+    others[carve] *= ((rest[carve] - take)
+                      / others[carve].sum(axis=1))[:, None]
+    top = dominant[clear]
+    probs = np.empty((len(top), width))
+    probs[np.arange(width) != top[:, None]] = others.ravel()
+    probs[np.arange(len(top)), top] = mass
+    probs[np.flatnonzero(carve), target[carve]] += take
+    out[clear] = probs / probs.sum(axis=1)[:, None]
+    # coarticulation: each entry frame still carries the previous phone
+    entry = starts[1:-1]
+    out[entry] = BLUR_MIX * out[frames:] + (1.0 - BLUR_MIX) * out[entry]
+    return out[:frames]
 
 
 def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
@@ -286,25 +319,19 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
             plans.append(_SegmentPlan(sil, sil, int(rng.integers(2, 7)),
                                       True, None))
 
-        chunks = []
-        prev: int | None = None
         segments = []
         start = 0
         for plan in plans:
-            chunks.append(_render_segment(rng, phone_set, plan, prev))
             segments.append(PhoneSegment(phone=plan.reference, start=start,
                                          length=plan.length))
             start += plan.length
-            prev = plan.realized
-        probs = np.vstack(chunks)
+        probs = _render(rng, plans, len(phone_set))
         pg = Posteriorgram(probs=probs, frame_shift_ms=FRAME_SHIFT_MS)
 
         wrong_frac = sum(wrong) / len(wrong)
+        mean_rating = 10.0 * (1.0 - 1.8 * wrong_frac)
         ratings = tuple(
-            float(np.clip(
-                10.0 * (1.0 - 1.8 * wrong_frac) + rng.normal(0.0, 0.5),
-                0.0, 10.0,
-            ))
+            min(max(mean_rating + rng.normal(0.0, 0.5), 0.0), 10.0)
             for _ in range(NUM_RATERS)
         )
         utterances.append(SynthUtterance(

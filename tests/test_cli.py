@@ -30,6 +30,7 @@ from cagop.formats import (
     read_phone_set,
     read_posteriorgram,
     read_score_file,
+    read_text_manifest,
     read_thresholds,
     read_training_log,
     write_ctm,
@@ -37,7 +38,6 @@ from cagop.formats import (
     write_posteriorgram_binary,
 )
 from cagop.scoring import entropy_profile
-from cagop.synth import read_text_manifest
 
 
 @pytest.fixture(scope="module")

@@ -1,24 +1,30 @@
 """Synthetic corpus generation: determinism, validity, and duration rules."""
 
 import filecmp
+import hashlib
 
 import numpy as np
+import pytest
 
-from cagop import validate_posteriorgram
+from cagop import DataError, validate_posteriorgram
 from cagop.formats import (
     read_annotations,
     read_ctm,
     read_phone_set,
     read_posteriorgram,
+    read_text_manifest,
 )
 from cagop.synth import (
+    CLEAR_MASS,
     MEAN_FRAMES,
+    MUMBLE_ALPHA,
     NUM_RATERS,
     STOPS,
     SynthConfig,
     default_phone_set,
     generate_corpus,
-    read_text_manifest,
+    _simplex,
+    _uniform,
     rule_durations,
     write_corpus,
 )
@@ -99,6 +105,72 @@ def test_generate_corpus_is_deterministic():
         assert ua.mispronounced == ub.mispronounced
         assert ua.ratings == ub.ratings
         assert np.array_equal(ua.posteriorgram.probs, ub.posteriorgram.probs)
+
+
+def _utterance_digest(utt) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(utt.posteriorgram.probs, dtype="<f8").tobytes())
+    h.update(utt.text.encode())
+    h.update(np.asarray(utt.reference_phones, dtype="<i8").tobytes())
+    h.update(np.asarray([(s.phone, s.start, s.length)
+                         for s in utt.alignment.segments], dtype="<i8").tobytes())
+    h.update(np.asarray(utt.mispronounced, dtype="u1").tobytes())
+    h.update(np.asarray(utt.ratings, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 over the per-utterance digests (float64 posterior bytes, text,
+# reference phones, alignment, flags, ratings), recorded on the per-frame
+# generator that the vectorized renderer replaced.
+CORPUS_DIGESTS = [
+    (SynthConfig(num_utterances=400, seed=1),
+     "3c945802b09635352153b8db62c1f121f7e5f116b29f4c137aa1db7425a17933"),
+    (SynthConfig(num_utterances=1, seed=1003, min_words=200, max_words=200),
+     "0fe6a34d7fb039ed4c82090c07c2a9c4b77b27da979c9603ac3369230f10ba19"),
+]
+
+
+@pytest.mark.parametrize("cfg, expected", CORPUS_DIGESTS,
+                         ids=["400-utterances", "paragraph"])
+def test_corpus_bytes_are_pinned(cfg, expected):
+    h = hashlib.sha256()
+    for utt in generate_corpus(cfg).utterances:
+        h.update(_utterance_digest(utt).encode())
+    assert h.hexdigest() == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 12345])
+def test_draw_helpers_match_numpy_bit_for_bit(seed):
+    """The renderer's arithmetic is NumPy's: a release that changes either
+    algorithm fails here instead of silently moving every corpus."""
+    n = 3000
+
+    def same(expected, got, ref_rng, rng):
+        assert np.asarray(expected).tobytes() == got.tobytes()
+        assert ref_rng.bit_generator.state == rng.bit_generator.state
+
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    same([ref.uniform(*CLEAR_MASS) for _ in range(n)],
+         _uniform(*CLEAR_MASS, rng.random(n)), ref, rng)
+    same([ref.dirichlet(np.ones(12)) for _ in range(n)],
+         _simplex(rng.standard_exponential((n, 12))), ref, rng)
+    same([ref.dirichlet(np.full(13, MUMBLE_ALPHA)) for _ in range(n)],
+         _simplex(rng.standard_gamma(MUMBLE_ALPHA, (n, 13))), ref, rng)
+
+
+@pytest.mark.parametrize("low, high", [
+    (float("nan"), 1.0), (0.8, float("nan")), (0.8, float("inf")),
+    (float("-inf"), 1.0), (0.0, 1.0), (-0.5, 1.0), (-1.0, -0.5),
+    (1.25, 0.8),
+])
+def test_config_rejects_bad_tempo_range(low, high):
+    with pytest.raises(DataError, match="tempo"):
+        SynthConfig(tempo_low=low, tempo_high=high)
+
+
+def test_config_accepts_a_fixed_tempo():
+    cfg = SynthConfig(num_utterances=3, seed=4, tempo_low=1.1, tempo_high=1.1)
+    assert len(generate_corpus(cfg).utterances) == 3
 
 
 def test_corpus_utterances_are_internally_consistent():
