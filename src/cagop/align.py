@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,9 +25,9 @@ from .model import (
     SegmentColumns,
 )
 
-# Utterances taken from the input at a time, and the cells of one chunk's
-# padded (elements + 1) x utterances x band table; a larger utterance is a
-# chunk of its own.
+# Utterances taken from the input at a time, and the budget of one chunk's
+# padded (elements + 1) x utterances x band cells, about one byte each of
+# its decision tables; a larger utterance is a chunk of its own.
 _WINDOW, _CHUNK_CELLS = 64, 1 << 15
 
 
@@ -95,11 +95,13 @@ def align_utterances(
     broken toward the earliest boundary, and toward omitting an optional
     silence when inserting it does not improve the score. With E elements
     (2N+1 for N phones with optional silences, else N) and slack = F - N *
-    min_segment_frames spare frames, an utterance takes O(E * slack) time
-    and memory. Utterances are checked in input order as they are taken,
+    min_segment_frames spare frames, an utterance takes O(E * slack) time;
+    besides its cumulative sums, it keeps a byte per band cell (slack + 1)
+    per element, another per optional element, and two float band rows.
+    Utterances are checked in input order as they are taken,
     ``_WINDOW`` at a time; a window is sorted by size and cut into chunks
-    whose padded (E+1) x utterances x (slack+1) table stays within
-    ``_CHUNK_CELLS`` cells, and each dynamic-program step runs once a chunk.
+    whose padded (E+1) x utterances x (slack+1) cells stay within
+    ``_CHUNK_CELLS``, and each dynamic-program step runs once a chunk.
     """
     ids: list[str] = []
     frames: list[int] = []
@@ -157,21 +159,17 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
     active = np.searchsorted(np.negative(sizes), -np.arange(num_elements)).tolist()
 
     # cums[u, c, t]: summed log posterior of column c over frames [0, t) of
-    # utterance u, padded with log 1 = 0 so that every slab is in range; with
-    # optional silences, an extra last column is the silence column with the
-    # per-frame penalty added.
+    # utterance u, padded with log 1 = 0 so that every slab is in range; a
+    # last column, with optional silences, adds the penalty to the silence's.
     columns = max(pg.num_phones for pg in pgs)
     length = lo[-1] + width + 1
-    log_probs = np.ones((num, length - 1, columns))
+    cums = np.ones((num, columns + silence, length))
     for u, pg in enumerate(pgs):
-        log_probs[u, : pg.num_frames, : pg.num_phones] = pg.probs
-    np.log(np.maximum(log_probs, PROB_FLOOR, out=log_probs), out=log_probs)
-    cums = np.zeros((num, columns + silence, length))
-    np.cumsum(log_probs.transpose(0, 2, 1), axis=2, out=cums[:, :columns, 1:])
+        cums[u, : pg.num_phones, 1 : pg.num_frames + 1] = pg.probs.T
+    np.log(np.maximum(cums, PROB_FLOOR, out=cums), out=cums)
     if silence:
-        np.cumsum(log_probs[:, :, cfg.silence_index] + cfg.silence_self_loop_penalty,
-                  axis=1, out=cums[:, -1, 1:])
-    del log_probs
+        cums[:, -1, 1:] = cums[:, cfg.silence_index, 1:] + cfg.silence_self_loop_penalty
+    np.cumsum(cums, axis=2, out=cums)
     flat = cums.reshape(-1, length)
     # phone[u, i]: element i's phone; row[i, u]: its row of ``flat``
     phone = np.full((num, num_elements), cfg.silence_index if silence else 0)
@@ -180,59 +178,61 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
     row = np.where(optional, columns, phone) + np.arange(num)[:, None] * (columns + silence)
     row = row.T.copy()
 
-    best = np.empty((num_elements + 1, num, width))
-    best[0, :, 0] = 0.0
-    best[0, :, 1:] = -np.inf
-    scratch = np.empty((num, width))
-    for i, (cur, nxt) in enumerate(zip(best, best[1:])):
+    # scores[i % 2] is best[i] while element i is taken; scores[2] is scratch.
+    # rise[i, u, k]: element i's running maximum of entry scores rises at k
+    # (k = 0 counts); took[i // 2, u, k]: silence i lifts best[i + 1] there.
+    scores = np.full((3, num, width), -np.inf)
+    scores[0, :, 0] = 0.0
+    rise = np.ones((num_elements, num, width), bool)
+    took = np.empty((sum(optional), num, width), bool)
+    for i in range(num_elements):
         n, a, b, m = active[i], lo[i], lo[i + 1], min_len[i]
         # A lone row is taken as 1-D, whose cumulative sums are a view and
         # whose ufunc calls cost less; more rows gather their sums.
         rows = 0 if n == 1 else slice(0, n)
-        cur, nxt, entry = cur[rows], nxt[rows], scratch[rows]
+        cur, nxt, entry = scores[i % 2, rows], scores[1 - i % 2, rows], scores[2, rows]
         # one slab feeds both the entry scores and the segment scores
         slab = flat[row[i, rows], a : b + width]
         np.subtract(cur, slab[..., :width], out=entry)
         np.maximum.accumulate(entry, axis=-1, out=entry)
+        np.greater(entry[..., 1:], entry[..., :-1], out=rise[i, rows, 1:])
         # a segment ending at lo[i+1] + k starts at lo[i] + k - shift or earlier
         shift = a + m - b
         if shift:
             nxt[..., :shift] = -np.inf
         np.add(slab[..., m:], entry[..., : width - shift], out=nxt[..., shift:])
         if optional[i]:
+            np.greater(nxt, cur, out=took[i // 2, rows])
             np.maximum(nxt, cur, out=nxt)
-    if not np.isfinite(best[sizes, range(num), np.subtract(widths, 1)]).all():
+    # no later step writes a finished row, so best[sizes[u]] is still there
+    if not np.isfinite(scores[np.remainder(sizes, 2), range(num), np.subtract(widths, 1)]).all():
         raise DataError("infeasible: no legal segmentation")
 
     # Backtrack: ends[u] is where utterance u's next segment (in reverse)
-    # ends; each step records its rows, its element and the segments'
-    # starts within the band.
+    # ends. It starts where entry[:top + 1] first peaks, top = ends[u] -
+    # lo[i] - min_len[i]: at the last rise at or before top.
     ends = [pg.num_frames for pg in pgs]
-    found = []
+    found = []  # (row, element, start) of each segment
     for i in range(num_elements - 1, -1, -1):
-        a, rows = lo[i], range(active[i])
-        if optional[i]:
-            # lo[i + 1] == lo[i]; a tie prefers no silence segment
-            rows = [u for u, end in zip(rows, ends)
-                    if best.item(i, u, end - a) != best.item(i + 1, u, end - a)]
-            if not rows:
-                continue
-        stops = [ends[u] - a - min_len[i] + 1 for u in rows]
-        stop = max(stops)
-        sel = rows[0] if len(rows) == 1 else rows
-        entry = best[i, sel, :stop] - flat[row[i, sel], a : a + stop]
-        if len(rows) > 1:
-            entry[np.arange(stop) >= np.array(stops)[:, None]] = -np.inf
-        # first occurrence: earliest boundary
-        offsets = entry.argmax(axis=-1).reshape(-1).tolist()
+        a, rows, offsets = lo[i], range(active[i]), ()
+        # lo[i + 1] == lo[i] for a silence; a tie leaves it out
+        if optional[i] and len(rows) > 1:
+            rows = [u for u in rows if took.item(i // 2, u, ends[u] - a)]
+        elif optional[i] and not took[i // 2, 0, ends[0] - a]:
+            continue
+        if len(rows) == 1:
+            top = ends[rows[0]] - a - min_len[i]
+            offsets = (top - int(rise[i, rows[0], top::-1].argmax()),)
+        elif rows:
+            tops = np.array([ends[u] - a - min_len[i] for u in rows])
+            top = tops.max()
+            seen = rise[i, rows, top::-1] & (np.arange(top, -1, -1) <= tops[:, None])
+            offsets = (top - seen.argmax(axis=1)).tolist()
         for u, k in zip(rows, offsets):
             ends[u] = a + k
-        found.append((rows, i, offsets))
-    rows = list(chain.from_iterable(rows for rows, _, _ in found))
-    elements = [i for _, i, offsets in found for _ in offsets]
-    offsets = np.fromiter(chain.from_iterable(k for _, _, k in found), np.int64)
-    return (np.take(positions, rows), phone[rows, elements],
-            offsets + np.take(lo, elements))
+            found.append((u, i, a + k))
+    rows, elements, starts = zip(*found)
+    return np.take(positions, rows), phone[rows, elements], np.array(starts)
 
 
 def align(
@@ -241,7 +241,7 @@ def align(
     """Best monotone segmentation of ``phones`` over the posteriorgram.
 
     ``align_utterances`` on this one utterance, as an ``Alignment``: O(E *
-    slack) time and memory, as there.
+    slack) time, and one or two bytes of memory per band cell and element.
     """
     cols = align_utterances([("", pg, phones)], cfg)
     return Alignment(tuple(map(PhoneSegment, cols.phone.tolist(),

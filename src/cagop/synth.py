@@ -54,6 +54,10 @@ MEAN_FRAMES = {
     "AA": 9.0, "AE": 8.5, "AH": 6.5, "B": 4.0, "D": 4.0, "EH": 7.5,
     "IY": 8.0, "K": 4.5, "M": 5.5, "N": 5.0, "S": 6.0, "T": 4.0,
 }
+# Largest tempo SynthConfig accepts. A phone lasts about MEAN_FRAMES x tempo
+# frames, so a tempo of 10 already gives 90-frame vowels, and the frames
+# grow without bound above it (a tempo of 1e12 asks NumPy for petabytes).
+MAX_TEMPO = 10.0
 STOPS = frozenset(("B", "D", "K", "T"))
 VOWELS = frozenset(("AA", "AE", "AH", "EH", "IY"))
 WORDS = {
@@ -113,9 +117,9 @@ class SynthConfig:
             raise DataError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.min_words <= self.max_words:
             raise DataError("need 1 <= min_words <= max_words")
-        if not 0 < self.tempo_low <= self.tempo_high < math.inf:
-            raise DataError("need finite 0 < tempo_low <= tempo_high, got "
-                            f"{self.tempo_low}, {self.tempo_high}")
+        if not 0 < self.tempo_low <= self.tempo_high <= MAX_TEMPO:
+            raise DataError(f"need 0 < tempo_low <= tempo_high <= {MAX_TEMPO}, "
+                            f"got {self.tempo_low}, {self.tempo_high}")
 
 
 @dataclass(frozen=True)

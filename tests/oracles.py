@@ -5,11 +5,13 @@ backward pass and Adam state, the duration rule of the synthetic corpus)
 without being part of the package.
 """
 
+import itertools
 from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from cagop.align import AlignConfig
 from cagop.duration.net import (
     DurationNetConfig,
     DurationNetParams,
@@ -30,6 +32,7 @@ from cagop.model import (
     Alignment,
     DataError,
     NumericError,
+    PhoneSegment,
     Posteriorgram,
     slice_segment,
 )
@@ -43,6 +46,69 @@ def alignment_log_score(pg: Posteriorgram, al: Alignment) -> float:
         rows = slice_segment(pg, seg)
         total += float(np.sum(np.log(np.maximum(rows[:, seg.phone], PROB_FLOOR))))
     return total
+
+
+def segmentations(num_frames: int, phones: Sequence[int], cfg: AlignConfig):
+    """Every legal segmentation, as ``(element, phone, start, length)`` tuples.
+
+    Elements are numbered as the aligner numbers them: with optional
+    silences, element 2j is the silence slot before phone j (2N the one
+    after the last phone) and 2j + 1 is phone j; without, element j is phone
+    j. An empty silence slot has no tuple. Only usable for tiny cases.
+    """
+    silence = cfg.allow_optional_silence
+    mandatory = [(2 * j + 1 if silence else j, p, cfg.min_segment_frames)
+                 for j, p in enumerate(phones)]
+    for mask in itertools.product((0, 1), repeat=(len(phones) + 1) * silence):
+        layout = sorted(mandatory + [(2 * j, cfg.silence_index, 1)
+                                     for j, on in enumerate(mask) if on])
+        for cuts in itertools.combinations(range(1, num_frames), len(layout) - 1):
+            bounds = (0, *cuts, num_frames)
+            lengths = [e - s for s, e in zip(bounds, bounds[1:])]
+            if all(n >= m for n, (_, _, m) in zip(lengths, layout)):
+                yield tuple((i, p, s, n) for (i, p, _), s, n in zip(layout, bounds, lengths))
+
+
+def scored_segmentations(pg: Posteriorgram, phones: Sequence[int], cfg: AlignConfig):
+    """``segmentations`` of ``pg`` with their scores, as (score, segments).
+
+    A score sums the floored log posteriors of each segment's phone over its
+    frames, plus the silence penalty for each frame of an inserted silence.
+    """
+    log_probs = np.log(np.maximum(pg.probs, PROB_FLOOR))
+    penalty = cfg.silence_self_loop_penalty if cfg.allow_optional_silence else 0.0
+    for segments in segmentations(pg.num_frames, phones, cfg):
+        yield sum(log_probs[s : s + n, p].sum() + (0.0 if i % 2 else penalty * n)
+                  for i, p, s, n in segments), segments
+
+
+def brute_force_best(pg: Posteriorgram, phones: Sequence[int], cfg: AlignConfig) -> float:
+    """Best segmentation score, by enumerating every legal segmentation."""
+    return max(score for score, _ in scored_segmentations(pg, phones, cfg))
+
+
+def tie_rule_alignment(pg: Posteriorgram, phones: Sequence[int], cfg: AlignConfig):
+    """The aligner's tie rule by enumeration: (alignment, every optimum).
+
+    Among the segmentations of the best score, the aligner's backtrack
+    decides the elements from the last one back: an optional silence is
+    left out if some optimum leaves it out, and otherwise the segment starts
+    at the earliest frame any remaining optimum allows. That is the least
+    optimum under the key below, read from the last element. Scores are
+    compared with ``==``, so ties are only exact when every log sum is.
+    """
+    options = list(scored_segmentations(pg, phones, cfg))
+    best = max(score for score, _ in options)
+    optima = [segments for score, segments in options if score == best]
+
+    elements = 2 * len(phones) + 1 if cfg.allow_optional_silence else len(phones)
+
+    def key(segments):
+        starts = {i: s for i, _, s, _ in segments}
+        return [(i in starts, starts.get(i, 0)) for i in reversed(range(elements))]
+
+    chosen = min(optima, key=key)
+    return Alignment(tuple(PhoneSegment(p, s, n) for _, p, s, n in chosen)), optima
 
 
 def phone_mean_baseline_mae(

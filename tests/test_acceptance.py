@@ -83,12 +83,12 @@ from cagop.synth import (
 from conftest import fit_on_samples, make_pg, random_pg
 from oracles import (
     alignment_log_score,
+    brute_force_best,
     gradient_check,
     overfit_single,
     phone_mean_baseline_mae,
     rule_duration_corpus,
 )
-from test_align import brute_force_best
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Aligner correctness against exhaustive enumeration plus fixture cases."""
 
 import hashlib
-import itertools
 import math
 import tracemalloc
 
@@ -20,51 +19,7 @@ from cagop.model import CagopError
 from cagop.synth import SynthConfig, generate_corpus
 
 from conftest import make_pg, random_pg
-from oracles import alignment_log_score
-
-
-def brute_force_best(pg, phones, cfg):
-    """Enumerate every legal segmentation and return the best log score.
-
-    Optional silences are enumerated as present/absent slots around each
-    mandatory phone. Only usable for tiny cases.
-    """
-    num_frames = pg.num_frames
-    log_probs = np.log(np.maximum(pg.probs, 1e-10))
-    best = -np.inf
-
-    slots = [(p, cfg.min_segment_frames, False) for p in phones]
-    layouts = [slots]
-    if cfg.allow_optional_silence:
-        layouts = []
-        for mask in itertools.product([0, 1], repeat=len(phones) + 1):
-            layout = []
-            for i, p in enumerate(phones):
-                if mask[i]:
-                    layout.append((cfg.silence_index, 1, True))
-                layout.append((p, cfg.min_segment_frames, False))
-            if mask[-1]:
-                layout.append((cfg.silence_index, 1, True))
-            layouts.append(layout)
-
-    for layout in layouts:
-        k = len(layout)
-        min_total = sum(m for _, m, _ in layout)
-        if min_total > num_frames:
-            continue
-        # compositions of num_frames into k parts respecting minimums
-        for cuts in itertools.combinations(range(1, num_frames), k - 1):
-            bounds = (0,) + cuts + (num_frames,)
-            lengths = [bounds[i + 1] - bounds[i] for i in range(k)]
-            if any(l < m for l, (_, m, _) in zip(lengths, layout)):
-                continue
-            score = 0.0
-            for (phone, _, is_sil), s, e in zip(layout, bounds, bounds[1:]):
-                score += log_probs[s:e, phone].sum()
-                if is_sil:
-                    score += cfg.silence_self_loop_penalty * (e - s)
-            best = max(best, score)
-    return best
+from oracles import alignment_log_score, brute_force_best, tie_rule_alignment
 
 
 def aligned_together(cases, cfg):
@@ -321,8 +276,9 @@ def test_long_form_align_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     # Unbanded (2N+2) x (F+1) tables with a cumulative sum per element peak
-    # at about 90 MiB here, the banded ones at about 33 MiB.
-    assert peak <= 64 * 2**20
+    # at about 90 MiB here, a banded float64 table of every element's scores
+    # at about 33 MiB, and one-byte decision tables at about 7 MiB.
+    assert peak <= 12 * 2**20
 
 
 @pytest.mark.parametrize("cfg", SHORT_CONFIGS)
@@ -346,6 +302,38 @@ def test_aligning_together_matches_aligning_alone(cfg):
     assert len(cases) >= 100
     assert aligned_together(cases, cfg) == [align(pg, phones, cfg)
                                             for pg, phones in cases]
+
+
+# e^(-j/2): NumPy takes their logs exactly, so every log sum below, with the
+# silence penalties of SHORT_CONFIGS, is a multiple of 1/2 and ties are
+# exact in any summation order. Dyadic posteriors would not do: their logs
+# are multiples of a rounded ln 2, whose sums round by order.
+EXACT_PROBS = np.exp(-0.5 * np.arange(3))
+
+
+@pytest.mark.parametrize("cfg", SHORT_CONFIGS)
+def test_ties_break_as_the_enumerated_tie_rule(cfg):
+    # Boundaries, not only scores: on exact ties the aligner must pick the
+    # earliest boundary and leave an optional silence out, alone and when
+    # the cases are chunked together.
+    assert (np.log(EXACT_PROBS) == -0.5 * np.arange(3)).all()
+    rng = np.random.default_rng(17)
+    cases, expected, tied, silence_tied = [], [], 0, 0
+    while len(cases) < 60:
+        frames = int(rng.integers(2, 10))
+        phones = [int(p) for p in rng.integers(1, 3, size=int(rng.integers(1, 4)))]
+        if len(phones) * cfg.min_segment_frames > frames:
+            continue
+        pg = make_pg(EXACT_PROBS[rng.integers(0, 3, size=(frames, 3))])
+        al, optima = tie_rule_alignment(pg, phones, cfg)
+        assert align(pg, phones, cfg) == al
+        cases.append((pg, phones))
+        expected.append(al)
+        tied += len(optima) > 1
+        silence_tied += len({len(segments) for segments in optima}) > 1
+    assert tied >= 20
+    assert silence_tied >= (10 if cfg.allow_optional_silence else 0)
+    assert aligned_together(cases, cfg) == expected
 
 
 def test_align_utterances_reports_the_first_bad_utterance():

@@ -16,6 +16,7 @@ from cagop.formats import (
 )
 from cagop.synth import (
     CLEAR_MASS,
+    MAX_TEMPO,
     MEAN_FRAMES,
     MUMBLE_ALPHA,
     NUM_RATERS,
@@ -161,11 +162,18 @@ def test_draw_helpers_match_numpy_bit_for_bit(seed):
 @pytest.mark.parametrize("low, high", [
     (float("nan"), 1.0), (0.8, float("nan")), (0.8, float("inf")),
     (float("-inf"), 1.0), (0.0, 1.0), (-0.5, 1.0), (-1.0, -0.5),
-    (1.25, 0.8),
+    (1.25, 0.8), (1e12, 1e12), (1.0, 1e12), (1.0, MAX_TEMPO * (1 + 1e-15)),
 ])
 def test_config_rejects_bad_tempo_range(low, high):
     with pytest.raises(DataError, match="tempo"):
         SynthConfig(tempo_low=low, tempo_high=high)
+
+
+def test_config_accepts_the_tempo_cap():
+    cfg = SynthConfig(num_utterances=1, seed=5, tempo_low=MAX_TEMPO, tempo_high=MAX_TEMPO)
+    utt = generate_corpus(cfg).utterances[0]
+    # at least the 2-frame floor, and about MEAN_FRAMES x 10 per phone
+    assert utt.posteriorgram.num_frames >= 20 * len(utt.reference_phones)
 
 
 def test_config_accepts_a_fixed_tempo():
