@@ -29,6 +29,12 @@ from .model import (
 # padded (elements + 1) x utterances x band cells, about one byte each of
 # its decision tables; a larger utterance is a chunk of its own.
 _WINDOW, _CHUNK_CELLS = 64, 1 << 15
+# Pruning: pass 1 guesses the optimum _KAPPA nats a frame under U(0), as
+# paragraphs' optima sit 0.09-0.13 under it and a larger kappa keeps more
+# cells; a window's top goes _REACH cells past its need, so that one scalar
+# test mostly replaces a count along the band; its ends are trimmed, at
+# three NumPy calls, every _TRIM elements, as its bottom rises slowly.
+_KAPPA, _REACH, _TRIM = 0.17, 4, 16
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,14 @@ def align_utterances(
     Utterances are checked in input order as they are taken,
     ``_WINDOW`` at a time; a window is sorted by size and cut into chunks
     whose padded (E+1) x utterances x (slack+1) cells stay within
-    ``_CHUNK_CELLS``, and each dynamic-program step runs once a chunk.
+    ``_CHUNK_CELLS``, and each dynamic-program step runs once a chunk. An
+    utterance over the budget alone drops each band cell whose score plus
+    U(t), every later frame at its best column read, is below L - margin
+    for a lower bound L on the optimum, so no near-best path, and no tie,
+    loses a cell. Pass 1 guesses L = U(0) - kappa F; if its optimum falls
+    short, pass 2 takes that score as L, or the full band if it found no
+    path: at worst one pruned and one full pass. The margin, 1e-6 F (|log
+    PROB_FLOOR| + |penalty|), exceeds the rounding of the F-term sums.
     """
     ids: list[str] = []
     frames: list[int] = []
@@ -169,7 +182,6 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
     np.log(np.maximum(cums, PROB_FLOOR, out=cums), out=cums)
     if silence:
         cums[:, -1, 1:] = cums[:, cfg.silence_index, 1:] + cfg.silence_self_loop_penalty
-    np.cumsum(cums, axis=2, out=cums)
     flat = cums.reshape(-1, length)
     # phone[u, i]: element i's phone; row[i, u]: its row of ``flat``
     phone = np.full((num, num_elements), cfg.silence_index if silence else 0)
@@ -177,35 +189,87 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
         phone[u, silence :: 1 + silence][: len(phones)] = phones
     row = np.where(optional, columns, phone) + np.arange(num)[:, None] * (columns + silence)
     row = row.T.copy()
+    pruned = num == 1 and (num_elements + 1) * width > _CHUNK_CELLS
+    if pruned:
+        # bound[t] = U(t), the most frames [t, F) can add to a path's score:
+        # each at its best column the DP reads (found by a loop, as np.unique
+        # or a gathered copy each left peak RSS about 0.5 MiB higher)
+        peak = flat[row[0, 0]].copy()
+        for r in set(row.flat):
+            np.fmax(peak, flat[r], out=peak)
+        bound = np.zeros(length)
+        np.cumsum(peak[:0:-1], out=bound[-2::-1])
+    np.cumsum(cums, axis=2, out=cums)
 
-    # scores[i % 2] is best[i] while element i is taken; scores[2] is scratch.
-    # rise[i, u, k]: element i's running maximum of entry scores rises at k
-    # (k = 0 counts); took[i // 2, u, k]: silence i lifts best[i + 1] there.
-    scores = np.full((3, num, width), -np.inf)
-    scores[0, :, 0] = 0.0
-    rise = np.ones((num_elements, num, width), bool)
-    took = np.empty((sum(optional), num, width), bool)
-    for i in range(num_elements):
-        n, a, b, m = active[i], lo[i], lo[i + 1], min_len[i]
-        # A lone row is taken as 1-D, whose cumulative sums are a view and
-        # whose ufunc calls cost less; more rows gather their sums.
-        rows = 0 if n == 1 else slice(0, n)
-        cur, nxt, entry = scores[i % 2, rows], scores[1 - i % 2, rows], scores[2, rows]
-        # one slab feeds both the entry scores and the segment scores
-        slab = flat[row[i, rows], a : b + width]
-        np.subtract(cur, slab[..., :width], out=entry)
-        np.maximum.accumulate(entry, axis=-1, out=entry)
-        np.greater(entry[..., 1:], entry[..., :-1], out=rise[i, rows, 1:])
-        # a segment ending at lo[i+1] + k starts at lo[i] + k - shift or earlier
-        shift = a + m - b
-        if shift:
-            nxt[..., :shift] = -np.inf
-        np.add(slab[..., m:], entry[..., : width - shift], out=nxt[..., shift:])
-        if optional[i]:
-            np.greater(nxt, cur, out=took[i // 2, rows])
-            np.maximum(nxt, cur, out=nxt)
-    # no later step writes a finished row, so best[sizes[u]] is still there
-    if not np.isfinite(scores[np.remainder(sizes, 2), range(num), np.subtract(widths, 1)]).all():
+    def forward(thr):
+        """rise, took and final scores; a cell under ``thr`` may be dropped."""
+        # scores[i % 2] is best[i] while element i is taken; scores[2] is
+        # scratch. rise[i, u, k]: element i's running maximum of entry scores
+        # rises at k (k = 0 counts); took[i // 2, u, k]: silence i lifts
+        # best[i + 1] there.
+        scores = np.full((3, num, width), -np.inf)
+        scores[0, :, 0] = 0.0
+        rise = np.ones((num_elements, num, width), bool)
+        took = np.empty((sum(optional), num, width), bool)
+        # best[i] is -inf outside band cells [w0, w1)
+        w0, w1 = 0, width if thr is None else 1
+        for i in range(num_elements):
+            n, a, b, m = active[i], lo[i], lo[i + 1], min_len[i]
+            # A lone row is taken as 1-D, whose cumulative sums are a view and
+            # whose ufunc calls cost less; more rows gather their sums.
+            rows = 0 if n == 1 else slice(0, n)
+            cur, nxt, entry = scores[i % 2, rows], scores[1 - i % 2, rows], scores[2, rows]
+            # one slab feeds both the entry scores and the segment scores
+            slab = flat[row[i, rows], a : b + width]
+            run = entry[..., w0:w1]
+            np.subtract(cur[..., w0:w1], slab[..., w0:w1], out=run)
+            np.fmax.accumulate(run, axis=-1, out=run)
+            # a segment ending at lo[i+1] + k starts at lo[i] + k - shift or
+            # earlier. Pruned, best[i + 1][k] is high + cums for k >= w1, and
+            # cums[c, t] + U(t) never rises with t: best[i + 1] keeps
+            # [w0, top), where the cell at top fails the test.
+            shift, top = a + m - b, width
+            if thr is not None:
+                high, c = entry.item(w1 - 1), row[i, 0]
+                top = min(width, w1 + shift + _REACH)
+                if top < width and flat.item(c, b + top) + bound.item(b + top) >= thr - high:
+                    tail = flat[c, b + top : b + width] + bound[b + top : b + width]
+                    top += int(np.count_nonzero(tail >= thr - high))
+                entry[w1 : top - shift] = high
+                if shift:
+                    cur[w1:top] = -np.inf
+            end = max(w1, top - shift)
+            np.greater(entry[..., w0 + 1 : end], entry[..., w0 : end - 1],
+                       out=rise[i, rows, w0 + 1 : end])
+            if shift:
+                nxt[..., w0] = -np.inf
+            np.add(slab[..., w0 + m : top + m - shift], entry[..., w0 : top - shift],
+                   out=nxt[..., w0 + shift : top])
+            if optional[i]:
+                held, taken = cur[..., w0:top], nxt[..., w0:top]
+                np.greater(taken, held, out=took[i // 2, rows, w0:top])
+                np.maximum(taken, held, out=taken)
+            w1 = top
+            if thr is not None and i % _TRIM == _TRIM - 1:
+                kept = np.flatnonzero(nxt[w0:w1] + bound[b + w0 : b + w1] >= thr)
+                if not kept.size:
+                    return rise, took, [-np.inf]
+                w0, w1 = w0 + int(kept[0]), w0 + int(kept[-1]) + 1
+        # no later step writes a finished row, so best[sizes[u]] is still there
+        finals = scores[np.remainder(sizes, 2), range(num), np.subtract(widths, 1)]
+        return rise, took, finals if w1 == width else [-np.inf]
+
+    if pruned:
+        frames = pgs[0].num_frames
+        margin = 1e-6 * frames * (-math.log(PROB_FLOOR) + abs(cfg.silence_self_loop_penalty))
+        lower = bound[0] - _KAPPA * frames
+        rise, took, finals = forward(lower - margin)
+        if not finals[0] >= lower:
+            del rise, took
+            rise, took, finals = forward(finals[0] - margin if finals[0] > -np.inf else None)
+    else:
+        rise, took, finals = forward(None)
+    if not np.isfinite(finals).all():
         raise DataError("infeasible: no legal segmentation")
 
     # Backtrack: ends[u] is where utterance u's next segment (in reverse)
@@ -242,6 +306,7 @@ def align(
 
     ``align_utterances`` on this one utterance, as an ``Alignment``: O(E *
     slack) time, and one or two bytes of memory per band cell and element.
+    A long utterance runs on a pruned band with the full band's segments.
     """
     cols = align_utterances([("", pg, phones)], cfg)
     return Alignment(tuple(map(PhoneSegment, cols.phone.tolist(),

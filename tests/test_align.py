@@ -1,6 +1,7 @@
 """Aligner correctness against exhaustive enumeration plus fixture cases."""
 
 import hashlib
+import importlib
 import math
 import tracemalloc
 
@@ -239,16 +240,23 @@ def alignment_digest(utterances, cfg):
 
 
 def test_long_form_alignments_are_pinned():
-    # Two 180-word paragraphs (about 540 phones, 3,200-3,300 frames each).
-    # The digest was recorded with the unbanded (2N+2) x (F+1) dynamic
-    # program, so it pins that the band drops no reachable cell.
+    # Two 180-word paragraphs (about 540 phones, 3,200-3,300 frames each),
+    # under each config. The first digest was recorded with the unbanded
+    # (2N+2) x (F+1) dynamic program, so it pins that the band drops no
+    # reachable cell; all four were recorded with every band cell computed,
+    # so they pin that the pruned band, which these paragraphs take, drops
+    # no cell the backtrack reads.
     paragraphs = [
         generate_corpus(SynthConfig(num_utterances=1, seed=seed, min_words=180,
                                     max_words=180)).utterances[0]
         for seed in (11, 12)
     ]
-    assert alignment_digest(paragraphs, SILENCE_AT_TWO) == (
-        "239997c85696c6ff5ba460b19911918cab3536427c058a39f66d2634dcdf2c94")
+    assert [alignment_digest(paragraphs, cfg) for cfg in SHORT_CONFIGS] == [
+        "239997c85696c6ff5ba460b19911918cab3536427c058a39f66d2634dcdf2c94",
+        "e627ec3cafd2020f218871203b909b6a45d3a1bb5886624fe711c5c443ba7e6b",
+        "31d015c118af020ef4bde46db1b24baf0f424133e3e96750b64a26fde45a4abd",
+        "fb2510cd553119eb28b1c93344e1cbe541ec222b364b312311f94a74910edaeb",
+    ]
 
 
 def test_short_alignments_are_pinned():
@@ -311,29 +319,77 @@ def test_aligning_together_matches_aligning_alone(cfg):
 EXACT_PROBS = np.exp(-0.5 * np.arange(3))
 
 
-@pytest.mark.parametrize("cfg", SHORT_CONFIGS)
-def test_ties_break_as_the_enumerated_tie_rule(cfg):
-    # Boundaries, not only scores: on exact ties the aligner must pick the
-    # earliest boundary and leave an optional silence out, alone and when
-    # the cases are chunked together.
-    assert (np.log(EXACT_PROBS) == -0.5 * np.arange(3)).all()
+def exact_tie_cases(cfg):
+    """60 tiny (pg, phones, tie-rule alignment, optima) cases of EXACT_PROBS."""
     rng = np.random.default_rng(17)
-    cases, expected, tied, silence_tied = [], [], 0, 0
+    cases = []
     while len(cases) < 60:
         frames = int(rng.integers(2, 10))
         phones = [int(p) for p in rng.integers(1, 3, size=int(rng.integers(1, 4)))]
         if len(phones) * cfg.min_segment_frames > frames:
             continue
         pg = make_pg(EXACT_PROBS[rng.integers(0, 3, size=(frames, 3))])
-        al, optima = tie_rule_alignment(pg, phones, cfg)
+        cases.append((pg, phones, *tie_rule_alignment(pg, phones, cfg)))
+    return cases
+
+
+@pytest.mark.parametrize("cfg", SHORT_CONFIGS)
+def test_ties_break_as_the_enumerated_tie_rule(cfg):
+    # Boundaries, not only scores: on exact ties the aligner must pick the
+    # earliest boundary and leave an optional silence out, alone and when
+    # the cases are chunked together.
+    assert (np.log(EXACT_PROBS) == -0.5 * np.arange(3)).all()
+    cases = exact_tie_cases(cfg)
+    for pg, phones, al, _ in cases:
         assert align(pg, phones, cfg) == al
-        cases.append((pg, phones))
-        expected.append(al)
-        tied += len(optima) > 1
-        silence_tied += len({len(segments) for segments in optima}) > 1
-    assert tied >= 20
-    assert silence_tied >= (10 if cfg.allow_optional_silence else 0)
-    assert aligned_together(cases, cfg) == expected
+    assert sum(len(optima) > 1 for *_, optima in cases) >= 20
+    assert sum(len({len(segments) for segments in optima}) > 1
+               for *_, optima in cases) >= (10 if cfg.allow_optional_silence else 0)
+    assert aligned_together([case[:2] for case in cases], cfg) == [case[2] for case in cases]
+
+
+ALIGN_MODULE = importlib.import_module("cagop.align")
+
+
+# (kappa, reach, trim period): the default kappa with a window top found
+# by search every time and a trim after every element; kappa 0, so that
+# pass 1 takes L = U(0) and seldom proves it, and the chunk runs again; a
+# kappa so large that pass 1 drops no cell. Over the four configs, each row
+# aligns 640 cases; when written, kappa 0 sent 435 (trim 1) and 214 (trim
+# 16) of them to a full pass 2 and 30 and 251 to a pruned one.
+@pytest.mark.parametrize("kappa, reach, trim", [
+    (ALIGN_MODULE._KAPPA, 0, 1), (0.0, ALIGN_MODULE._REACH, 1),
+    (0.0, ALIGN_MODULE._REACH, ALIGN_MODULE._TRIM), (1e9, 0, 1)])
+@pytest.mark.parametrize("cfg", SHORT_CONFIGS)
+def test_pruned_band_changes_no_segment(monkeypatch, cfg, kappa, reach, trim):
+    rng = np.random.default_rng(23)
+    random_cases = []
+    while len(random_cases) < 40:
+        frames, n_ref = int(rng.integers(3, 11)), int(rng.integers(1, 4))
+        if n_ref * cfg.min_segment_frames <= frames:
+            random_cases.append((random_pg(rng, frames, 3),
+                                 [int(p) for p in rng.integers(1, 3, size=n_ref)]))
+    for k in range(20):
+        phones = [int(p) for p in rng.integers(1, 13, size=8 + k % 8)]
+        frames = len(phones) * cfg.min_segment_frames + int(rng.integers(0, 40))
+        random_cases.append((random_pg(rng, frames, 13), phones))
+    # references from the full band, before the budget is patched
+    unpruned = [align(pg, phones, cfg) for pg, phones in random_cases]
+    tie_cases = exact_tie_cases(cfg)
+    # A budget of one cell puts every utterance on the pruned path.
+    monkeypatch.setattr(ALIGN_MODULE, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(ALIGN_MODULE, "_KAPPA", kappa)
+    monkeypatch.setattr(ALIGN_MODULE, "_REACH", reach)
+    monkeypatch.setattr(ALIGN_MODULE, "_TRIM", trim)
+    for pg, phones, al, _ in tie_cases:
+        assert align(pg, phones, cfg) == al
+    for (pg, phones), al in zip(random_cases, unpruned):
+        assert align(pg, phones, cfg) == al
+    for pg, phones in random_cases[:40]:
+        got = penalized_log_score(pg, align(pg, phones, cfg), cfg)
+        assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
+    assert aligned_together([case[:2] for case in tie_cases], cfg) == [
+        case[2] for case in tie_cases]
 
 
 def test_align_utterances_reports_the_first_bad_utterance():
