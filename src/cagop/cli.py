@@ -62,6 +62,9 @@ from .formats import (  # noqa: F401
     write_balance_table,
     write_checkpoint,
     write_ctm,
+    write_duration_predictions,
+    write_entropy_profile,
+    write_evaluation,
     write_score_file,
     write_thresholds,
     write_training_log,
@@ -279,15 +282,7 @@ def _cmd_predict_dur(args) -> int:
     segments = _speech_segments(
         read_ctm_columns(args.ctm, phone_set).non_silence(phone_set))
     predicted = _predict_durations(args.checkpoint, segments).tolist()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("utt\tpos\tphone\taligned\tpredicted\n")
-        rows = zip(segments.phone.tolist(), segments.length.tolist(), predicted)
-        for utt_id, n in zip(segments.utterance_ids, segments.counts.tolist()):
-            for pos, (phone, length, pred) in zip(range(n), rows):
-                fh.write(
-                    f"{utt_id}\t{pos}\t{phone_set.label(phone)}"
-                    f"\t{length}\t{repr(pred)}\n"
-                )
+    write_duration_predictions(args.out, segments, predicted, phone_set)
     print(f"wrote duration predictions -> {args.out}")
     return EXIT_OK
 
@@ -376,9 +371,7 @@ def _cmd_evaluate(args) -> int:
         lines.append(("sentence_pearson", pearson_mean))
         lines.append(("sentence_spearman", spearman_mean))
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for name, value in lines:
-            fh.write(f"{name}\t{repr(float(value))}\n")
+    write_evaluation(args.out, lines)
     summary = " ".join(f"{n}={float(v):.4f}" for n, v in lines[:2])
     print(f"{summary}, sentence correlation over {used} of "
           f"{raters} raters -> {args.out}")
@@ -391,13 +384,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_entropy_dump(args) -> int:
-    entropies = entropy_profile(
-        normalize_posteriors(read_posteriorgram(args.posteriors)))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("frame,entropy\n")
-        for i, value in enumerate(entropies):
-            fh.write(f"{i},{repr(float(value))}\n")
-    print(f"wrote {entropies.size} frame entropies -> {args.out}")
+    pg = read_posteriorgram(args.posteriors)
+    try:
+        normalize_posteriors(pg)
+    except DataError as exc:
+        raise DataError(f"{args.posteriors}: {exc}") from None
+    write_entropy_profile(args.out, entropy_profile(pg).tolist())
+    print(f"wrote {pg.num_frames} frame entropies -> {args.out}")
     return EXIT_OK
 
 

@@ -64,14 +64,14 @@ def full_config(seed: int = 0) -> DurationNetConfig:
     return DurationNetConfig(seed=seed)
 
 
-def desk_config(seed: int = 0, dropout_rate: float = 0.1) -> DurationNetConfig:
+def desk_config(seed: int = 0) -> DurationNetConfig:
     """Scaled-down configuration for laptop-scale experiments and tests."""
     return DurationNetConfig(
         embed_dim=64,
         num_blocks=2,
         num_heads=4,
         ffn_dim=256,
-        dropout_rate=dropout_rate,
+        dropout_rate=0.1,
         max_seq_len=100,
         lr_scale=1.0,
         warmup_steps=400,
@@ -304,7 +304,7 @@ def attention(
     v: np.ndarray,
     log_sigma: np.ndarray,
     mask: np.ndarray,
-    out: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    out: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention over zero-padded heads.
 
@@ -312,15 +312,12 @@ def attention(
     at real tokens. Head h adds the local Gaussian bias -(j-k)^2 / sigma_h^2
     to its scores, and padded keys get exactly zero weight. Returns the
     attention weights (B, H, T, T) and the context (B, H, T, d_h), written
-    into ``out`` = (weights, context) when it is given.
+    into ``out`` = (weights, context).
     """
     sigma = np.exp(log_sigma)
     bias = -_squared_offsets(mask.shape[1])[None] / (sigma ** 2)[:, None, None]
     key_bias = np.where(mask, 0.0, MASK_NEG)[:, None, None, :]
     scale = 1.0 / np.sqrt(q.shape[-1])
-    if out is None:
-        b, h, t, _ = q.shape
-        out = np.empty((b, h, t, t)), np.empty(q.shape)
     probs, context = out
     np.matmul(q, k.transpose(0, 1, 3, 2), out=probs)
     probs *= scale

@@ -1,5 +1,10 @@
 """File formats: posteriorgrams, alignments, annotations, tables, checkpoints.
 
+Every output file is written here, through ``_write``, the one write-mode
+open. A text file is built in full (UTF-8, a newline after every line), then
+written in one call, so a writer that rejects a row leaves the old file;
+a checkpoint streams one tensor at a time, never a whole-file copy.
+
 Text formats render floats with repr(), which round-trips float64 exactly,
 so write-then-read is equality-preserving everywhere. The two binary
 formats (posteriorgram, duration-net checkpoint) are little-endian with
@@ -21,7 +26,7 @@ from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import chain, compress, count, starmap
 from operator import ne
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +62,23 @@ NO_PHONE_LABEL = "-"
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write(path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` in order, replacing what it held."""
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
+
+
+def _write_text(path, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ending in a newline, built before the open."""
+    _write(path, ["".join(lines).encode("utf-8")])
+
+
+def _row_ids(cols: SegmentColumns) -> list[str]:
+    """The utterance id of each row of ``cols``."""
+    return [u for u, n in zip(cols.utterance_ids, cols.counts.tolist())
+            for _ in range(n)]
 
 
 def _read_bytes(path) -> bytes:
@@ -238,11 +260,8 @@ def _build(make, path, **kwargs):
 # posteriorgrams
 
 def write_posteriorgram_binary(path, pg: Posteriorgram) -> None:
-    body = pg.probs.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(PGM_MAGIC)
-        fh.write(_PGM_HEADER.pack(pg.num_frames, pg.num_phones, pg.frame_shift_ms))
-        fh.write(body)
+    header = _PGM_HEADER.pack(pg.num_frames, pg.num_phones, pg.frame_shift_ms)
+    _write(path, [PGM_MAGIC, header, pg.probs.astype("<f4").tobytes()])
 
 
 def read_posteriorgram_binary(path) -> Posteriorgram:
@@ -280,13 +299,15 @@ def read_posteriorgram(path) -> Posteriorgram:
 def write_posteriorgram_text(path, pg: Posteriorgram) -> None:
     # Values pass through float32 so the text twin matches the binary form.
     narrowed = pg.probs.astype(np.float32).astype(np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"frames={pg.num_frames} phones={pg.num_phones} "
-            f"shift_ms={_fmt(pg.frame_shift_ms)}\n"
-        )
-        for row in narrowed:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    _write_text(path, [f"frames={pg.num_frames} phones={pg.num_phones} "
+                       f"shift_ms={_fmt(pg.frame_shift_ms)}\n",
+                       *(" ".join(map(_fmt, row)) + "\n" for row in narrowed)])
+
+
+def write_entropy_profile(path, entropies: Iterable[float]) -> None:
+    """Write a frame,entropy header, then one such row per frame."""
+    _write_text(path, ["frame,entropy\n", *map(
+        "{},{}\n".format, count(), map(_fmt, entropies))])
 
 
 def read_posteriorgram_text(path) -> Posteriorgram:
@@ -316,11 +337,10 @@ def read_posteriorgram_text(path) -> Posteriorgram:
 # phone sets and lexicons
 
 def write_phone_set(path, phone_set: PhoneSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for label in phone_set.phones:
-            fh.write(label + "\n")
-        if phone_set.silence_index is not None:
-            fh.write(f"#silence={phone_set.label(phone_set.silence_index)}\n")
+    lines = [label + "\n" for label in phone_set.phones]
+    if phone_set.silence_index is not None:
+        lines.append(f"#silence={phone_set.label(phone_set.silence_index)}\n")
+    _write_text(path, lines)
 
 
 def read_phone_set(path) -> PhoneSet:
@@ -350,9 +370,13 @@ def read_phone_set(path) -> PhoneSet:
 
 
 def write_lexicon(path, lexicon: Mapping[str, tuple[str, ...]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, phones in lexicon.items():
-            fh.write(word + "\t" + " ".join(phones) + "\n")
+    _write_text(path, (word + "\t" + " ".join(phones) + "\n"
+                       for word, phones in lexicon.items()))
+
+
+def write_text_manifest(path, rows: Iterable[tuple[str, str]]) -> None:
+    """Write text.tsv: one utt_id<TAB>words line per (utt_id, words) row."""
+    _write_text(path, (f"{utt_id}\t{words}\n" for utt_id, words in rows))
 
 
 def read_lexicon(path, phone_set: PhoneSet) -> dict[str, tuple[str, ...]]:
@@ -381,11 +405,6 @@ def read_text_manifest_rows(path) -> list[tuple[int, str, str]]:
     return list(zip(numbers, ids, rows[1::2]))
 
 
-def read_text_manifest(path) -> list[tuple[str, str]]:
-    """Parse text.tsv lines utt_id<TAB>words."""
-    return [(utt_id, text) for _, utt_id, text in read_text_manifest_rows(path)]
-
-
 def text_to_phones(
     text: str,
     lexicon: Mapping[str, tuple[str, ...]],
@@ -407,19 +426,10 @@ def text_to_phones(
 # ---------------------------------------------------------------------------
 # alignments (CTM-like)
 
-def write_ctm(
-    path,
-    entries: SegmentColumns | Sequence[tuple[str, Alignment]],
-    phone_set: PhoneSet,
-) -> None:
-    """Write segment columns, or (utt_id, Alignment) pairs, one row each."""
-    cols = (entries if isinstance(entries, SegmentColumns)
-            else SegmentColumns.from_alignments(entries))
-    labels = list(map(phone_set.label, cols.phone.tolist()))
-    utts = [u for u, n in zip(cols.utterance_ids, cols.counts.tolist())
-            for _ in range(n)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map("{}\t{}\t{}\t{}\n".format, utts, labels,
+def write_ctm(path, cols: SegmentColumns, phone_set: PhoneSet) -> None:
+    """Write segment columns, one row each."""
+    _write_text(path, map("{}\t{}\t{}\t{}\n".format, _row_ids(cols),
+                          map(phone_set.label, cols.phone.tolist()),
                           cols.start.tolist(), cols.length.tolist()))
 
 
@@ -492,13 +502,11 @@ class AnnotationSet:
 
 
 def write_annotations(path, a: AnnotationSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for utt_id, pos, wrong in zip(a.label_utt_ids, a.positions,
-                                      a.mispronounced):
-            fh.write(f"P\t{utt_id}\t{pos}\t{int(wrong)}\n")
-        for utt_id, rater, score in zip(a.rating_utt_ids, a.rater_ids,
-                                        a.ratings):
-            fh.write(f"S\t{utt_id}\t{rater}\t{_fmt(score)}\n")
+    _write_text(path, chain(
+        map("P\t{}\t{}\t{}\n".format, a.label_utt_ids, a.positions,
+            map(int, a.mispronounced)),
+        map("S\t{}\t{}\t{}\n".format, a.rating_utt_ids, a.rater_ids,
+            map(_fmt, a.ratings))))
 
 
 def read_annotations(path) -> AnnotationSet:
@@ -532,24 +540,15 @@ def read_annotations(path) -> AnnotationSet:
 
 def write_balance_table(path, table: BalanceTable, phone_set: PhoneSet) -> None:
     lo, hi = table.bucket_range
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"bucket_width={_fmt(table.bucket_width)} "
-            f"bucket_min={lo} bucket_max={hi}\n"
-        )
-        for (phone, bucket) in sorted(table.entries):
-            fh.write(
-                f"{phone_set.label(phone)}\t{bucket}"
-                f"\t{_fmt(table.entries[(phone, bucket)])}\n"
-            )
-        for phone in sorted(table.phone_backoff):
-            fh.write(
-                f"{phone_set.label(phone)}\t{PHONE_LEVEL_LABEL}"
-                f"\t{_fmt(table.phone_backoff[phone])}\n"
-            )
-        fh.write(
-            f"{NO_PHONE_LABEL}\t{GLOBAL_LABEL}\t{_fmt(table.global_backoff)}\n"
-        )
+    _write_text(path, [
+        f"bucket_width={_fmt(table.bucket_width)} "
+        f"bucket_min={lo} bucket_max={hi}\n",
+        *(f"{phone_set.label(phone)}\t{bucket}\t{_fmt(value)}\n"
+          for (phone, bucket), value in sorted(table.entries.items())),
+        *(f"{phone_set.label(phone)}\t{PHONE_LEVEL_LABEL}\t{_fmt(value)}\n"
+          for phone, value in sorted(table.phone_backoff.items())),
+        f"{NO_PHONE_LABEL}\t{GLOBAL_LABEL}\t{_fmt(table.global_backoff)}\n",
+    ])
 
 
 def read_balance_table(path, phone_set: PhoneSet) -> BalanceTable:
@@ -585,13 +584,11 @@ def read_balance_table(path, phone_set: PhoneSet) -> BalanceTable:
 
 
 def write_thresholds(path, table: ThresholdTable, phone_set: PhoneSet) -> None:
-    for phone in table.per_phone:
-        if phone_set.label(phone) == GLOBAL_LABEL:
-            raise DataError("phone label GLOBAL collides with the global row")
-    with open(path, "w", encoding="utf-8") as fh:
-        for phone in sorted(table.per_phone):
-            fh.write(f"{phone_set.label(phone)}\t{_fmt(table.per_phone[phone])}\n")
-        fh.write(f"{GLOBAL_LABEL}\t{_fmt(table.global_threshold)}\n")
+    if GLOBAL_LABEL in map(phone_set.label, table.per_phone):
+        raise DataError("phone label GLOBAL collides with the global row")
+    _write_text(path, [*(f"{phone_set.label(phone)}\t{_fmt(value)}\n"
+                         for phone, value in sorted(table.per_phone.items())),
+                       f"{GLOBAL_LABEL}\t{_fmt(table.global_threshold)}\n"])
 
 
 def read_thresholds(path, phone_set: PhoneSet) -> ThresholdTable:
@@ -618,13 +615,12 @@ def read_thresholds(path, phone_set: PhoneSet) -> ThresholdTable:
 def write_checkpoint(
     path, params: DurationNetParams, cfg: DurationNetConfig
 ) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        # the header holds the config fields in declaration order
-        fh.write(_CKPT_HEADER.pack(*astuple(cfg), params.num_phones))
-        for _, tensor in iter_tensors(params):
-            fh.write(_framing(tensor.shape))
-            fh.write(tensor.astype("<f8").tobytes())
+    # The header holds the config fields in declaration order. It is packed
+    # before the file opens; each tensor is copied only as it is written.
+    header = CKPT_MAGIC + _CKPT_HEADER.pack(*astuple(cfg), params.num_phones)
+    _write(path, chain([header], chain.from_iterable(
+        (_framing(tensor.shape), tensor.astype("<f8").tobytes())
+        for _, tensor in iter_tensors(params))))
 
 
 def _framing(shape: tuple[int, ...]) -> bytes:
@@ -677,10 +673,21 @@ def read_checkpoint(path) -> tuple[DurationNetParams, DurationNetConfig]:
 
 
 def write_training_log(path, log: Sequence[TrainLogEntry]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch\ttrain_loss\tval_mae\n")
-        for e in log:
-            fh.write(f"{e.epoch}\t{_fmt(e.train_loss)}\t{_fmt(e.val_mae)}\n")
+    _write_text(path, ["epoch\ttrain_loss\tval_mae\n", *(
+        f"{e.epoch}\t{_fmt(e.train_loss)}\t{_fmt(e.val_mae)}\n" for e in log)])
+
+
+def write_duration_predictions(
+    path, segments: SegmentColumns, predicted: Sequence[float],
+    phone_set: PhoneSet,
+) -> None:
+    """Write a header, then each segment's utterance, position in it, phone,
+    aligned and predicted frames."""
+    rows = map("{}\t{}\t{}\t{}\t{}\n".format, _row_ids(segments),
+               [pos for n in segments.counts.tolist() for pos in range(n)],
+               map(phone_set.label, segments.phone.tolist()),
+               segments.length.tolist(), map(_fmt, predicted))
+    _write_text(path, ["utt\tpos\tphone\taligned\tpredicted\n", *rows])
 
 
 def read_training_log(path) -> list[TrainLogEntry]:
@@ -719,19 +726,19 @@ class ScoreFile:
 
 
 def write_score_file(path, scores: ScoreFile, phone_set: PhoneSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#variant={scores.variant}\n")
-        for utt_id, pos, phone, start, length, score, flag in zip(
-            scores.utt_ids, scores.positions, scores.phones, scores.starts,
-            scores.lengths, scores.scores, scores.flags,
-        ):
-            flag = "" if flag is None else f"\t{int(flag)}"
-            fh.write(
-                f"P\t{utt_id}\t{pos}\t{phone_set.label(phone)}"
-                f"\t{start}\t{length}\t{_fmt(score)}{flag}\n"
-            )
-        for utt_id, score in scores.sentences:
-            fh.write(f"S\t{utt_id}\t{_fmt(score)}\n")
+    flags = ("" if flag is None else f"\t{int(flag)}" for flag in scores.flags)
+    phone_rows = map("P\t{}\t{}\t{}\t{}\t{}\t{}{}\n".format, scores.utt_ids,
+                     scores.positions, map(phone_set.label, scores.phones),
+                     scores.starts, scores.lengths, map(_fmt, scores.scores),
+                     flags)
+    sentences = (f"S\t{utt_id}\t{_fmt(score)}\n"
+                 for utt_id, score in scores.sentences)
+    _write_text(path, [f"#variant={scores.variant}\n", *phone_rows, *sentences])
+
+
+def write_evaluation(path, metrics: Iterable[tuple[str, float]]) -> None:
+    """Write eval.tsv: one name<TAB>value line per metric."""
+    _write_text(path, (f"{name}\t{_fmt(value)}\n" for name, value in metrics))
 
 
 def read_score_file(path, phone_set: PhoneSet) -> ScoreFile:

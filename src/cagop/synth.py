@@ -17,7 +17,6 @@ normalization and blur.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from .formats import (
     write_lexicon,
     write_phone_set,
     write_posteriorgram_binary,
+    write_text_manifest,
 )
 from .model import (
     Alignment,
@@ -37,6 +37,7 @@ from .model import (
     PhoneSegment,
     PhoneSet,
     Posteriorgram,
+    SegmentColumns,
 )
 
 SILENCE_LABEL = "SIL"
@@ -363,12 +364,12 @@ def write_corpus(directory, corpus: SynthCorpus) -> None:
     (root / "post").mkdir(exist_ok=True)
     write_phone_set(root / "phones.txt", corpus.phone_set)
     write_lexicon(root / "lexicon.txt", corpus.lexicon)
-    with open(root / "text.tsv", "w", encoding="utf-8") as fh:
-        for utt in corpus.utterances:
-            fh.write(f"{utt.utt_id}\t{utt.text}\n")
+    write_text_manifest(root / "text.tsv",
+                        [(u.utt_id, u.text) for u in corpus.utterances])
     write_ctm(
         root / "reference.ctm",
-        [(u.utt_id, u.alignment) for u in corpus.utterances],
+        SegmentColumns.from_alignments(
+            (u.utt_id, u.alignment) for u in corpus.utterances),
         corpus.phone_set,
     )
     write_annotations(root / "annotations.tsv", corpus.annotations())

@@ -475,7 +475,8 @@ def _roundtrip_tables(rng, tmp_path, ps) -> int:
             (f"u{j}", _random_alignment(rng, len(ps)))
             for j in range(int(rng.integers(1, 4)))
         ]
-        write_ctm(tmp_path / "a.ctm", entries, ps)
+        write_ctm(tmp_path / "a.ctm", SegmentColumns.from_alignments(entries),
+                  ps)
         assert read_ctm(tmp_path / "a.ctm", ps) == entries
 
         # annotations

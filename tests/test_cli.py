@@ -18,6 +18,7 @@ import cagop
 
 from cagop import (
     Alignment, FormatError, PhoneSegment, PhoneSet, Posteriorgram,
+    SegmentColumns,
 )
 from cagop.cli import main
 from cagop.formats import (
@@ -30,7 +31,7 @@ from cagop.formats import (
     read_phone_set,
     read_posteriorgram,
     read_score_file,
-    read_text_manifest,
+    read_text_manifest_rows,
     read_thresholds,
     read_training_log,
     write_ctm,
@@ -186,8 +187,7 @@ def _corpus_copy(pipeline, tmp_path):
 def test_bad_utterance_late_in_manifest_leaves_no_ctm(pipeline, tmp_path,
                                                        capsys):
     corpus = _corpus_copy(pipeline, tmp_path)
-    manifest = read_text_manifest(corpus / "text.tsv")
-    late = manifest[-3][0]
+    late = read_text_manifest_rows(corpus / "text.tsv")[-3][1]
     pgm = corpus / "post" / f"{late}.pgm"
     write_posteriorgram_binary(pgm, Posteriorgram(
         read_posteriorgram(pgm).probs[:3]))
@@ -200,7 +200,7 @@ def test_bad_utterance_late_in_manifest_leaves_no_ctm(pipeline, tmp_path,
 def test_posteriorgram_error_names_file_and_utterance(pipeline, tmp_path,
                                                       capsys):
     corpus = _corpus_copy(pipeline, tmp_path)
-    bad = read_text_manifest(corpus / "text.tsv")[17][0]
+    bad = read_text_manifest_rows(corpus / "text.tsv")[17][1]
     pgm = corpus / "post" / f"{bad}.pgm"
     probs = read_posteriorgram(pgm).probs.copy()
     probs[3, 0] = math.nan
@@ -361,15 +361,14 @@ def test_synth_corpus_is_byte_deterministic(tmp_path):
                  "reference.ctm", "annotations.tsv"):
         assert (tmp_path / "one" / name).read_bytes() == \
             (tmp_path / "two" / name).read_bytes(), name
-    manifest = read_text_manifest(tmp_path / "one" / "text.tsv")
-    utt = manifest[0][0]
+    utt = read_text_manifest_rows(tmp_path / "one" / "text.tsv")[0][1]
     assert (tmp_path / "one" / "post" / f"{utt}.pgm").read_bytes() == \
         (tmp_path / "two" / "post" / f"{utt}.pgm").read_bytes()
 
 
 def test_entropy_dump_matches_library(pipeline, tmp_path):
-    manifest = read_text_manifest(pipeline["corpus"] / "text.tsv")
-    pgm = pipeline["post"] / f"{manifest[0][0]}.pgm"
+    utt = read_text_manifest_rows(pipeline["corpus"] / "text.tsv")[0][1]
+    pgm = pipeline["post"] / f"{utt}.pgm"
     out = tmp_path / "entropy.csv"
     assert main(["entropy-dump", "--posteriors", str(pgm),
                  "--out", str(out)]) == 0
@@ -393,8 +392,17 @@ def test_entropy_dump_rejects_what_score_rejects(tmp_path, capsys, bad,
     out = tmp_path / "entropy.csv"
     assert main(["entropy-dump", "--posteriors", str(pgm),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {pgm}: {message}\n"
     assert not out.exists()
+
+
+def test_entropy_dump_row_sum_error_names_the_file(tmp_path, capsys):
+    pgt = tmp_path / "bad.pgt"
+    pgt.write_text("frames=2 phones=2 shift_ms=30.0\n0.25 0.75\n0.9 0.9\n")
+    assert main(["entropy-dump", "--posteriors", str(pgt),
+                 "--out", str(tmp_path / "entropy.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {pgt}: row 1 sums to 1.80000000, outside tolerance 1e-06\n")
 
 
 def test_usage_errors_exit_one(capsys):
@@ -520,8 +528,8 @@ def test_corrupt_posteriorgram_exits_two(tmp_path, capsys):
 
 def test_single_posteriors_file_with_multiple_utts_exits_two(
         pipeline, capsys, tmp_path):
-    manifest = read_text_manifest(pipeline["corpus"] / "text.tsv")
-    pgm = pipeline["post"] / f"{manifest[0][0]}.pgm"
+    utt = read_text_manifest_rows(pipeline["corpus"] / "text.tsv")[0][1]
+    pgm = pipeline["post"] / f"{utt}.pgm"
     code = main(["align",
                  "--posteriors", str(pgm),
                  "--phones", str(pipeline["phones"]),
@@ -577,7 +585,8 @@ def test_score_rejects_utterance_longer_than_the_duration_net(
     write_posteriorgram_binary(
         post / "long.pgm",
         Posteriorgram(np.full((n, len(ps)), 1.0 / len(ps)), 30.0))
-    write_ctm(tmp_path / "long.ctm", [first, ("long", long_al)], ps)
+    write_ctm(tmp_path / "long.ctm",
+              SegmentColumns.from_alignments([first, ("long", long_al)]), ps)
     code = main(["score",
                  "--posteriors", str(post),
                  "--ctm", str(tmp_path / "long.ctm"),
@@ -616,7 +625,8 @@ def _wide_corpus(root, utterances, frames=40, columns=300):
             PhoneSegment(int(rng.integers(1, columns)), start, 4)
             for start in range(0, frames, 4)))))
     write_phone_set(root / "phones.txt", ps)
-    write_ctm(root / "aligned.ctm", entries, ps)
+    write_ctm(root / "aligned.ctm", SegmentColumns.from_alignments(entries),
+              ps)
     return ["score", "--posteriors", str(root / "post"),
             "--ctm", str(root / "aligned.ctm"),
             "--phones", str(root / "phones.txt"),

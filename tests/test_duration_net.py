@@ -88,12 +88,19 @@ def test_tiny_and_desk_configs_are_valid():
 # heads, one log-sigma per head and a (B, T) mask of real tokens.
 
 
+def attention_buffers(q):
+    """Empty (weights, context) arrays for attention() over (B, H, T, d_h)."""
+    b, h, t, _ = q.shape
+    return np.empty((b, h, t, t)), np.empty(q.shape)
+
+
 def attend(q, k, v, sigma, mask=None):
     """attention() on one head of one sequence; q, k, v are (T, d_h)."""
     heads = [np.asarray(a, dtype=np.float64)[None, None] for a in (q, k, v)]
     if mask is None:
         mask = np.ones((1, len(q)), dtype=bool)
-    probs, context = attention(*heads, np.log([sigma]), mask)
+    probs, context = attention(*heads, np.log([sigma]), mask,
+                               out=attention_buffers(heads[0]))
     return probs[0, 0], context[0, 0]
 
 
@@ -158,7 +165,8 @@ def test_attention_rows_normalize_even_with_huge_negative_bias():
     t = 5
     q, k, v = rng.normal(size=(3, 2, 3, t, 4))
     mask = np.array([[True] * t, [True, True, False, False, False]])
-    probs, _ = attention(q, k, v, np.log([0.5, 4.0, 1e6]), mask)
+    probs, _ = attention(q, k, v, np.log([0.5, 4.0, 1e6]), mask,
+                         out=attention_buffers(q))
     assert np.all(np.abs(probs.sum(axis=-1) - 1.0) <= 1e-12)
     assert np.all(probs[1, :, :, 2:] == 0.0)
 

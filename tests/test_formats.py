@@ -1,5 +1,7 @@
 """Writer/reader inverses and corruption diagnostics for every file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,12 @@ from cagop import (
     PhoneSegment,
     PhoneSet,
     Posteriorgram,
+    SegmentColumns,
     ThresholdTable,
 )
-from cagop.duration import TrainLogEntry, init_params, tiny_config, iter_tensors
+from cagop.duration import (
+    TrainLogEntry, full_config, init_params, iter_tensors, tiny_config,
+)
 from cagop.formats import (
     CKPT_MAGIC,
     PGM_MAGIC,
@@ -31,6 +36,7 @@ from cagop.formats import (
     read_posteriorgram_binary,
     read_posteriorgram_text,
     read_score_file,
+    read_text_manifest_rows,
     read_thresholds,
     read_training_log,
     text_to_phones,
@@ -38,11 +44,15 @@ from cagop.formats import (
     write_balance_table,
     write_checkpoint,
     write_ctm,
+    write_duration_predictions,
+    write_entropy_profile,
+    write_evaluation,
     write_lexicon,
     write_phone_set,
     write_posteriorgram_binary,
     write_posteriorgram_text,
     write_score_file,
+    write_text_manifest,
     write_thresholds,
     write_training_log,
 )
@@ -50,6 +60,21 @@ from cagop.formats import (
 from conftest import fit_on_samples, random_pg
 
 PS = PhoneSet(("SIL", "AA", "B", "G", "OW"), silence_index=0)
+
+
+def written(tmp_path, name, write):
+    """``write(path)`` run over an older, longer file at ``tmp_path / name``.
+
+    Asserts that the file then holds exactly the bytes ``write`` gives a
+    new path, and returns its path.
+    """
+    fresh = tmp_path / f"new-{name}"
+    write(fresh)
+    path = tmp_path / name
+    path.write_bytes(b"older \xff\r\n" * (fresh.stat().st_size + 1))
+    write(path)
+    assert path.read_bytes() == fresh.read_bytes()
+    return path
 
 
 # --- posteriorgrams ---------------------------------------------------------
@@ -60,8 +85,8 @@ def test_binary_roundtrip_is_float32_exact(tmp_path):
         rng = np.random.default_rng(seed)
         pg = random_pg(rng, int(rng.integers(1, 9)), int(rng.integers(2, 6)),
                        frame_shift_ms=float(rng.choice([10.0, 30.0, 25.5])))
-        path = tmp_path / f"b{seed}.pgm"
-        write_posteriorgram_binary(path, pg)
+        path = written(tmp_path, f"b{seed}.pgm",
+                       lambda p: write_posteriorgram_binary(p, pg))
         back = read_posteriorgram_binary(path)
         expected = pg.probs.astype(np.float32).astype(np.float64)
         assert np.array_equal(back.probs, expected)
@@ -72,9 +97,9 @@ def test_text_twin_matches_binary_exactly(tmp_path):
     rng = np.random.default_rng(99)
     pg = random_pg(rng, 6, 4)
     write_posteriorgram_binary(tmp_path / "t.pgm", pg)
-    write_posteriorgram_text(tmp_path / "t.pgt", pg)
+    pgt = written(tmp_path, "t.pgt", lambda p: write_posteriorgram_text(p, pg))
     from_bin = read_posteriorgram_binary(tmp_path / "t.pgm")
-    from_text = read_posteriorgram_text(tmp_path / "t.pgt")
+    from_text = read_posteriorgram_text(pgt)
     assert np.array_equal(from_bin.probs, from_text.probs)
     assert from_bin.frame_shift_ms == from_text.frame_shift_ms
 
@@ -155,8 +180,7 @@ def test_missing_file_reports_path(tmp_path):
 
 
 def test_phone_set_roundtrip(tmp_path):
-    path = tmp_path / "phones.txt"
-    write_phone_set(path, PS)
+    path = written(tmp_path, "phones.txt", lambda p: write_phone_set(p, PS))
     assert read_phone_set(path) == PS
 
 
@@ -185,9 +209,17 @@ def test_phone_set_rejects_duplicates(tmp_path):
 
 def test_lexicon_roundtrip(tmp_path):
     lex = {"GO": ("G", "OW"), "BAA": ("B", "AA")}
-    path = tmp_path / "lex.txt"
-    write_lexicon(path, lex)
+    path = written(tmp_path, "lex.txt", lambda p: write_lexicon(p, lex))
     assert read_lexicon(path, PS) == lex
+
+
+def test_text_manifest_roundtrip(tmp_path):
+    rows = [("u1", "go baa"), ("u2", "GO")]
+    path = written(tmp_path, "text.tsv",
+                   lambda p: write_text_manifest(p, rows))
+    assert path.read_bytes() == b"u1\tgo baa\nu2\tGO\n"
+    assert read_text_manifest_rows(path) == [(1, "u1", "go baa"),
+                                             (2, "u2", "GO")]
 
 
 def test_lexicon_rejects_unknown_phone(tmp_path):
@@ -220,8 +252,8 @@ def test_ctm_roundtrip(tmp_path):
         ("utt1", Alignment((PhoneSegment(1, 0, 3), PhoneSegment(2, 3, 2)))),
         ("utt2", Alignment((PhoneSegment(0, 0, 1), PhoneSegment(3, 1, 4)))),
     ]
-    path = tmp_path / "a.ctm"
-    write_ctm(path, entries, PS)
+    path = written(tmp_path, "a.ctm", lambda p: write_ctm(
+        p, SegmentColumns.from_alignments(entries), PS))
     assert read_ctm(path, PS) == entries
 
 
@@ -261,8 +293,7 @@ def test_annotations_roundtrip(tmp_path):
         rater_ids=("r1", "r2"),
         ratings=(7.25, 10.0),
     )
-    path = tmp_path / "ann.tsv"
-    write_annotations(path, ann)
+    path = written(tmp_path, "ann.tsv", lambda p: write_annotations(p, ann))
     assert read_annotations(path) == ann
 
 
@@ -305,8 +336,8 @@ def balance_fixture():
 
 def test_balance_table_roundtrip(tmp_path):
     table = balance_fixture()
-    path = tmp_path / "bal.tsv"
-    write_balance_table(path, table, PS)
+    path = written(tmp_path, "bal.tsv",
+                   lambda p: write_balance_table(p, table, PS))
     back = read_balance_table(path, PS)
     assert back.entries == dict(table.entries)
     assert back.phone_backoff == dict(table.phone_backoff)
@@ -341,8 +372,8 @@ def test_balance_table_names_line_of_unknown_phone(tmp_path):
 
 def test_thresholds_roundtrip(tmp_path):
     table = ThresholdTable(per_phone={1: -0.5, 3: -0.25}, global_threshold=-0.4)
-    path = tmp_path / "thr.tsv"
-    write_thresholds(path, table, PS)
+    path = written(tmp_path, "thr.tsv",
+                   lambda p: write_thresholds(p, table, PS))
     back = read_thresholds(path, PS)
     assert back.per_phone == table.per_phone
     assert back.global_threshold == table.global_threshold
@@ -368,8 +399,8 @@ def test_global_label_collision_rejected(tmp_path):
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     cfg = tiny_config(seed=4)
     params = init_params(cfg, num_phones=9, rng=np.random.default_rng(4))
-    path = tmp_path / "net.ckpt"
-    write_checkpoint(path, params, cfg)
+    path = written(tmp_path, "net.ckpt",
+                   lambda p: write_checkpoint(p, params, cfg))
     back_params, back_cfg = read_checkpoint(path)
     assert back_cfg == cfg
     for (name_a, a), (name_b, b) in zip(
@@ -457,8 +488,7 @@ def test_training_log_roundtrip(tmp_path):
         TrainLogEntry(1, 3.5, 2.25),
         TrainLogEntry(2, 1.0625, 1.9375),
     ]
-    path = tmp_path / "log.tsv"
-    write_training_log(path, log)
+    path = written(tmp_path, "log.tsv", lambda p: write_training_log(p, log))
     assert read_training_log(path) == log
 
 
@@ -472,21 +502,37 @@ def test_training_log_requires_header(tmp_path):
 # --- score files -----------------------------------------------------------------
 
 
+SCORES = ScoreFile(
+    variant="cagop",
+    utt_ids=("u1", "u1", "u2"),
+    positions=(0, 1, 0),
+    phones=(1, 2, 3),
+    starts=(0, 3, 0),
+    lengths=(3, 2, 5),
+    scores=(-0.125, -0.0625, -1.75),
+    flags=(True, False, None),
+    sentences=(("u1", -0.09375), ("u2", -1.75)),
+)
+
+
 def test_score_file_roundtrip(tmp_path):
-    scores = ScoreFile(
-        variant="cagop",
-        utt_ids=("u1", "u1", "u2"),
-        positions=(0, 1, 0),
-        phones=(1, 2, 3),
-        starts=(0, 3, 0),
-        lengths=(3, 2, 5),
-        scores=(-0.125, -0.0625, -1.75),
-        flags=(True, False, None),
-        sentences=(("u1", -0.09375), ("u2", -1.75)),
-    )
-    path = tmp_path / "scores.tsv"
-    write_score_file(path, scores, PS)
-    assert read_score_file(path, PS) == scores
+    path = written(tmp_path, "scores.tsv",
+                   lambda p: write_score_file(p, SCORES, PS))
+    assert read_score_file(path, PS) == SCORES
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, ps: write_score_file(path, SCORES, ps),
+    lambda path, ps: write_balance_table(path, balance_fixture(), ps),
+], ids=["score-file", "balance-table"])
+def test_rejected_write_leaves_the_earlier_file(tmp_path, write):
+    path = tmp_path / "out.tsv"
+    write(path, PS)
+    before = path.read_bytes()
+    # phone 1 has a label in the short set; phone 2 and on do not
+    with pytest.raises(DataError, match="phone index 2 out of range"):
+        write(path, PhoneSet(PS.phones[:2]))
+    assert path.read_bytes() == before
 
 
 def test_score_file_requires_variant_header(tmp_path):
@@ -544,3 +590,43 @@ def test_float_values_survive_text_roundtrips(tmp_path):
     write_training_log(path, log)
     back = read_training_log(path)
     assert back == log
+
+
+# --- layouts without a reader -----------------------------------------------------
+
+
+def test_duration_predictions_layout(tmp_path):
+    segments = SegmentColumns(("u1", "u2"), np.array([2, 1]), np.array([1, 2, 3]),
+                              np.array([0, 3, 0]), np.array([3, 2, 5]))
+    path = written(tmp_path, "pred.tsv", lambda p: write_duration_predictions(
+        p, segments, [2.5, 1.0, 4.25], PS))
+    assert path.read_bytes() == (b"utt\tpos\tphone\taligned\tpredicted\n"
+                                 b"u1\t0\tAA\t3\t2.5\nu1\t1\tB\t2\t1.0\n"
+                                 b"u2\t0\tG\t5\t4.25\n")
+
+
+def test_evaluation_layout(tmp_path):
+    path = written(tmp_path, "eval.tsv", lambda p: write_evaluation(
+        p, [("detection_f1", 0.1), ("tp", 3)]))
+    assert path.read_bytes() == b"detection_f1\t0.1\ntp\t3.0\n"
+
+
+def test_entropy_profile_layout(tmp_path):
+    path = written(tmp_path, "entropy.csv", lambda p: write_entropy_profile(
+        p, [0.0, float(np.log(2))]))
+    assert path.read_bytes() == b"frame,entropy\n0,0.0\n1,0.6931471805599453\n"
+
+
+def test_checkpoint_writer_streams_its_tensors(tmp_path):
+    # a full-size net holds 36 MiB of parameters; the writer copies one
+    # tensor at a time, never the whole file
+    cfg = full_config()
+    params = init_params(cfg, num_phones=40, rng=np.random.default_rng(0))
+    assert params.flat.nbytes > 36 * 2**20
+    tracemalloc.start()
+    try:
+        write_checkpoint(tmp_path / "full.ckpt", params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

@@ -20,7 +20,7 @@ from cagop.formats import (
     read_phone_set,
     read_posteriorgram,
     read_score_file,
-    read_text_manifest,
+    read_text_manifest_rows,
     read_thresholds,
     read_training_log,
     write_posteriorgram_text,
@@ -110,7 +110,7 @@ def _phones(f):
 FORMATS = {
     "phone_set": ("phones", lambda f, p: read_phone_set(p), SCORE),
     "lexicon": ("lexicon", lambda f, p: read_lexicon(p, _phones(f)), ALIGN),
-    "text_manifest": ("text", lambda f, p: read_text_manifest(p), ALIGN),
+    "text_manifest": ("text", lambda f, p: read_text_manifest_rows(p), ALIGN),
     "ctm": ("ctm", lambda f, p: read_ctm(p, _phones(f)), SCORE),
     "annotations": ("annotations", lambda f, p: read_annotations(p),
                     CALIBRATE),

@@ -17,7 +17,7 @@ from cagop.formats import (
     read_phone_set,
     read_posteriorgram_text,
     read_score_file,
-    read_text_manifest,
+    read_text_manifest_rows,
     read_thresholds,
     read_training_log,
 )
@@ -42,7 +42,7 @@ READERS = {
     "pgt": read_posteriorgram_text,
     "phones": read_phone_set,
     "lexicon": lambda path: read_lexicon(path, PS),
-    "manifest": read_text_manifest,
+    "manifest": read_text_manifest_rows,
     "balance": lambda path: read_balance_table(path, PS),
     "thresholds": lambda path: read_thresholds(path, PS),
     "log": read_training_log,

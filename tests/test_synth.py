@@ -12,7 +12,7 @@ from cagop.formats import (
     read_ctm,
     read_phone_set,
     read_posteriorgram,
-    read_text_manifest,
+    read_text_manifest_rows,
 )
 from cagop.synth import (
     CLEAR_MASS,
@@ -230,8 +230,8 @@ def test_write_corpus_layout_and_readback(tmp_path):
                  "annotations.tsv"):
         assert (out / name).exists()
     assert read_phone_set(out / "phones.txt") == corpus.phone_set
-    manifest = read_text_manifest(out / "text.tsv")
-    assert [u for u, _ in manifest] == [u.utt_id for u in corpus.utterances]
+    manifest = read_text_manifest_rows(out / "text.tsv")
+    assert [u for _, u, _ in manifest] == [u.utt_id for u in corpus.utterances]
     ctm = read_ctm(out / "reference.ctm", corpus.phone_set)
     assert [u for u, _ in ctm] == [u.utt_id for u in corpus.utterances]
     assert ctm[0][1] == corpus.utterances[0].alignment
