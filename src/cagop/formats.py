@@ -5,6 +5,16 @@ open. A text file is built in full (UTF-8, a newline after every line), then
 written in one call, so a writer that rejects a row leaves the old file;
 a checkpoint streams one tensor at a time, never a whole-file copy.
 
+``_write`` replaces an existing file rather than truncating it: it resolves
+symlinks, unlinks the target and creates a new file there. A write through a
+symlink therefore replaces the link's target and keeps the link. Hard links
+to the old file keep the old bytes, the new file takes the default
+permissions, and a read-only file in a writable directory is replaced. A
+write that is killed, or a crash before writeback, leaves the old file, no
+file, an empty file or a prefix of the new bytes, never old and new bytes
+mixed. Every reader rejects an empty file and the binary readers a cut
+one; a text file cut at a line end can still read as a shorter file.
+
 Text formats render floats with repr(), which round-trips float64 exactly,
 so write-then-read is equality-preserving everywhere. The two binary
 formats (posteriorgram, duration-net checkpoint) are little-endian with
@@ -21,7 +31,9 @@ over whole columns. Every keyed file rejects a repeated key.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import suppress
 from dataclasses import astuple, dataclass
 from functools import partial
 from itertools import chain, compress, count, starmap
@@ -65,7 +77,14 @@ def _fmt(x: float) -> str:
 
 
 def _write(path, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` to ``path`` in order, replacing what it held."""
+    """Write ``chunks`` to a new file at ``path`` in order.
+
+    An existing file (a symlink's target) is unlinked first, never
+    truncated: truncating one costs tens of ms on some filesystems.
+    """
+    path = os.path.realpath(path)
+    with suppress(FileNotFoundError):
+        os.unlink(path)
     with open(path, "wb") as fh:
         fh.writelines(chunks)
 

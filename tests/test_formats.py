@@ -1,5 +1,7 @@
 """Writer/reader inverses and corruption diagnostics for every file format."""
 
+import inspect
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,6 +18,7 @@ from cagop import (
     SegmentColumns,
     ThresholdTable,
 )
+from cagop import formats
 from cagop.duration import (
     TrainLogEntry, full_config, init_params, iter_tensors, tiny_config,
 )
@@ -24,6 +27,7 @@ from cagop.formats import (
     PGM_MAGIC,
     _CKPT_HEADER,
     _PGM_HEADER,
+    _write,
     AnnotationSet,
     ScoreFile,
     read_annotations,
@@ -432,9 +436,10 @@ def test_checkpoint_rejects_truncation(tmp_path):
         offset += 4 + 4 * tensor.ndim + 8 * tensor.size
     assert offset == len(blob)
     for cut in cuts:
-        path.write_bytes(blob[:cut])
+        part = tmp_path / f"cut-{cut}.ckpt"
+        part.write_bytes(blob[:cut])
         with pytest.raises(FormatError, match="truncated: header implies"):
-            read_checkpoint(path)
+            read_checkpoint(part)
 
 
 def test_checkpoint_size_check_stops_where_the_file_ends(tmp_path):
@@ -630,3 +635,45 @@ def test_checkpoint_writer_streams_its_tensors(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+# --- the writer ---------------------------------------------------------------
+
+
+def test_write_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "target.tsv"
+    target.write_bytes(b"older, longer content\n" * 8)
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    _write(link, [b"new\n"])
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"new\n"
+
+
+def test_interrupted_write_keeps_none_of_the_older_file(tmp_path):
+    # a writer that dies partway leaves a prefix of the new bytes, never a
+    # mix of new and old that a reader could take for a whole file
+    path = tmp_path / "out.ckpt"
+    path.write_bytes(b"old!" * 64)
+
+    def chunks():
+        yield b"new-"
+        raise RuntimeError("writer died")
+
+    with pytest.raises(RuntimeError, match="writer died"):
+        _write(path, chunks())
+    assert b"new-".startswith(path.read_bytes())
+
+
+READERS = sorted(name for name in vars(formats) if name.startswith("read_"))
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_every_reader_rejects_an_empty_file(tmp_path, name):
+    # an empty file is what a crash right after a write can leave
+    read = getattr(formats, name)
+    path = tmp_path / "empty"
+    path.write_bytes(b"")
+    args = [PS] if "phone_set" in inspect.signature(read).parameters else []
+    with pytest.raises(FormatError):
+        read(path, *args)
