@@ -5,15 +5,20 @@ open. A text file is built in full (UTF-8, a newline after every line), then
 written in one call, so a writer that rejects a row leaves the old file;
 a checkpoint streams one tensor at a time, never a whole-file copy.
 
-``_write`` replaces an existing file rather than truncating it: it resolves
-symlinks, unlinks the target and creates a new file there. A write through a
-symlink therefore replaces the link's target and keeps the link. Hard links
-to the old file keep the old bytes, the new file takes the default
+``_write`` replaces an existing regular file rather than truncating it: it
+resolves symlinks, unlinks the target and creates a new file there. A write
+through a symlink therefore replaces the link's target and keeps the link.
+Hard links to the old file keep the old bytes, the new file takes the default
 permissions, and a read-only file in a writable directory is replaced. A
-write that is killed, or a crash before writeback, leaves the old file, no
-file, an empty file or a prefix of the new bytes, never old and new bytes
-mixed. Every reader rejects an empty file and the binary readers a cut
-one; a text file cut at a line end can still read as a shorter file.
+path that is not a regular file (``/dev/null``, ``/dev/stdout``, a FIFO) is
+opened and written as it is, never removed. A file the writer may not unlink
+(its folder is not writable, or is sticky and the file another user's) is
+truncated and rewritten in place, the slow way: there hard links see the new
+bytes and the permissions stay. A write that is killed, or a crash before
+writeback, leaves the old file, no file, an empty file or a prefix of the
+new bytes, never old and new bytes mixed. Every reader rejects an empty
+file and the binary readers a cut one; a text file cut at a line end can
+still read as a shorter file.
 
 Text formats render floats with repr(), which round-trips float64 exactly,
 so write-then-read is equality-preserving everywhere. The two binary
@@ -79,12 +84,16 @@ def _fmt(x: float) -> str:
 def _write(path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` to a new file at ``path`` in order.
 
-    An existing file (a symlink's target) is unlinked first, never
-    truncated: truncating one costs tens of ms on some filesystems.
+    An existing regular file (a symlink's target) is unlinked first, not
+    truncated: truncating one costs tens of ms on some filesystems. Any
+    other path (a device, FIFO or pipe), or a file whose folder forbids
+    the unlink, is opened and truncated in place.
     """
-    path = os.path.realpath(path)
-    with suppress(FileNotFoundError):
-        os.unlink(path)
+    real = os.path.realpath(path)
+    if os.path.isfile(real):
+        with suppress(FileNotFoundError, PermissionError):
+            os.unlink(real)
+        path = real
     with open(path, "wb") as fh:
         fh.writelines(chunks)
 

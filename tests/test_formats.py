@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -663,6 +664,52 @@ def test_interrupted_write_keeps_none_of_the_older_file(tmp_path):
     with pytest.raises(RuntimeError, match="writer died"):
         _write(path, chunks())
     assert b"new-".startswith(path.read_bytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_write_to_a_fifo_keeps_the_fifo(tmp_path):
+    # a path that is not a regular file is written as it is, never removed
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        _write(fifo, [b"new\n"])
+        assert os.read(reader, 64) == b"new\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_write_to_a_pipe_through_proc_fd(tmp_path):
+    # what `--out /dev/stdout` into a pipe opens: a link that names no file
+    read_end, write_end = os.pipe()
+    try:
+        _write(f"/proc/self/fd/{write_end}", [b"new\n"])
+        os.close(write_end)
+        write_end = None
+        assert os.read(read_end, 64) == b"new\n"
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+
+
+def test_write_truncates_in_place_when_unlink_is_refused(tmp_path,
+                                                          monkeypatch):
+    # a folder that forbids the unlink (not writable, or sticky) falls back
+    # to truncating the file, so the write still lands
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"older, longer content\n" * 8)
+    inode = path.stat().st_ino
+
+    def refuse(_path):
+        raise PermissionError("unlink refused")
+
+    monkeypatch.setattr(formats.os, "unlink", refuse)
+    _write(path, [b"new\n"])
+    assert path.read_bytes() == b"new\n"
+    assert path.stat().st_ino == inode
 
 
 READERS = sorted(name for name in vars(formats) if name.startswith("read_"))
