@@ -27,8 +27,10 @@ from .model import (
 
 # Utterances taken from the input at a time, and the budget of one chunk's
 # padded (elements + 1) x utterances x band cells, about one byte each of
-# its decision tables; a larger utterance is a chunk of its own.
-_WINDOW, _CHUNK_CELLS = 64, 1 << 15
+# its decision tables; a larger utterance is a chunk of its own, whose
+# decisions keep only each element's window of cells, in pages of _PAGE
+# bytes (or one element's need, if more) that never move once written.
+_WINDOW, _CHUNK_CELLS, _PAGE = 64, 1 << 15, 1 << 18
 # Pruning: pass 1 guesses the optimum _KAPPA nats a frame under U(0), as
 # paragraphs' optima sit 0.09-0.13 under it and a larger kappa keeps more
 # cells; a window's top goes _REACH cells past its need, so that one scalar
@@ -102,8 +104,9 @@ def align_utterances(
     silence when inserting it does not improve the score. With E elements
     (2N+1 for N phones with optional silences, else N) and slack = F - N *
     min_segment_frames spare frames, an utterance takes O(E * slack) time;
-    besides its cumulative sums, it keeps a byte per band cell (slack + 1)
-    per element, another per optional element, and two float band rows.
+    besides its cumulative sums and three float band rows, it keeps a byte
+    per window cell per element, another per window cell of an optional
+    element, where a window is the band (slack + 1 cells) or its pruned part.
     Utterances are checked in input order as they are taken,
     ``_WINDOW`` at a time; a window is sorted by size and cut into chunks
     whose padded (E+1) x utterances x (slack+1) cells stay within
@@ -201,26 +204,39 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
         np.cumsum(peak[:0:-1], out=bound[-2::-1])
     np.cumsum(cums, axis=2, out=cums)
 
+    # Decisions, in pages of ``size`` bytes, each page holding whole elements:
+    # element i's rise bits for band cells [w0, end) of its active rows and,
+    # for an optional element, its took bits for [w0, top), back to back;
+    # spans[i] is (page, offset, w0, end, top). A chunk within the budget
+    # fills one page exactly.
+    full = width * sum(n * (1 + o) for n, o in zip(active, optional))
+    size = min(full, max(_PAGE, 2 * num * width))
+
     def forward(thr):
-        """rise, took and final scores; a cell under ``thr`` may be dropped."""
+        """spans and final scores; a cell under ``thr`` may be dropped."""
         # scores[i % 2] is best[i] while element i is taken; scores[2] is
-        # scratch. rise[i, u, k]: element i's running maximum of entry scores
-        # rises at k (k = 0 counts); took[i // 2, u, k]: silence i lifts
+        # scratch. Element i's running maximum of entry scores rises at
+        # band cell k of its window; silence i is taken at k when it lifts
         # best[i + 1] there.
         scores = np.full((3, num, width), -np.inf)
         scores[0, :, 0] = 0.0
-        rise = np.ones((num_elements, num, width), bool)
-        took = np.empty((sum(optional), num, width), bool)
+        spans, page, at = [], None, size
         # best[i] is -inf outside band cells [w0, w1)
-        w0, w1 = 0, width if thr is None else 1
+        w0, w1, n = 0, width if thr is None else 1, 0
         for i in range(num_elements):
-            n, a, b, m = active[i], lo[i], lo[i + 1], min_len[i]
-            # A lone row is taken as 1-D, whose cumulative sums are a view and
-            # whose ufunc calls cost less; more rows gather their sums.
-            rows = 0 if n == 1 else slice(0, n)
-            cur, nxt, entry = scores[i % 2, rows], scores[1 - i % 2, rows], scores[2, rows]
+            a, b, m = lo[i], lo[i + 1], min_len[i]
+            if active[i] != n:
+                # A lone row is taken as 1-D, whose cumulative sums are a
+                # view and whose ufunc calls cost less; more rows gather
+                # their sums.
+                n = active[i]
+                rows = 0 if n == 1 else slice(0, n)
+                parity = scores[0, rows], scores[1, rows]
+                entry = scores[2, rows]
+                index = row[:, 0].tolist() if n == 1 else row[:, :n]
+            cur, nxt = parity[i % 2], parity[1 - i % 2]
             # one slab feeds both the entry scores and the segment scores
-            slab = flat[row[i, rows], a : b + width]
+            slab = flat[index[i], a : b + width]
             run = entry[..., w0:w1]
             np.subtract(cur[..., w0:w1], slab[..., w0:w1], out=run)
             np.fmax.accumulate(run, axis=-1, out=run)
@@ -230,7 +246,7 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
             # [w0, top), where the cell at top fails the test.
             shift, top = a + m - b, width
             if thr is not None:
-                high, c = entry.item(w1 - 1), row[i, 0]
+                high, c = entry.item(w1 - 1), index[i]
                 top = min(width, w1 + shift + _REACH)
                 if top < width and flat.item(c, b + top) + bound.item(b + top) >= thr - high:
                     tail = flat[c, b + top : b + width] + bound[b + top : b + width]
@@ -239,59 +255,78 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
                 if shift:
                     cur[w1:top] = -np.inf
             end = max(w1, top - shift)
-            np.greater(entry[..., w0 + 1 : end], entry[..., w0 : end - 1],
-                       out=rise[i, rows, w0 + 1 : end])
+            cells = n * (end - w0 + (top - w0) * optional[i])
+            if at + cells > size:
+                page, at = np.empty(size, bool), 0
+            spans.append((page, at, w0, end, top))
+            rise = page[at : at + n * (end - w0)]
+            at += rise.size
+            if n > 1:
+                rise = rise.reshape(n, end - w0)
+            rise[..., 0] = True  # cell w0 counts as a rise
+            np.greater(entry[..., w0 + 1 : end], entry[..., w0 : end - 1], out=rise[..., 1:])
             if shift:
                 nxt[..., w0] = -np.inf
             np.add(slab[..., w0 + m : top + m - shift], entry[..., w0 : top - shift],
                    out=nxt[..., w0 + shift : top])
             if optional[i]:
                 held, taken = cur[..., w0:top], nxt[..., w0:top]
-                np.greater(taken, held, out=took[i // 2, rows, w0:top])
+                took = page[at : at + n * (top - w0)]
+                at += took.size
+                if n > 1:
+                    took = took.reshape(n, top - w0)
+                np.greater(taken, held, out=took)
                 np.maximum(taken, held, out=taken)
             w1 = top
             if thr is not None and i % _TRIM == _TRIM - 1:
                 kept = np.flatnonzero(nxt[w0:w1] + bound[b + w0 : b + w1] >= thr)
                 if not kept.size:
-                    return rise, took, [-np.inf]
+                    return spans, [-np.inf]
                 w0, w1 = w0 + int(kept[0]), w0 + int(kept[-1]) + 1
         # no later step writes a finished row, so best[sizes[u]] is still there
         finals = scores[np.remainder(sizes, 2), range(num), np.subtract(widths, 1)]
-        return rise, took, finals if w1 == width else [-np.inf]
+        return spans, finals if w1 == width else [-np.inf]
 
     if pruned:
         frames = pgs[0].num_frames
         margin = 1e-6 * frames * (-math.log(PROB_FLOOR) + abs(cfg.silence_self_loop_penalty))
         lower = bound[0] - _KAPPA * frames
-        rise, took, finals = forward(lower - margin)
+        spans, finals = forward(lower - margin)
         if not finals[0] >= lower:
-            del rise, took
-            rise, took, finals = forward(finals[0] - margin if finals[0] > -np.inf else None)
+            del spans
+            spans, finals = forward(finals[0] - margin if finals[0] > -np.inf else None)
     else:
-        rise, took, finals = forward(None)
+        spans, finals = forward(None)
     if not np.isfinite(finals).all():
         raise DataError("infeasible: no legal segmentation")
 
     # Backtrack: ends[u] is where utterance u's next segment (in reverse)
-    # ends. It starts where entry[:top + 1] first peaks, top = ends[u] -
-    # lo[i] - min_len[i]: at the last rise at or before top.
+    # ends. It starts where entry[w0 : top + 1] first peaks, top = ends[u] -
+    # lo[i] - min_len[i]: at the last rise at or before top. That segment
+    # ends on a cell of best[i + 1] that step i wrote, so top lies in the
+    # window [w0, end) and, for a silence (lo[i + 1] == lo[i]), ends[u] - lo[i]
+    # lies in [w0, top).
     ends = [pg.num_frames for pg in pgs]
+    falling = np.arange(width - 1, -1, -1)
     found = []  # (row, element, start) of each segment
     for i in range(num_elements - 1, -1, -1):
-        a, rows, offsets = lo[i], range(active[i]), ()
-        # lo[i + 1] == lo[i] for a silence; a tie leaves it out
-        if optional[i] and len(rows) > 1:
-            rows = [u for u in rows if took.item(i // 2, u, ends[u] - a)]
-        elif optional[i] and not took[i // 2, 0, ends[0] - a]:
-            continue
+        a, n, m = lo[i], active[i], min_len[i]
+        page, at, w0, end, top = spans[i]
+        wide, rows, offsets = end - w0, range(n), ()
+        if optional[i]:  # a tie leaves the silence out
+            at_took = at + n * wide - w0 - a
+            rows = [u for u in rows if page.item(at_took + u * (top - w0) + ends[u])]
         if len(rows) == 1:
-            top = ends[rows[0]] - a - min_len[i]
-            offsets = (top - int(rise[i, rows[0], top::-1].argmax()),)
+            t = ends[rows[0]] - a - m - w0
+            row_at = at + rows[0] * wide
+            offsets = (w0 + t - int(page[row_at : row_at + t + 1][::-1].argmax()),)
         elif rows:
-            tops = np.array([ends[u] - a - min_len[i] for u in rows])
-            top = tops.max()
-            seen = rise[i, rows, top::-1] & (np.arange(top, -1, -1) <= tops[:, None])
-            offsets = (top - seen.argmax(axis=1)).tolist()
+            tops = [ends[u] - a - m - w0 for u in rows]
+            t = max(tops)
+            rise = page[at : at + n * wide].reshape(n, wide)
+            seen = rise[:, t::-1] if len(rows) == n else rise[rows, t::-1]
+            seen = seen & (falling[-t - 1 :] <= np.array(tops)[:, None])
+            offsets = (w0 + t - seen.argmax(axis=1)).tolist()
         for u, k in zip(rows, offsets):
             ends[u] = a + k
             found.append((u, i, a + k))
@@ -305,8 +340,9 @@ def align(
     """Best monotone segmentation of ``phones`` over the posteriorgram.
 
     ``align_utterances`` on this one utterance, as an ``Alignment``: O(E *
-    slack) time, and one or two bytes of memory per band cell and element.
-    A long utterance runs on a pruned band with the full band's segments.
+    slack) time, and one or two bytes of memory per window cell and element.
+    A long utterance runs on a pruned band with the full band's segments;
+    its windows hold about a fifth of the band's cells.
     """
     cols = align_utterances([("", pg, phones)], cfg)
     return Alignment(tuple(map(PhoneSegment, cols.phone.tolist(),

@@ -271,22 +271,37 @@ def test_short_alignments_are_pinned():
     ]
 
 
+def align_peak(utt):
+    """tracemalloc peak of aligning ``utt`` with SILENCE_AT_TWO, in bytes."""
+    tracemalloc.start()
+    try:
+        align(utt.posteriorgram, utt.reference_phones, SILENCE_AT_TWO)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_long_form_align_memory_stays_bounded():
     utt = generate_corpus(SynthConfig(num_utterances=1, seed=3, min_words=205,
                                       max_words=205, tempo_low=1.2,
                                       tempo_high=1.2)).utterances[0]
     assert 580 <= len(utt.reference_phones) <= 620  # 600 when written
     assert 4600 <= utt.posteriorgram.num_frames <= 5000  # 4,837 when written
-    tracemalloc.start()
-    try:
-        align(utt.posteriorgram, utt.reference_phones, SILENCE_AT_TWO)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # Unbanded (2N+2) x (F+1) tables with a cumulative sum per element peak
     # at about 90 MiB here, a banded float64 table of every element's scores
-    # at about 33 MiB, and one-byte decision tables at about 7 MiB.
-    assert peak <= 12 * 2**20
+    # at about 33 MiB, one-byte decision tables over the whole band at about
+    # 7 MiB, and decisions kept for each element's window alone at 2.2 MiB.
+    assert align_peak(utt) <= 3 * 2**20
+
+
+def test_paragraph_twice_as_long_align_memory_stays_bounded():
+    utt = generate_corpus(SynthConfig(num_utterances=1, seed=1003, min_words=400,
+                                      max_words=400)).utterances[0]
+    assert 1150 <= len(utt.reference_phones) <= 1210  # 1,179 when written
+    assert 7800 <= utt.posteriorgram.num_frames <= 8300  # 8,065 when written
+    # Whole-band decision tables peak at about 20.7 MiB here, and decisions
+    # kept for each element's window alone at 5.4 MiB.
+    assert align_peak(utt) <= 6 * 2**20
 
 
 @pytest.mark.parametrize("cfg", SHORT_CONFIGS)
