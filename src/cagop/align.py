@@ -43,26 +43,18 @@ _KAPPA, _REACH, _TRIM = 0.17, 4, 16
 class AlignConfig:
     """Aligner knobs.
 
-    silence_self_loop_penalty is added (log domain) for every frame spent
-    inside a silence segment; 0 leaves silences unpenalized. silence_index
-    selects the posterior column used for inserted silences and must be set
-    whenever allow_optional_silence is.
+    silence_index selects the posterior column that scores inserted
+    silences and must be set whenever allow_optional_silence is.
     """
 
     allow_optional_silence: bool = False
     min_segment_frames: int = 1
-    silence_self_loop_penalty: float = 0.0
     silence_index: Optional[int] = None
 
     def __post_init__(self):
         if self.min_segment_frames < 1:
             raise DataError(
                 f"min_segment_frames must be >= 1, got {self.min_segment_frames}"
-            )
-        if not math.isfinite(self.silence_self_loop_penalty):
-            raise DataError(
-                "silence_self_loop_penalty must be finite, "
-                f"got {self.silence_self_loop_penalty}"
             )
         if self.silence_index is not None and self.silence_index < 0:
             raise DataError(f"silence_index must be >= 0, got {self.silence_index}")
@@ -116,8 +108,8 @@ def align_utterances(
     for a lower bound L on the optimum, so no near-best path, and no tie,
     loses a cell. Pass 1 guesses L = U(0) - kappa F; if its optimum falls
     short, pass 2 takes that score as L, or the full band if it found no
-    path: at worst one pruned and one full pass. The margin, 1e-6 F (|log
-    PROB_FLOOR| + |penalty|), exceeds the rounding of the F-term sums.
+    path: at worst one pruned and one full pass. The margin, 1e-6 F |log
+    PROB_FLOOR|, exceeds the rounding of the F-term sums.
     """
     ids: list[str] = []
     frames: list[int] = []
@@ -175,23 +167,19 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
     active = np.searchsorted(np.negative(sizes), -np.arange(num_elements)).tolist()
 
     # cums[u, c, t]: summed log posterior of column c over frames [0, t) of
-    # utterance u, padded with log 1 = 0 so that every slab is in range; a
-    # last column, with optional silences, adds the penalty to the silence's.
+    # utterance u, padded with log 1 = 0 so that every slab is in range.
     columns = max(pg.num_phones for pg in pgs)
     length = lo[-1] + width + 1
-    cums = np.ones((num, columns + silence, length))
+    cums = np.ones((num, columns, length))
     for u, pg in enumerate(pgs):
         cums[u, : pg.num_phones, 1 : pg.num_frames + 1] = pg.probs.T
     np.log(np.maximum(cums, PROB_FLOOR, out=cums), out=cums)
-    if silence:
-        cums[:, -1, 1:] = cums[:, cfg.silence_index, 1:] + cfg.silence_self_loop_penalty
     flat = cums.reshape(-1, length)
     # phone[u, i]: element i's phone; row[i, u]: its row of ``flat``
     phone = np.full((num, num_elements), cfg.silence_index if silence else 0)
     for u, phones in enumerate(phone_lists):
         phone[u, silence :: 1 + silence][: len(phones)] = phones
-    row = np.where(optional, columns, phone) + np.arange(num)[:, None] * (columns + silence)
-    row = row.T.copy()
+    row = (phone + np.arange(num)[:, None] * columns).T.copy()
     pruned = num == 1 and (num_elements + 1) * width > _CHUNK_CELLS
     if pruned:
         # bound[t] = U(t), the most frames [t, F) can add to a path's score:
@@ -289,7 +277,7 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
 
     if pruned:
         frames = pgs[0].num_frames
-        margin = 1e-6 * frames * (-math.log(PROB_FLOOR) + abs(cfg.silence_self_loop_penalty))
+        margin = 1e-6 * frames * -math.log(PROB_FLOOR)
         lower = bound[0] - _KAPPA * frames
         spans, finals = forward(lower - margin)
         if not finals[0] >= lower:

@@ -150,7 +150,6 @@ def _cmd_align(args) -> int:
     cfg = AlignConfig(
         allow_optional_silence=not args.no_silence,
         min_segment_frames=args.min_frames,
-        silence_self_loop_penalty=args.silence_penalty,
         silence_index=phone_set.silence_index,
     )
     posteriorgram = _posteriorgram_reader(args.posteriors, len(manifest),
@@ -202,10 +201,7 @@ def _predict_durations(checkpoint_path, segments) -> np.ndarray:
 def _cmd_score(args) -> int:
     phone_set = read_phone_set(args.phones)
     segments = read_ctm_columns(args.ctm, phone_set).non_silence(phone_set)
-    cfg = DetectorConfig(
-        beta=args.beta, variant=args.variant,
-        clamp_delta_at_zero=args.clamp_delta,
-    )
+    cfg = DetectorConfig(beta=args.beta, variant=args.variant)
     balance = predicted = None
     if cfg.needs_durations:
         if args.balance is None or args.checkpoint is None:
@@ -415,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-frames", type=int, default=1)
     p.add_argument("--no-silence", action="store_true",
                    help="disallow optional silences between phones")
-    p.add_argument("--silence-penalty", type=float, default=0.0)
     p.set_defaults(fn=_cmd_align)
 
     p = sub.add_parser("score", help="score aligned phones under a variant")
@@ -424,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phones", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="cagop")
     p.add_argument("--beta", type=float, default=0.1)
-    p.add_argument("--clamp-delta", action="store_true")
     p.add_argument("--balance")
     p.add_argument("--checkpoint")
     p.add_argument("--thresholds")

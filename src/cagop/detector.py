@@ -53,7 +53,6 @@ CALIBRATION_MIN_COUNT = 10
 class DetectorConfig:
     beta: float = 0.1
     variant: str = "cagop"
-    clamp_delta_at_zero: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta >= 0):
@@ -69,16 +68,13 @@ class DetectorConfig:
         return self.variant in DURATION_VARIANTS and self.beta > 0
 
 
-def cagop_score(ta_score, delta, beta: float, clamp_delta_at_zero: bool = False):
-    """(1 - beta*delta) * ta_score, optionally clamping delta below at 0.
+def cagop_score(ta_score, delta, beta: float):
+    """(1 - beta*delta) * ta_score, elementwise on floats or arrays.
 
-    Works elementwise on floats or arrays. The formula is applied
-    literally: a large positive delta can make the multiplier negative and
-    flip the score's sign. The clamp option keeps the multiplier <= 1 so
-    in-tolerance durations never improve a score.
+    The formula is applied literally: a negative delta (a duration within
+    tolerance) lifts the multiplier above 1, and a large positive delta can
+    make it negative and flip the score's sign.
     """
-    if clamp_delta_at_zero:
-        delta = np.maximum(delta, 0.0)
     return (1.0 - beta * delta) * ta_score
 
 
@@ -183,8 +179,7 @@ def score_utterances(
         "cagop": ta, "cagop_minus_ta": gop_scores,
     }[cfg.variant]
     if cfg.variant in DURATION_VARIANTS:
-        score = cagop_score(score, 0.0 if deltas is None else deltas, cfg.beta,
-                            cfg.clamp_delta_at_zero)
+        score = cagop_score(score, 0.0 if deltas is None else deltas, cfg.beta)
     sentences = [score[a:b].mean() for a, b in zip(row_bounds, row_bounds[1:])]
     return ScoreColumns(ids, counts, np.array(sentences), phone, start,
                         length, gop_scores, center, ta, deltas, score)

@@ -16,7 +16,6 @@ from .net import (
     predict_durations_batch,
     sinusoidal_encoding,
     tiny_config,
-    zeros_like_params,
     zeros_params,
 )
 from .training import (

@@ -217,10 +217,6 @@ def _shapes(params: DurationNetParams) -> list[tuple[int, ...]]:
     return [t.shape for _, t in iter_tensors(params)]
 
 
-def zeros_like_params(params: DurationNetParams) -> DurationNetParams:
-    return _carve(np.zeros_like(params.flat), _shapes(params))
-
-
 def zeros_params(cfg: DurationNetConfig, num_phones: int) -> DurationNetParams:
     """All-zero tensors with the shapes init_params would produce."""
     shapes = [shape for _, shape in param_shapes(cfg, num_phones)]
@@ -631,9 +627,13 @@ def _pad_phones(phone_seqs: Sequence[Sequence[int]]):
     return phone_ids, mask
 
 
-def _as_batch(phones: Sequence[int], speed: float):
-    phone_ids, mask = _pad_phones([phones])
-    return phone_ids, np.asarray([speed], dtype=np.float64), mask
+def _pad_batch(samples: Sequence[DurationSample]):
+    """``_pad_phones`` of the samples, with their speeds and padded targets."""
+    phone_ids, mask = _pad_phones([s.phones for s in samples])
+    targets = np.zeros(mask.shape, dtype=np.float64)
+    targets[mask] = np.concatenate([s.durations for s in samples])
+    speeds = np.array([s.speed for s in samples], dtype=np.float64)
+    return phone_ids, speeds, targets, mask
 
 
 def forward(
@@ -645,7 +645,8 @@ def forward(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Predicted duration (frames) for each phone of one sequence."""
-    phone_ids, speeds, mask = _as_batch(phones, speed)
+    phone_ids, mask = _pad_phones([phones])
+    speeds = np.array([speed], dtype=np.float64)
     return _forward_batch(params, cfg, phone_ids, speeds, mask, train, rng,
                           Workspace())[0]
 
@@ -663,11 +664,8 @@ def backward(
     With train=True the rng fixes the dropout masks, so an identically
     seeded rng reproduces the same stochastic loss surface.
     """
-    phone_ids, speeds, mask = _as_batch(sample.phones, sample.speed)
-    targets = np.asarray([sample.durations], dtype=np.float64)
-    return masked_l1_and_grads(
-        params, cfg, phone_ids, speeds, targets, mask, train=train, rng=rng
-    )
+    return masked_l1_and_grads(params, cfg, *_pad_batch([sample]), train=train,
+                               rng=rng)
 
 
 def predict_durations_batch(

@@ -14,7 +14,7 @@ from .net import (
     DurationSample,
     Workspace,
     _forward_batch,
-    _pad_phones,
+    _pad_batch,
     clone_params,
     init_params,
     masked_l1_and_grads,
@@ -62,14 +62,6 @@ class _AdamState:
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
         p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-
-
-def _pad_batch(samples: Sequence[DurationSample]):
-    phone_ids, mask = _pad_phones([s.phones for s in samples])
-    targets = np.zeros(mask.shape, dtype=np.float64)
-    targets[mask] = np.concatenate([s.durations for s in samples])
-    speeds = np.array([s.speed for s in samples], dtype=np.float64)
-    return phone_ids, speeds, targets, mask
 
 
 def evaluate_mae(

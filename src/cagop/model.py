@@ -158,10 +158,6 @@ class Alignment:
                     f"[{cur.start},{cur.end})"
                 )
 
-    @property
-    def num_frames(self) -> int:
-        return self.segments[-1].end
-
     def non_silence(self, phone_set: PhoneSet) -> tuple[PhoneSegment, ...]:
         return tuple(s for s in self.segments if not phone_set.is_silence(s.phone))
 

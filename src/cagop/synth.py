@@ -81,10 +81,6 @@ def default_phone_set() -> PhoneSet:
     return PhoneSet(phones=PHONE_LABELS, silence_index=0)
 
 
-def default_lexicon() -> dict[str, tuple[str, ...]]:
-    return dict(WORDS)
-
-
 # Generation constants, tuned for clear variant contrasts.
 FRAME_SHIFT_MS = 30.0
 DURATION_NOISE = 0.5
@@ -270,7 +266,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     """Build a fully deterministic corpus from cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
     phone_set = default_phone_set()
-    lexicon = default_lexicon()
+    lexicon = dict(WORDS)
     words = sorted(lexicon)
     sil = phone_set.silence_index
     utterances = []

@@ -1,8 +1,23 @@
-"""Shared helpers for building posteriorgrams and segments in tests."""
+"""Shared helpers for building posteriorgrams and segments in tests, and
+for loading the benchmark's modules."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
 from cagop import Posteriorgram, fit_balance_table
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load_benchmark_module(name):
+    """benchmarks/<name>.py, loaded from its file as it stands."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}",
+                                                  BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_pg(rows, frame_shift_ms=30.0):

@@ -73,13 +73,11 @@ def scored_segmentations(pg: Posteriorgram, phones: Sequence[int], cfg: AlignCon
     """``segmentations`` of ``pg`` with their scores, as (score, segments).
 
     A score sums the floored log posteriors of each segment's phone over its
-    frames, plus the silence penalty for each frame of an inserted silence.
+    frames.
     """
     log_probs = np.log(np.maximum(pg.probs, PROB_FLOOR))
-    penalty = cfg.silence_self_loop_penalty if cfg.allow_optional_silence else 0.0
     for segments in segmentations(pg.num_frames, phones, cfg):
-        yield sum(log_probs[s : s + n, p].sum() + (0.0 if i % 2 else penalty * n)
-                  for i, p, s, n in segments), segments
+        yield sum(log_probs[s : s + n, p].sum() for _, p, s, n in segments), segments
 
 
 def brute_force_best(pg: Posteriorgram, phones: Sequence[int], cfg: AlignConfig) -> float:

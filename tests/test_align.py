@@ -116,17 +116,10 @@ def test_matches_brute_force_without_silence():
         assert aligned_together(cases, cfg) == alignments
 
 
-def penalized_log_score(pg, al, cfg):
-    """alignment_log_score plus the silence penalty over silence frames."""
-    silence_frames = sum(s.length for s in al.segments if s.phone == cfg.silence_index)
-    return alignment_log_score(pg, al) + cfg.silence_self_loop_penalty * silence_frames
-
-
 def test_matches_brute_force_with_optional_silence():
-    for min_frames, penalty, min_cases in ((1, 0.0, 60), (2, -0.5, 55), (3, 0.4, 45)):
+    for min_frames, min_cases in ((1, 60), (2, 55), (3, 45)):
         cfg = AlignConfig(allow_optional_silence=True, silence_index=0,
-                          min_segment_frames=min_frames,
-                          silence_self_loop_penalty=penalty)
+                          min_segment_frames=min_frames)
         cases, alignments = [], []
         for seed in range(60):
             rng = np.random.default_rng(2000 + seed)
@@ -137,7 +130,7 @@ def test_matches_brute_force_with_optional_silence():
             if n_ref * min_frames > num_frames:
                 continue
             al = align(pg, phones, cfg)
-            got = penalized_log_score(pg, al, cfg)
+            got = alignment_log_score(pg, al)
             assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
             assert [s.phone for s in al.segments if s.phone != 0] == phones
             assert all(s.length >= min_frames for s in al.segments if s.phone != 0)
@@ -158,35 +151,10 @@ def test_optional_silence_never_hurts():
         assert with_sil >= plain - 1e-12
 
 
-def test_silence_penalty_discourages_insertion():
-    # silence column dominates everywhere, but a harsh per-frame penalty
-    # must make the penalized score no better than the unpenalized one
-    pg = make_pg([[0.98, 0.01, 0.01]] * 6)
-    phones = [1, 2]
-    free = AlignConfig(allow_optional_silence=True, silence_index=0)
-    taxed = AlignConfig(
-        allow_optional_silence=True, silence_index=0, silence_self_loop_penalty=-50.0
-    )
-    al_free = align(pg, phones, free)
-    al_taxed = align(pg, phones, taxed)
-    assert any(s.phone == 0 for s in al_free.segments)
-    assert not any(s.phone == 0 for s in al_taxed.segments)
-    # the taxed result obeys the brute-force optimum under the same penalty
-    got = alignment_log_score(pg, al_taxed)
-    assert abs(got - brute_force_best(pg, phones, taxed)) <= 1e-9
-
-
 def test_silence_requires_index():
     pg = make_pg([[0.5, 0.5]] * 4)
     with pytest.raises(DataError):
         align(pg, [0], AlignConfig(allow_optional_silence=True))
-
-
-@pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf])
-def test_config_rejects_non_finite_silence_penalty(penalty):
-    with pytest.raises(DataError, match="silence_self_loop_penalty must be finite"):
-        AlignConfig(allow_optional_silence=True, silence_index=0,
-                    silence_self_loop_penalty=penalty)
 
 
 def test_config_rejects_negative_silence_index():
@@ -219,7 +187,7 @@ SILENCE_AT_TWO = AlignConfig(allow_optional_silence=True, silence_index=0,
 SHORT_CONFIGS = (
     SILENCE_AT_TWO,
     AlignConfig(allow_optional_silence=True, silence_index=0,
-                min_segment_frames=1, silence_self_loop_penalty=-0.5),
+                min_segment_frames=1),
     AlignConfig(allow_optional_silence=True, silence_index=0,
                 min_segment_frames=3),
     AlignConfig(min_segment_frames=2),
@@ -253,7 +221,7 @@ def test_long_form_alignments_are_pinned():
     ]
     assert [alignment_digest(paragraphs, cfg) for cfg in SHORT_CONFIGS] == [
         "239997c85696c6ff5ba460b19911918cab3536427c058a39f66d2634dcdf2c94",
-        "e627ec3cafd2020f218871203b909b6a45d3a1bb5886624fe711c5c443ba7e6b",
+        "96850372410e4e701ddfb9004c56ce554e037c020475c2924be51950df237eeb",
         "31d015c118af020ef4bde46db1b24baf0f424133e3e96750b64a26fde45a4abd",
         "fb2510cd553119eb28b1c93344e1cbe541ec222b364b312311f94a74910edaeb",
     ]
@@ -265,7 +233,7 @@ def test_short_alignments_are_pinned():
     utterances = generate_corpus(SynthConfig(num_utterances=50, seed=1)).utterances
     assert [alignment_digest(utterances, cfg) for cfg in SHORT_CONFIGS] == [
         "f3300fd4d3a5c8c1bad98b7d142c1c5562507bc5a13dd5ed902a9874633befa8",
-        "7c09444203ba35000604e1579565dfb521036ea31d1dbff9e6f7b46aa510ea7f",
+        "9acd9af47a5729eb12ab78fc9ba1ba76356354e9e7c628f29ec6300bd6f10572",
         "f96491a8718345ac1be50beaf47e85eae6aef4fa577c6c50be6cbe9e12fbeebb",
         "1da47f778911f06b0b230dc745bcd185b8d1e10c0e66954b7471ae97e8a1af0b",
     ]
@@ -327,9 +295,8 @@ def test_aligning_together_matches_aligning_alone(cfg):
                                             for pg, phones in cases]
 
 
-# e^(-j/2): NumPy takes their logs exactly, so every log sum below, with the
-# silence penalties of SHORT_CONFIGS, is a multiple of 1/2 and ties are
-# exact in any summation order. Dyadic posteriors would not do: their logs
+# e^(-j/2): NumPy takes their logs exactly, so every log sum below is a
+# multiple of 1/2 and ties are exact in any summation order. Dyadic posteriors would not do: their logs
 # are multiples of a rounded ln 2, whose sums round by order.
 EXACT_PROBS = np.exp(-0.5 * np.arange(3))
 
@@ -401,7 +368,7 @@ def test_pruned_band_changes_no_segment(monkeypatch, cfg, kappa, reach, trim):
     for (pg, phones), al in zip(random_cases, unpruned):
         assert align(pg, phones, cfg) == al
     for pg, phones in random_cases[:40]:
-        got = penalized_log_score(pg, align(pg, phones, cfg), cfg)
+        got = alignment_log_score(pg, align(pg, phones, cfg))
         assert abs(got - brute_force_best(pg, phones, cfg)) <= 1e-9
     assert aligned_together([case[:2] for case in tie_cases], cfg) == [
         case[2] for case in tie_cases]

@@ -2,34 +2,27 @@
 
 benchmarks/tracing.py is loaded from its file as it stands, so deleting or
 renaming a name it wraps fails here rather than in `bench.py --trace 1`.
-The benchmark also reads score records field by field.
+The benchmark also reads score records field by field, builds configs by
+keyword and runs command lines through ``cli.main``.
 """
 
+import ast
 import dataclasses
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 import numpy as np
 
-from cagop import PhoneScore, ScoreReport
+from cagop import AlignConfig, DetectorConfig, PhoneScore, ScoreReport, cli
 from cagop.duration import (
     DurationSample, predict_durations_batch, tiny_config, train,
 )
-
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+from cagop.synth import SynthConfig
+from conftest import BENCHMARKS, load_benchmark_module
 
 
 def test_every_traced_target_resolves():
-    tracing = load_tracing()
+    tracing = load_benchmark_module("tracing")
     targets = tracing.TARGETS + tracing.MEMORY_TARGETS
     assert targets
     missing = [
@@ -53,7 +46,7 @@ def test_forward_batch_passes_the_mask_where_the_tracer_reads_it():
     for name in ("cagop.duration.net", "cagop.duration.training"):
         forward_batch = importlib.import_module(name)._forward_batch
         assert list(inspect.signature(forward_batch).parameters)[4] == "mask"
-    tracing = load_tracing()
+    tracing = load_benchmark_module("tracing")
     samples = [DurationSample.from_durations([1, 2, 3][:n], [4.0, 2.0, 5.0][:n])
                for n in (1, 2, 3, 3, 2)]
     cfg = tiny_config(seed=0)
@@ -93,3 +86,27 @@ def test_a_two_argument_tascore_wrapper_still_moves_score_utterance(monkeypatch)
         assert a.score == b.score + 1e-6
         assert a.gop == b.gop
 
+
+def test_workload_config_keywords_are_config_fields():
+    fields = {cls.__name__: {f.name for f in dataclasses.fields(cls)}
+              for cls in (AlignConfig, DetectorConfig, SynthConfig)}
+    source = (BENCHMARKS / "workloads.py").read_text()
+    passed = {}
+    for call in ast.walk(ast.parse(source)):
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name in fields:
+                passed.setdefault(name, set()).update(k.arg for k in call.keywords)
+    assert set(passed) == set(fields)
+    assert {name: keywords - fields[name] for name, keywords in passed.items()} == {
+        name: set() for name in passed}
+
+
+def test_batch_pipeline_parses(monkeypatch, tmp_path):
+    # workloads.py imports its sibling ``checks`` as a top-level module
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    workloads = load_benchmark_module("workloads")
+    pipeline = workloads.Batch(1, tmp_path).pipeline
+    parser = cli.build_parser()
+    commands = [parser.parse_args(list(map(str, argv))).command for argv in pipeline]
+    assert commands == ["align", "fit-balance", "score", "calibrate", "evaluate"]

@@ -457,19 +457,6 @@ def test_non_finite_threshold_or_score_exits_two(pipeline, tmp_path, capsys):
     assert f"{scores}: line 2: score must be finite" in capsys.readouterr().err
 
 
-def test_non_finite_silence_penalty_exits_two(pipeline, tmp_path, capsys):
-    code = main(["align",
-                 "--posteriors", str(pipeline["post"]),
-                 "--phones", str(pipeline["phones"]),
-                 "--lexicon", str(pipeline["corpus"] / "lexicon.txt"),
-                 "--text", str(pipeline["corpus"] / "text.tsv"),
-                 "--silence-penalty", "nan",
-                 "--out", str(tmp_path / "out.ctm")])
-    assert code == 2
-    assert "silence_self_loop_penalty must be finite, got nan" in (
-        capsys.readouterr().err)
-
-
 @pytest.mark.parametrize("beta", ["nan", "inf"])
 def test_non_finite_beta_exits_two(pipeline, tmp_path, capsys, beta):
     code = main(["score",

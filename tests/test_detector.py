@@ -63,11 +63,6 @@ def test_fixture_composition():
     assert cagop_score(FIX_TASCORE, -1.5, 0.1) == FIX_CAGOP
 
 
-def test_clamp_ignores_negative_delta():
-    assert cagop_score(-1.0, -3.0, 0.1, clamp_delta_at_zero=True) == -1.0
-    assert cagop_score(-1.0, 2.0, 0.1, clamp_delta_at_zero=True) == -0.8
-
-
 def test_sign_flip_without_clamp():
     # multiplier goes negative once beta*delta exceeds 1
     assert cagop_score(-1.0, 20.0, 0.1) == 1.0
@@ -77,10 +72,8 @@ def test_array_form_matches_scalar_form():
     rng = np.random.default_rng(2)
     ta = -rng.uniform(0, 5, size=30)
     d = rng.uniform(-4, 12, size=30)
-    for clamp in (False, True):
-        got = cagop_score(ta, d, 0.1, clamp)
-        want = [cagop_score(float(t), float(x), 0.1, clamp) for t, x in zip(ta, d)]
-        assert got.tolist() == want
+    got = cagop_score(ta, d, 0.1)
+    assert got.tolist() == [cagop_score(float(t), float(x), 0.1) for t, x in zip(ta, d)]
 
 
 def test_beta_must_be_nonnegative():
@@ -228,8 +221,7 @@ def test_one_pass_scorer_matches_per_segment_oracle():
         speed = float(np.mean([s.length for s in speech]))
         for variant in ("gop", "center_gop", "cagop", "cagop_minus_dur",
                         "cagop_minus_ta"):
-            cfg = DetectorConfig(variant=variant, beta=0.3,
-                                 clamp_delta_at_zero=bool(checked % 2))
+            cfg = DetectorConfig(variant=variant, beta=0.3)
             rep = score_utterance(
                 pg, Alignment(tuple(segments)), ps, cfg,
                 predicted_durations=preds, balance=balance,
@@ -247,7 +239,7 @@ def test_one_pass_scorer_matches_per_segment_oracle():
                     d = delta(seg.length, pred,
                               lookup_tolerance(balance, seg.phone, speed))
                     base = want_ta if variant == "cagop" else gop(pg, seg)
-                    want = cagop_score(base, d, cfg.beta, cfg.clamp_delta_at_zero)
+                    want = cagop_score(base, d, cfg.beta)
                     assert r.delta == d
                 else:
                     assert r.delta is None
@@ -296,36 +288,34 @@ def test_scoring_utterances_together_matches_one_at_a_time_bitwise():
     predicted = np.concatenate([preds for *_, preds in utts])
     thresholds = ThresholdTable({1: -1.2, 3: -0.4}, -0.8)
     for variant in VARIANTS:
-        for clamp in (False, True):
-            cfg = DetectorConfig(variant=variant, beta=0.3,
-                                 clamp_delta_at_zero=clamp)
-            cols = score_utterances(segments, (pg for _, _, pg, _ in utts),
-                                    cfg, predicted, balance)
-            reports = [score_utterance(pg, al, ps, cfg, preds, balance, u)
-                       for u, al, pg, preds in utts]
-            records = [r for rep in reports for r in rep.per_phone]
-            assert cols.utterance_ids == tuple(u for u, *_ in utts)
-            assert cols.counts.tolist() == [len(r.per_phone) for r in reports]
-            assert cols.phone.tolist() == [r.phone for r in records]
-            assert cols.start.tolist() == [r.segment.start for r in records]
-            assert cols.length.tolist() == [r.segment.length for r in records]
-            for field in ("gop", "center_gop", "tascore", "score"):
-                assert _bits(getattr(cols, field)) == _bits(
-                    [getattr(r, field) for r in records]), field
-            if cfg.needs_durations:
-                assert _bits(cols.delta) == _bits([r.delta for r in records])
-            else:
-                assert cols.delta is None
-                assert all(r.delta is None for r in records)
-            assert _bits(cols.sentence_scores) == _bits(
-                [rep.sentence_score for rep in reports])
-            flags = detect_flags(cols.phone.tolist(), cols.score.tolist(),
-                                 thresholds)
-            assert any(flags) and not all(flags)
-            assert flags == [
-                flag for rep in reports for flag in detect_flags(
-                    [r.phone for r in rep.per_phone], rep.scores, thresholds)
-            ]
+        cfg = DetectorConfig(variant=variant, beta=0.3)
+        cols = score_utterances(segments, (pg for _, _, pg, _ in utts),
+                                cfg, predicted, balance)
+        reports = [score_utterance(pg, al, ps, cfg, preds, balance, u)
+                   for u, al, pg, preds in utts]
+        records = [r for rep in reports for r in rep.per_phone]
+        assert cols.utterance_ids == tuple(u for u, *_ in utts)
+        assert cols.counts.tolist() == [len(r.per_phone) for r in reports]
+        assert cols.phone.tolist() == [r.phone for r in records]
+        assert cols.start.tolist() == [r.segment.start for r in records]
+        assert cols.length.tolist() == [r.segment.length for r in records]
+        for field in ("gop", "center_gop", "tascore", "score"):
+            assert _bits(getattr(cols, field)) == _bits(
+                [getattr(r, field) for r in records]), field
+        if cfg.needs_durations:
+            assert _bits(cols.delta) == _bits([r.delta for r in records])
+        else:
+            assert cols.delta is None
+            assert all(r.delta is None for r in records)
+        assert _bits(cols.sentence_scores) == _bits(
+            [rep.sentence_score for rep in reports])
+        flags = detect_flags(cols.phone.tolist(), cols.score.tolist(),
+                             thresholds)
+        assert any(flags) and not all(flags)
+        assert flags == [
+            flag for rep in reports for flag in detect_flags(
+                [r.phone for r in rep.per_phone], rep.scores, thresholds)
+        ]
 
 
 def test_dense_tolerances_equal_lookup_tolerance():

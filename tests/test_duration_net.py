@@ -23,8 +23,7 @@ from cagop.duration import (
     tiny_config,
     zeros_params,
 )
-from cagop.duration.net import Workspace, masked_l1_and_grads
-from cagop.duration.training import _pad_batch
+from cagop.duration.net import Workspace, _pad_batch, masked_l1_and_grads
 from cagop.formats import read_checkpoint, write_checkpoint
 from cagop.model import DataError
 

@@ -8,10 +8,9 @@ from cagop.duration import (
     init_params,
     iter_tensors,
     tiny_config,
-    zeros_like_params,
+    zeros_params,
 )
-from cagop.duration.net import masked_l1_and_grads
-from cagop.duration.training import _pad_batch
+from cagop.duration.net import _pad_batch, masked_l1_and_grads
 from oracles import gradient_check
 
 SAMPLE = DurationSample.from_durations([3, 7, 1, 5, 2], [4.0, 9.0, 3.0, 6.0, 5.0])
@@ -68,7 +67,7 @@ def test_padded_batch_gradients_are_token_weighted_sample_gradients():
     ]
     total = sum(len(s) for s in samples)
     expected_loss = 0.0
-    expected = zeros_like_params(params)
+    expected = zeros_params(cfg, params.num_phones)
     for s in samples:
         loss, grads = backward(params, cfg, s)
         expected_loss += loss * len(s) / total

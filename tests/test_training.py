@@ -18,10 +18,15 @@ from cagop.duration import (
     iter_tensors,
     noam_lr,
     train,
-    zeros_like_params,
+    zeros_params,
 )
-from cagop.duration.net import Workspace, _forward_batch, masked_l1_and_grads
-from cagop.duration.training import _AdamState, _pad_batch
+from cagop.duration.net import (
+    Workspace,
+    _forward_batch,
+    _pad_batch,
+    masked_l1_and_grads,
+)
+from cagop.duration.training import _AdamState
 from cagop.model import DataError, NumericError
 from oracles import adam_step_per_tensor, overfit_single
 
@@ -203,7 +208,7 @@ def test_adam_matches_the_per_tensor_reference_bit_for_bit():
     cfg = desk_config(seed=5)
     params = init_params(cfg, 12, np.random.default_rng(5))
     reference = clone_params(params)
-    m, v = zeros_like_params(params), zeros_like_params(params)
+    m, v = zeros_params(cfg, params.num_phones), zeros_params(cfg, params.num_phones)
     adam = _AdamState(params)
     rng = np.random.default_rng(6)
     ws = Workspace()
