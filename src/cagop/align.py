@@ -27,10 +27,9 @@ from .model import (
 
 # Utterances taken from the input at a time, and the budget of one chunk's
 # padded (elements + 1) x utterances x band cells, about one byte each of
-# its decision tables; a larger utterance is a chunk of its own, whose
-# decisions keep only each element's window of cells, in pages of _PAGE
-# bytes (or one element's need, if more) that never move once written.
-_WINDOW, _CHUNK_CELLS, _PAGE = 64, 1 << 15, 1 << 18
+# its decision arrays; a larger utterance is a chunk of its own, whose
+# elements keep decisions only for their window of cells.
+_WINDOW, _CHUNK_CELLS = 64, 1 << 15
 # Pruning: pass 1 guesses the optimum _KAPPA nats a frame under U(0), as
 # paragraphs' optima sit 0.09-0.13 under it and a larger kappa keeps more
 # cells; a window's top goes _REACH cells past its need, so that one scalar
@@ -96,9 +95,9 @@ def align_utterances(
     silence when inserting it does not improve the score. With E elements
     (2N+1 for N phones with optional silences, else N) and slack = F - N *
     min_segment_frames spare frames, an utterance takes O(E * slack) time;
-    besides its cumulative sums and three float band rows, it keeps a byte
-    per window cell per element, another per window cell of an optional
-    element, where a window is the band (slack + 1 cells) or its pruned part.
+    besides its cumulative sums and three float band rows, it keeps an array
+    per element of a byte per window cell, two for an optional element,
+    where a window is the band (slack + 1 cells) or its pruned part.
     Utterances are checked in input order as they are taken,
     ``_WINDOW`` at a time; a window is sorted by size and cut into chunks
     whose padded (E+1) x utterances x (slack+1) cells stay within
@@ -192,23 +191,17 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
         np.cumsum(peak[:0:-1], out=bound[-2::-1])
     np.cumsum(cums, axis=2, out=cums)
 
-    # Decisions, in pages of ``size`` bytes, each page holding whole elements:
-    # element i's rise bits for band cells [w0, end) of its active rows and,
-    # for an optional element, its took bits for [w0, top), back to back;
-    # spans[i] is (page, offset, w0, end, top). A chunk within the budget
-    # fills one page exactly.
-    full = width * sum(n * (1 + o) for n, o in zip(active, optional))
-    size = min(full, max(_PAGE, 2 * num * width))
-
     def forward(thr):
         """spans and final scores; a cell under ``thr`` may be dropped."""
         # scores[i % 2] is best[i] while element i is taken; scores[2] is
         # scratch. Element i's running maximum of entry scores rises at
         # band cell k of its window; silence i is taken at k when it lifts
-        # best[i + 1] there.
+        # best[i + 1] there. spans[i] is (rise, took, w0, top): element i's
+        # rise bits for cells [w0, end) and an optional element's took bits
+        # for [w0, top), a row per active utterance (1-D for a lone row).
         scores = np.full((3, num, width), -np.inf)
         scores[0, :, 0] = 0.0
-        spans, page, at = [], None, size
+        spans = []
         # best[i] is -inf outside band cells [w0, w1)
         w0, w1, n = 0, width if thr is None else 1, 0
         for i in range(num_elements):
@@ -243,28 +236,19 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
                 if shift:
                     cur[w1:top] = -np.inf
             end = max(w1, top - shift)
-            cells = n * (end - w0 + (top - w0) * optional[i])
-            if at + cells > size:
-                page, at = np.empty(size, bool), 0
-            spans.append((page, at, w0, end, top))
-            rise = page[at : at + n * (end - w0)]
-            at += rise.size
-            if n > 1:
-                rise = rise.reshape(n, end - w0)
+            rise = np.empty((n, end - w0) if n > 1 else end - w0, bool)
             rise[..., 0] = True  # cell w0 counts as a rise
             np.greater(entry[..., w0 + 1 : end], entry[..., w0 : end - 1], out=rise[..., 1:])
             if shift:
                 nxt[..., w0] = -np.inf
             np.add(slab[..., w0 + m : top + m - shift], entry[..., w0 : top - shift],
                    out=nxt[..., w0 + shift : top])
+            took = None
             if optional[i]:
                 held, taken = cur[..., w0:top], nxt[..., w0:top]
-                took = page[at : at + n * (top - w0)]
-                at += took.size
-                if n > 1:
-                    took = took.reshape(n, top - w0)
-                np.greater(taken, held, out=took)
+                took = np.greater(taken, held)
                 np.maximum(taken, held, out=taken)
+            spans.append((rise, took, w0, top))
             w1 = top
             if thr is not None and i % _TRIM == _TRIM - 1:
                 kept = np.flatnonzero(nxt[w0:w1] + bound[b + w0 : b + w1] >= thr)
@@ -299,19 +283,17 @@ def _align_chunk(chunk: list, cfg: AlignConfig):
     found = []  # (row, element, start) of each segment
     for i in range(num_elements - 1, -1, -1):
         a, n, m = lo[i], active[i], min_len[i]
-        page, at, w0, end, top = spans[i]
-        wide, rows, offsets = end - w0, range(n), ()
-        if optional[i]:  # a tie leaves the silence out
-            at_took = at + n * wide - w0 - a
-            rows = [u for u in rows if page.item(at_took + u * (top - w0) + ends[u])]
+        rise, took, w0, top = spans[i]
+        rows, offsets = range(n), ()
+        if optional[i]:  # a tie leaves the silence out (a flat index reads either shape)
+            rows = [u for u in rows if took.item(u * (top - w0) + ends[u] - a - w0)]
         if len(rows) == 1:
             t = ends[rows[0]] - a - m - w0
-            row_at = at + rows[0] * wide
-            offsets = (w0 + t - int(page[row_at : row_at + t + 1][::-1].argmax()),)
+            seen = rise[rows[0], t::-1] if n > 1 else rise[t::-1]
+            offsets = (w0 + t - int(seen.argmax()),)
         elif rows:
             tops = [ends[u] - a - m - w0 for u in rows]
             t = max(tops)
-            rise = page[at : at + n * wide].reshape(n, wide)
             seen = rise[:, t::-1] if len(rows) == n else rise[rows, t::-1]
             seen = seen & (falling[-t - 1 :] <= np.array(tops)[:, None])
             offsets = (w0 + t - seen.argmax(axis=1)).tolist()
@@ -328,7 +310,7 @@ def align(
     """Best monotone segmentation of ``phones`` over the posteriorgram.
 
     ``align_utterances`` on this one utterance, as an ``Alignment``: O(E *
-    slack) time, and one or two bytes of memory per window cell and element.
+    slack) time, and per element an array of one or two bytes per window cell.
     A long utterance runs on a pruned band with the full band's segments;
     its windows hold about a fifth of the band's cells.
     """

@@ -65,20 +65,23 @@ class BalanceTable:
             raise DataError(
                 f"global tolerance must be finite and >= 0, got {self.global_backoff}"
             )
-        # The backoff resolved once into a dense (phone x bucket) grid;
-        # phones past the largest one named read its last, global, row.
+        # The backoff resolved once into a (phone x bucket) grid: a column
+        # per in-range bucket that has a cell, then one for every other
+        # bucket; phones past the largest one named read its last, global, row.
         named = [*self.phone_backoff, *(phone for phone, _ in self.entries)]
         if min(named, default=0) < 0:
             raise DataError(f"negative phone index {min(named)}")
         lo, hi = self.bucket_range
-        grid = np.full((max(named, default=-1) + 2, hi - lo + 1),
+        cells = {key: t for key, t in self.entries.items() if lo <= key[1] <= hi}
+        buckets = np.array(sorted({b for _, b in cells}), np.int64)
+        grid = np.full((max(named, default=-1) + 2, buckets.size + 1),
                        self.global_backoff)
         for phone, tolerance in self.phone_backoff.items():
             grid[phone] = tolerance
-        for (phone, bucket), tolerance in self.entries.items():
-            if lo <= bucket <= hi:
-                grid[phone, bucket - lo] = tolerance
+        for (phone, bucket), tolerance in cells.items():
+            grid[phone, np.searchsorted(buckets, bucket)] = tolerance
         object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_buckets", buckets)
 
 
 def _tolerance(errors: Sequence[float]) -> float:
@@ -166,10 +169,11 @@ def lookup_tolerances(
     table: BalanceTable, phones: np.ndarray, speeds: np.ndarray
 ) -> np.ndarray:
     """``lookup_tolerance`` of each (phone, speed) pair, by one index."""
-    grid = table._grid
+    grid, named = table._grid, table._buckets
     buckets = speed_bucket(speeds, table.bucket_width, table.bucket_range)
-    return grid[np.minimum(phones, len(grid) - 1),
-                buckets - table.bucket_range[0]]
+    columns = np.where(np.isin(buckets, named),
+                       np.searchsorted(named, buckets), named.size)
+    return grid[np.minimum(phones, len(grid) - 1), columns]
 
 
 def delta(d_align: float, d_pred: float, tolerance: float) -> float:

@@ -117,8 +117,9 @@ def _read_bytes(path) -> bytes:
         raise FormatError(f"cannot read: {exc}", path=path) from exc
 
 
-def _read_lines(path) -> list[str]:
-    blob = _read_bytes(path)
+def _read_lines(path, blob: Optional[bytes] = None) -> list[str]:
+    """The file's lines, decoded from ``blob`` if it was read already."""
+    blob = _read_bytes(path) if blob is None else blob
     try:
         return blob.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -321,7 +322,7 @@ def read_posteriorgram(path) -> Posteriorgram:
     blob = _read_bytes(path)
     if blob[: len(PGM_MAGIC)] == PGM_MAGIC:
         return _posteriorgram_from_bytes(blob, path)
-    return read_posteriorgram_text(path)
+    return _posteriorgram_from_lines(_read_lines(path, blob), path)
 
 
 def write_posteriorgram_text(path, pg: Posteriorgram) -> None:
@@ -339,7 +340,10 @@ def write_entropy_profile(path, entropies: Iterable[float]) -> None:
 
 
 def read_posteriorgram_text(path) -> Posteriorgram:
-    lines = _read_lines(path)
+    return _posteriorgram_from_lines(_read_lines(path), path)
+
+
+def _posteriorgram_from_lines(lines: list[str], path) -> Posteriorgram:
     frames, phones, shift = _header(path, lines, [
         ("frames", _ints, "frame count"), ("phones", _ints, "phone count"),
         ("shift_ms", _floats, "frame shift"),

@@ -20,6 +20,7 @@ from cagop import (
     ThresholdTable,
 )
 from cagop import formats
+from cagop.balance import lookup_tolerance, lookup_tolerances
 from cagop.duration import (
     TrainLogEntry, full_config, init_params, iter_tensors, tiny_config,
 )
@@ -118,6 +119,19 @@ def test_reader_sniffs_both_twins(tmp_path):
         read_posteriorgram(tmp_path / "x.pgm").probs,
         read_posteriorgram(tmp_path / "x.pgt").probs,
     )
+
+
+def test_text_posteriorgram_is_read_once(tmp_path, monkeypatch):
+    write_posteriorgram_text(tmp_path / "x.pgt", random_pg(np.random.default_rng(3), 4, 3))
+    reads = []
+
+    def counted(path, read=formats._read_bytes):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(formats, "_read_bytes", counted)
+    read_posteriorgram(tmp_path / "x.pgt")
+    assert len(reads) == 1
 
 
 def test_binary_rejects_bad_magic(tmp_path):
@@ -373,6 +387,29 @@ def test_balance_table_names_line_of_unknown_phone(tmp_path):
     with pytest.raises(FormatError, match="ZZ") as err:
         read_balance_table(path, PS)
     assert err.value.line == 3
+
+
+def test_balance_table_grid_follows_its_cells_not_its_header(tmp_path):
+    top = 2**62
+    path = tmp_path / "bal.tsv"
+    path.write_text(f"bucket_width=1.0 bucket_min=0 bucket_max={top}\n"
+                    f"AA\t3\t0.5\nAA\t{top}\t7.0\nB\t{top + 1}\t9.0\n"
+                    "B\tPHONE\t2.0\n-\tGLOBAL\t1.5\n")
+    speeds = np.array([0.0, 2.4, 2.6, 3.0, 3.4, 1e6, 1e18, float(top), 1e19])
+    phones = np.repeat(np.arange(len(PS.phones)), len(speeds))
+    tracemalloc.start()
+    try:
+        table = read_balance_table(path, PS)
+        got = lookup_tolerances(table, phones, np.tile(speeds, len(PS.phones)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    want = [lookup_tolerance(table, int(p), float(s))
+            for p, s in zip(phones, np.tile(speeds, len(PS.phones)))]
+    assert got.tolist() == want
+    # the cells, the phone and global backoffs, and the clamped top bucket
+    assert {0.5, 7.0, 2.0, 1.5} == set(want)
 
 
 def test_thresholds_roundtrip(tmp_path):
