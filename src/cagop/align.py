@@ -20,7 +20,6 @@ from .model import (
     PROB_FLOOR,
     Alignment,
     DataError,
-    PhoneSegment,
     Posteriorgram,
     SegmentColumns,
 )
@@ -314,6 +313,4 @@ def align(
     A long utterance runs on a pruned band with the full band's segments;
     its windows hold about a fifth of the band's cells.
     """
-    cols = align_utterances([("", pg, phones)], cfg)
-    return Alignment(tuple(map(PhoneSegment, cols.phone.tolist(),
-                               cols.start.tolist(), cols.length.tolist())))
+    return align_utterances([("", pg, phones)], cfg).alignments()[0][1]

@@ -97,14 +97,15 @@ def _grouped_tolerances(keys: np.ndarray, errors: np.ndarray, min_count: int):
     already in the order ``_tolerance`` sums them in.
     """
     order = np.lexsort((errors, keys))
-    keys, errors = keys[order], errors[order]
-    firsts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    lasts = np.r_[firsts[1:], len(keys)]
-    return {
-        key: _tolerance(errors[a:b])
-        for key, a, b in zip(keys[firsts].tolist(), firsts, lasts)
-        if b - a >= min_count
-    }
+    errors = errors[order]
+    return {key: _tolerance(errors[a:b])
+            for key, a, b in runs(keys[order]) if b - a >= min_count}
+
+
+def runs(keys: np.ndarray) -> list[tuple[int, int, int]]:
+    """``(key, first, end)`` of each run of equal values in sorted ``keys``."""
+    firsts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).tolist()
+    return list(zip(keys[firsts].tolist(), firsts, [*firsts[1:], len(keys)]))
 
 
 def fit_balance_table(

@@ -11,8 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import replace
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -172,17 +170,9 @@ def _cmd_align(args) -> int:
     return EXIT_OK
 
 
-def _speech_segments(segments: SegmentColumns) -> SegmentColumns:
-    """``segments`` without the utterances that have no rows."""
-    kept = segments.counts > 0
-    return replace(segments, counts=segments.counts[kept],
-                   utterance_ids=tuple(compress(segments.utterance_ids, kept)))
-
-
 def _duration_corpus(ctm_path, phone_set) -> SegmentColumns:
     """The CTM's non-silence segments of every utterance that has some."""
-    segments = _speech_segments(
-        read_ctm_columns(ctm_path, phone_set).non_silence(phone_set))
+    segments = read_ctm_columns(ctm_path, phone_set).speech(phone_set)
     if not segments.utterance_ids:
         raise DataError("alignment file has no non-silence phones")
     return segments
@@ -211,7 +201,7 @@ def _cmd_score(args) -> int:
             )
         balance = read_balance_table(args.balance, phone_set)
         predicted = _predict_durations(args.checkpoint,
-                                       _speech_segments(segments))
+                                       segments.speech(phone_set))
     thresholds = (
         read_thresholds(args.thresholds, phone_set)
         if args.thresholds is not None else None
@@ -223,15 +213,12 @@ def _cmd_score(args) -> int:
                                             phone_set), ids),
         cfg, predicted_durations=predicted, balance=balance,
     )
-    counts = cols.counts.tolist()
-    phones, scores = cols.phone.tolist(), cols.score.tolist()
+    phones, scores = segments.phone.tolist(), cols.score.tolist()
     flags = (detect_flags(phones, scores, thresholds)
              if thresholds is not None else [None] * len(scores))
     write_score_file(args.out, ScoreFile(
-        args.variant,
-        tuple(utt_id for utt_id, n in zip(ids, counts) for _ in range(n)),
-        tuple(pos for n in counts for pos in range(n)), tuple(phones),
-        tuple(cols.start.tolist()), tuple(cols.length.tolist()),
+        args.variant, segments.row_ids(), segments.positions(), tuple(phones),
+        tuple(segments.start.tolist()), tuple(segments.length.tolist()),
         tuple(scores), tuple(flags),
         tuple(zip(ids, cols.sentence_scores.tolist())),
     ), phone_set)
@@ -275,8 +262,7 @@ def _cmd_train_dur(args) -> int:
 
 def _cmd_predict_dur(args) -> int:
     phone_set = read_phone_set(args.phones)
-    segments = _speech_segments(
-        read_ctm_columns(args.ctm, phone_set).non_silence(phone_set))
+    segments = read_ctm_columns(args.ctm, phone_set).speech(phone_set)
     predicted = _predict_durations(args.checkpoint, segments).tolist()
     write_duration_predictions(args.out, segments, predicted, phone_set)
     print(f"wrote duration predictions -> {args.out}")
@@ -291,7 +277,7 @@ def _cmd_fit_balance(args) -> int:
         segments.phone, segments.length,
         _predict_durations(args.checkpoint, segments),
         np.repeat(speeds, segments.counts),
-        bucket_width=args.bucket_width, min_count=args.min_count,
+        min_count=args.min_count,
     )
     write_balance_table(args.out, table, phone_set)
     print(
@@ -396,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cagop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth-corpus", parents=[], help="generate a synthetic corpus")
+    p = sub.add_parser("synth-corpus", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--utterances", type=int, default=200)
@@ -448,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--phones", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bucket-width", type=float, default=1.0)
     p.add_argument("--min-count", type=int, default=5)
     p.set_defaults(fn=_cmd_fit_balance)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ from .balance import (  # noqa: F401
     delta as duration_delta,
     lookup_tolerance,
     lookup_tolerances,
+    runs,
 )
 from .model import (
     PROB_FLOOR,
@@ -83,7 +85,9 @@ def tascore(frames, lengths: np.ndarray) -> tuple[np.ndarray, FrameScores]:
 
     ``frames`` pairs the posterior of the segment's phone with the row
     entropy at each segment frame, the segments' frames concatenated in
-    order. Segment sums are taken with ``np.add.reduceat``.
+    order. Segment sums are taken with ``np.add.reduceat``. Its contract is
+    the per-segment one: a change that keeps every entropy and raises a
+    posterior never lowers a score, while one that moves an entropy can.
     """
     posteriors, entropies = frames
     firsts = np.cumsum(lengths) - lengths
@@ -96,18 +100,14 @@ def tascore(frames, lengths: np.ndarray) -> tuple[np.ndarray, FrameScores]:
 
 @dataclass(frozen=True, eq=False)
 class ScoreColumns:
-    """Per-phone scores of many utterances, one array per field.
+    """Per-phone scores of the rows of ``segments``, one array per field.
 
-    The first ``counts[0]`` rows are ``utterance_ids[0]``'s non-silence
-    segments, and so on; ``delta`` is None when the duration factor is off.
+    ``sentence_scores`` holds one mean per utterance of ``segments``;
+    ``delta`` is None when the duration factor is off.
     """
 
-    utterance_ids: tuple[str, ...]
-    counts: np.ndarray
+    segments: SegmentColumns
     sentence_scores: np.ndarray
-    phone: np.ndarray
-    start: np.ndarray
-    length: np.ndarray
     gop: np.ndarray
     center_gop: np.ndarray
     tascore: np.ndarray
@@ -129,6 +129,8 @@ def score_utterances(
     are kept, so posteriorgrams loaded one at a time are held one at a
     time. predicted_durations holds one prediction per row of ``segments``;
     it and a balance table are required when the duration factor is live.
+    An utterance with no rows, a segment past its last frame or a phone
+    past its posterior columns is a ``DataError`` naming the utterance.
     """
     if cfg.needs_durations and (predicted_durations is None or balance is None):
         raise DataError(
@@ -149,20 +151,22 @@ def score_utterances(
     firsts = np.cumsum(length) - length
     frames = np.arange(length.sum()) + np.repeat(start - firsts, length)
     frame_phones = np.repeat(phone, length)
-    row_bounds = [0, *np.cumsum(counts).tolist()]
+    row_bounds = segments.bounds()
     frame_bounds = np.r_[0, np.cumsum(length)][row_bounds].tolist()
     posteriors, entropies = [], []
-    for utt_id, a, b, fa, fb, pg in zip(
-        ids, row_bounds, row_bounds[1:], frame_bounds, frame_bounds[1:],
-        posteriorgrams,
-    ):
+    for utt_id, (a, b), (fa, fb), pg in zip(
+            ids, pairwise(row_bounds), pairwise(frame_bounds), posteriorgrams):
         if a == b:
             raise DataError(f"no non-silence phones to score in {utt_id!r}")
-        if ends[b - 1] > pg.num_frames:
-            bad = a + int(np.argmax(ends[a:b] > pg.num_frames))
-            raise DataError(f"segment [{start[bad]},{ends[bad]}) exceeds "
-                            f"{pg.num_frames} frames in {utt_id!r}")
-        posteriors.append(pg.probs[frames[fa:fb], frame_phones[fa:fb]])
+        try:
+            posteriors.append(pg.probs[frames[fa:fb], frame_phones[fa:fb]])
+        except IndexError:  # a segment or a phone lies outside ``pg``
+            over = a + np.flatnonzero(ends[a:b] > pg.num_frames)
+            raise DataError(
+                f"segment [{start[over[0]]},{ends[over[0]]}) exceeds "
+                f"{pg.num_frames} frames in {utt_id!r}" if over.size else
+                f"phone index {phone[a:b].max()} outside the "
+                f"{pg.num_phones} posterior columns in {utt_id!r}") from None
         entropies.append(entropy_profile(pg)[frames[fa:fb]])
     if len(posteriors) != len(ids):
         raise DataError(f"{len(posteriors)} posteriorgrams for {len(ids)} "
@@ -180,9 +184,9 @@ def score_utterances(
     }[cfg.variant]
     if cfg.variant in DURATION_VARIANTS:
         score = cagop_score(score, 0.0 if deltas is None else deltas, cfg.beta)
-    sentences = [score[a:b].mean() for a, b in zip(row_bounds, row_bounds[1:])]
-    return ScoreColumns(ids, counts, np.array(sentences), phone, start,
-                        length, gop_scores, center, ta, deltas, score)
+    sentences = np.array([s.mean() for s in segments.split(score)])
+    return ScoreColumns(segments, sentences, gop_scores, center, ta, deltas,
+                        score)
 
 
 def score_utterance(
@@ -279,14 +283,14 @@ def calibrate_thresholds(
 
     global_threshold = _sweep_threshold(score_arr, label_arr)
     per_phone: dict[int, float] = {}
-    for phone in np.unique(phones):
-        sel = phones == phone
-        if sel.sum() < min_count:
-            continue
+    # one stable sort keeps each phone's rows in their input order
+    order = np.argsort(phones, kind="stable")
+    for phone, a, b in runs(phones[order]):
+        sel = order[a:b]
         sub_labels = label_arr[sel]
-        if sub_labels.all() or not sub_labels.any():
+        if b - a < min_count or sub_labels.all() or not sub_labels.any():
             continue
-        per_phone[int(phone)] = _sweep_threshold(score_arr[sel], sub_labels)
+        per_phone[phone] = _sweep_threshold(score_arr[sel], sub_labels)
     return ThresholdTable(per_phone=per_phone, global_threshold=global_threshold)
 
 

@@ -61,7 +61,6 @@ from .model import (
     Alignment,
     DataError,
     FormatError,
-    PhoneSegment,
     PhoneSet,
     Posteriorgram,
     SegmentColumns,
@@ -101,12 +100,6 @@ def _write(path, chunks: Iterable[bytes]) -> None:
 def _write_text(path, lines: Iterable[str]) -> None:
     """Write ``lines``, each ending in a newline, built before the open."""
     _write(path, ["".join(lines).encode("utf-8")])
-
-
-def _row_ids(cols: SegmentColumns) -> list[str]:
-    """The utterance id of each row of ``cols``."""
-    return [u for u, n in zip(cols.utterance_ids, cols.counts.tolist())
-            for _ in range(n)]
 
 
 def _read_bytes(path) -> bytes:
@@ -460,7 +453,7 @@ def text_to_phones(
 
 def write_ctm(path, cols: SegmentColumns, phone_set: PhoneSet) -> None:
     """Write segment columns, one row each."""
-    _write_text(path, map("{}\t{}\t{}\t{}\n".format, _row_ids(cols),
+    _write_text(path, map("{}\t{}\t{}\t{}\n".format, cols.row_ids(),
                           map(phone_set.label, cols.phone.tolist()),
                           cols.start.tolist(), cols.length.tolist()))
 
@@ -501,11 +494,7 @@ def read_ctm_columns(path, phone_set: PhoneSet) -> SegmentColumns:
 
 def read_ctm(path, phone_set: PhoneSet) -> list[tuple[str, Alignment]]:
     """``read_ctm_columns`` as one Alignment per utterance."""
-    cols = read_ctm_columns(path, phone_set)
-    rows = list(zip(*(c.tolist() for c in (cols.phone, cols.start, cols.length))))
-    bounds = np.cumsum(cols.counts).tolist()
-    return [(utt_id, Alignment(tuple(starmap(PhoneSegment, rows[a:b]))))
-            for utt_id, a, b in zip(cols.utterance_ids, [0, *bounds], bounds)]
+    return read_ctm_columns(path, phone_set).alignments()
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +704,8 @@ def write_duration_predictions(
 ) -> None:
     """Write a header, then each segment's utterance, position in it, phone,
     aligned and predicted frames."""
-    rows = map("{}\t{}\t{}\t{}\t{}\n".format, _row_ids(segments),
-               [pos for n in segments.counts.tolist() for pos in range(n)],
+    rows = map("{}\t{}\t{}\t{}\t{}\n".format, segments.row_ids(),
+               segments.positions(),
                map(phone_set.label, segments.phone.tolist()),
                segments.length.tolist(), map(_fmt, predicted))
     _write_text(path, ["utt\tpos\tphone\taligned\tpredicted\n", *rows])

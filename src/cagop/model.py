@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import compress, pairwise
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -171,7 +172,11 @@ class SegmentColumns:
     """Phone segments of many utterances, one int64 array per field.
 
     The first ``counts[0]`` rows are ``utterance_ids[0]``'s segments, in
-    order, and so on.
+    order, and so on. This class alone maps rows to utterances, in
+    ``bounds``, ``row_ids``, ``positions``, ``split``, ``speech`` and
+    ``alignments``. The constructor rejects counts that miss a row or run
+    past the last one, a negative phone or start, and a length below 1,
+    with a ``DataError`` naming the utterance.
     """
 
     utterance_ids: tuple[str, ...]
@@ -179,6 +184,30 @@ class SegmentColumns:
     phone: np.ndarray
     start: np.ndarray
     length: np.ndarray
+
+    def __post_init__(self):
+        ids, counts, rows = self.utterance_ids, self.counts, len(self.phone)
+        if not (len(counts) == len(ids) and
+                len(self.start) == len(self.length) == rows):
+            raise DataError(f"{len(counts)} counts for {len(ids)} utterances, "
+                            f"columns of {rows}, {len(self.start)} and "
+                            f"{len(self.length)} rows")
+        ends = np.cumsum(counts)
+        bad = np.flatnonzero((counts < 0) | (ends > rows))
+        if bad.size:
+            k = int(bad[0])
+            raise DataError(f"{ids[k]!r} has {counts[k]} rows from row "
+                            f"{ends[k] - counts[k]}, of {rows} rows")
+        if counts.sum() < rows:
+            raise DataError(f"{rows - counts.sum()} rows belong to no "
+                            "utterance")
+        for column, low, what in ((self.phone, 0, "phone index"),
+                                  (self.start, 0, "segment start"),
+                                  (self.length, 1, "segment length")):
+            if rows and column.min() < low:
+                r = int(np.argmax(column < low))
+                raise DataError(f"{what} {column[r]} is below {low} in "
+                                f"{ids[np.searchsorted(ends, r, 'right')]!r}")
 
     @classmethod
     def from_alignments(
@@ -190,6 +219,21 @@ class SegmentColumns:
         counts = np.array([len(a.segments) for a in alignments], np.int64)
         return cls(ids, counts, *np.array(rows, np.int64).reshape(-1, 3).T)
 
+    def alignments(self) -> list[tuple[str, Alignment]]:
+        """``(utt_id, Alignment)`` pairs, as ``from_alignments`` takes."""
+        rows = list(map(PhoneSegment, self.phone.tolist(), self.start.tolist(),
+                        self.length.tolist()))
+        return list(zip(self.utterance_ids, map(Alignment, self.split(rows))))
+
+    def row_ids(self) -> tuple[str, ...]:
+        """The utterance id of each row."""
+        ids, counts = self.utterance_ids, self.counts.tolist()
+        return tuple([u for u, n in zip(ids, counts) for _ in range(n)])
+
+    def positions(self) -> tuple[int, ...]:
+        """Each row's position among its utterance's rows, from 0."""
+        return tuple([k for n in self.counts.tolist() for k in range(n)])
+
     def non_silence(self, phone_set: PhoneSet) -> "SegmentColumns":
         """The same utterances without their silence rows; counts may be 0."""
         if phone_set.silence_index is None:
@@ -200,9 +244,21 @@ class SegmentColumns:
         return SegmentColumns(self.utterance_ids, counts, self.phone[keep],
                               self.start[keep], self.length[keep])
 
-    def split(self, values: np.ndarray) -> list[np.ndarray]:
-        """``values``, one per row, cut into one array per utterance."""
-        return np.split(values, np.cumsum(self.counts)[:-1])
+    def speech(self, phone_set: PhoneSet) -> "SegmentColumns":
+        """The non-silence rows of the utterances that have any."""
+        cols = self.non_silence(phone_set)
+        kept = cols.counts > 0
+        return SegmentColumns(tuple(compress(cols.utterance_ids, kept)),
+                              cols.counts[kept], cols.phone, cols.start,
+                              cols.length)
+
+    def bounds(self) -> list[int]:
+        """Row offsets: utterance k has rows ``bounds[k]:bounds[k + 1]``."""
+        return [0, *np.cumsum(self.counts).tolist()]
+
+    def split(self, values: Sequence) -> list:
+        """``values``, one per row, cut into one slice per utterance."""
+        return [values[a:b] for a, b in pairwise(self.bounds())]
 
 
 def utterance_speeds(length: np.ndarray, counts: np.ndarray) -> np.ndarray:

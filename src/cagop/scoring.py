@@ -76,6 +76,13 @@ def tascore(pg: Posteriorgram, seg: PhoneSegment) -> tuple[float, FrameScores]:
     Each frame's entropy is floored at ``ENTROPY_FLOOR`` so a one-hot frame
     dominates the weighting instead of overflowing it. Weights are the
     normalized reciprocals and sum to 1.
+
+    The weights depend on the frame entropies and nothing else, so a change
+    that keeps every frame's entropy and raises a reference posterior (say,
+    swapping it with a larger one of its row) never lowers the score. A
+    change that moves an entropy can: phone 0 over frames ``[[0.01, 0,
+    0.99], [0, 0.04, 0.96]]`` scores -9.21, and -18.67 with frame 0 raised
+    to ``[0.5, 0, 0.5]``, whose entropy rises and whose weight falls.
     """
     rows = slice_segment(pg, seg)
     log_post = _floored_log(rows[:, seg.phone])

@@ -422,11 +422,17 @@ def test_usage_error_then_valid_command_in_one_process(tmp_path, capsys):
     assert (out / "text.tsv").exists()
 
 
-def test_module_entry_point_runs_the_command(tmp_path):
+def _src_env():
+    """The environment with this checkout's package first on the path."""
     env = dict(os.environ)
     src = str(Path(cagop.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_module_entry_point_runs_the_command(tmp_path):
+    env = _src_env()
     bad = subprocess.run([sys.executable, "-m", "cagop.cli", "frobnicate"],
                          env=env, capture_output=True, text=True)
     assert bad.returncode == 1
@@ -436,6 +442,22 @@ def test_module_entry_point_runs_the_command(tmp_path):
                            "--out", str(out), "--utterances", "2"],
                           env=env, capture_output=True, text=True)
     assert good.returncode == 0 and (out / "text.tsv").exists()
+
+
+def test_calibrate_does_not_import_numpy_ma(pipeline, tmp_path):
+    # np.unique's first call in a process imports numpy.ma; calibration
+    # groups phones with one sort instead.
+    out = tmp_path / "thresholds.tsv"
+    argv = ["calibrate", "--scores", str(pipeline["scores"]),
+            "--annotations", str(pipeline["annotations"]),
+            "--phones", str(pipeline["phones"]), "--min-count", "5",
+            "--out", str(out)]
+    code = ("import sys; from cagop.cli import main; "
+            f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+    ran = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True)
+    assert ran.stdout.splitlines()[-1] == "0 False", ran.stderr
+    assert out.read_bytes() == pipeline["thresholds"].read_bytes()
 
 
 def test_non_finite_threshold_or_score_exits_two(pipeline, tmp_path, capsys):

@@ -294,11 +294,12 @@ def test_scoring_utterances_together_matches_one_at_a_time_bitwise():
         reports = [score_utterance(pg, al, ps, cfg, preds, balance, u)
                    for u, al, pg, preds in utts]
         records = [r for rep in reports for r in rep.per_phone]
-        assert cols.utterance_ids == tuple(u for u, *_ in utts)
-        assert cols.counts.tolist() == [len(r.per_phone) for r in reports]
-        assert cols.phone.tolist() == [r.phone for r in records]
-        assert cols.start.tolist() == [r.segment.start for r in records]
-        assert cols.length.tolist() == [r.segment.length for r in records]
+        rows = cols.segments
+        assert rows.utterance_ids == tuple(u for u, *_ in utts)
+        assert rows.counts.tolist() == [len(r.per_phone) for r in reports]
+        assert rows.phone.tolist() == [r.phone for r in records]
+        assert rows.start.tolist() == [r.segment.start for r in records]
+        assert rows.length.tolist() == [r.segment.length for r in records]
         for field in ("gop", "center_gop", "tascore", "score"):
             assert _bits(getattr(cols, field)) == _bits(
                 [getattr(r, field) for r in records]), field
@@ -309,7 +310,7 @@ def test_scoring_utterances_together_matches_one_at_a_time_bitwise():
             assert all(r.delta is None for r in records)
         assert _bits(cols.sentence_scores) == _bits(
             [rep.sentence_score for rep in reports])
-        flags = detect_flags(cols.phone.tolist(), cols.score.tolist(),
+        flags = detect_flags(rows.phone.tolist(), cols.score.tolist(),
                              thresholds)
         assert any(flags) and not all(flags)
         assert flags == [
@@ -354,6 +355,41 @@ def test_segment_past_the_last_frame_names_the_utterance():
     with pytest.raises(DataError, match="no utterances to score"):
         score_utterances(SegmentColumns.from_alignments([]), [],
                          DetectorConfig(variant="gop", beta=0.0))
+
+
+# Rows of a "fine" utterance, then a "bad" one, over 5 frames and 3 phones:
+# (phone, start, length) columns, per-utterance counts, and the error.
+MALFORMED = {
+    "start_wraps_around": ([1, 2, 1], [0, 2, -2], [2, 3, 2], [2, 1],
+                           r"segment start -2 is below 0 in 'bad'"),
+    "zero_length": ([1, 2, 1, 2], [0, 2, 0, 2], [2, 3, 2, 0], [2, 2],
+                    r"segment length 0 is below 1 in 'bad'"),
+    "phone_past_columns": ([1, 2, 1, 3], [0, 2, 0, 2], [2, 3, 2, 3], [2, 2],
+                           r"phone index 3 outside the 3 posterior columns "
+                           r"in 'bad'"),
+    "inner_row_past_last_frame": ([1, 2, 1, 2], [0, 2, 0, 2], [2, 3, 6, 3],
+                                  [2, 2], r"segment \[0,6\) exceeds 5 frames "
+                                  r"in 'bad'"),
+    "counts_past_rows": ([1, 2, 1, 2], [0, 2, 0, 2], [2, 3, 2, 3], [2, 3],
+                         r"'bad' has 3 rows from row 2, of 4 rows"),
+    "negative_count": ([1, 2, 1, 2], [0, 2, 0, 2], [2, 3, 2, 3], [4, -1],
+                       r"'bad' has -1 rows from row 4, of 4 rows"),
+    "rows_past_counts": ([1, 2, 1, 2], [0, 2, 0, 2], [2, 3, 2, 3], [2, 1],
+                         r"1 rows belong to no utterance"),
+    "ragged_columns": ([1, 2, 1, 2], [0, 2, 0], [2, 3, 2, 3], [2, 2],
+                       r"columns of 4, 3 and 4 rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_rows_are_data_errors_naming_the_utterance(case):
+    *columns, counts, match = MALFORMED[case]
+    pg = random_pg(np.random.default_rng(3), 5, 3)
+    with pytest.raises(DataError, match=match):
+        score_utterances(
+            SegmentColumns(("fine", "bad"), np.array(counts),
+                           *(np.array(c, dtype=np.int64) for c in columns)),
+            [pg, pg], DetectorConfig(variant="gop", beta=0.0))
 
 
 def test_sentence_score_is_the_mean():

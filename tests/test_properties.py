@@ -3,9 +3,11 @@
 A lower score means "more likely mispronounced". Each test draws seeded
 random cases and checks that a change which can only make a phone look
 better (or worse) never moves its score, sentence score, duration
-mismatch or flag the other way. The transition-aware score is left out:
-raising one frame's posterior can raise that frame's entropy, shift its
-weight onto a worse frame, and lower the score.
+mismatch or flag the other way. The transition-aware score (TA) weights a
+frame by its entropy, so it is checked only under changes that keep every
+frame's entropy: raising one frame's posterior with the other phones
+scaled down can raise that frame's entropy, shift its weight onto a worse
+frame, and lower TA.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from cagop import (
     detect_flags,
 )
 from cagop.detector import score_utterances
+from cagop.scoring import entropy_profile
 
 from conftest import make_pg
 
@@ -31,10 +34,31 @@ def _segments(rng, frames):
     return bounds[:-1], np.diff(bounds)
 
 
-def _cases(rng):
+def _raised(row, ref, rng):
+    """``row`` with its ``ref`` posterior raised, the others scaled down."""
+    if row[ref] >= 1.0:
+        return None
+    top = row[ref] + (1.0 - row[ref]) * rng.uniform(0.0, 1.0)
+    raised = row * ((1.0 - top) / (1.0 - row[ref]))
+    raised[ref] = top
+    return raised
+
+
+def _swapped(row, ref, rng):
+    """``row`` with its ``ref`` posterior swapped for a larger one."""
+    larger = np.flatnonzero(row > row[ref])
+    if not larger.size:
+        return None
+    other = rng.choice(larger)
+    swapped = row.copy()
+    swapped[[ref, other]] = row[[other, ref]]
+    return swapped
+
+
+def _cases(rng, change=_raised):
     """Utterances as (posteriorgram, phones, starts, lengths), and each with
-    the reference phone's posterior raised in one frame, the other phones
-    scaled down to match."""
+    one frame of one segment changed to ``change(row, reference phone, rng)``
+    (cases where it gives None are left out)."""
     before, after = [], []
     for _ in range(CASES):
         frames, columns = int(rng.integers(1, 10)), int(rng.integers(2, 6))
@@ -43,14 +67,12 @@ def _cases(rng):
         phones = rng.integers(0, columns, len(starts))
         k = int(rng.integers(len(starts)))
         frame = starts[k] + int(rng.integers(lengths[k]))
-        row, ref = probs[frame], phones[k]
-        if row[ref] < 1.0:
-            raised = probs.copy()
-            top = row[ref] + (1.0 - row[ref]) * rng.uniform(0.0, 1.0)
-            raised[frame] *= (1.0 - top) / (1.0 - row[ref])
-            raised[frame, ref] = top
+        row = change(probs[frame], phones[k], rng)
+        if row is not None:
+            changed = probs.copy()
+            changed[frame] = row
             before.append((make_pg(probs), phones, starts, lengths))
-            after.append((make_pg(raised), phones, starts, lengths))
+            after.append((make_pg(changed), phones, starts, lengths))
     return before, after
 
 
@@ -72,6 +94,31 @@ def test_raising_the_reference_posterior_never_lowers_a_score():
         assert (new.score > old.score).any(), variant
         # a sentence score never falls when one of its phone scores rises
         assert (new.sentence_scores >= old.sentence_scores).all(), variant
+
+
+def test_a_larger_reference_posterior_at_the_same_entropies_never_lowers_ta():
+    before, after = _cases(np.random.default_rng(21), _swapped)
+    assert len(before) > 0.6 * CASES
+    # A swap keeps each row's entropy, but the row sum behind it may round
+    # differently. Where it does (a few ulps), TA's weights may move by a few
+    # ulps too; as every log posterior is <= 0, that moves TA, and a
+    # sentence mean of such scores, by at most 16 eps of its magnitude.
+    old_h, new_h = ([entropy_profile(pg) for pg, *_ in utts]
+                    for utts in (before, after))
+    assert all((abs(a - b) <= 4 * np.spacing(np.maximum(a, b))).all()
+               for a, b in zip(old_h, new_h))
+    moved = np.array([(a != b).any() for a, b in zip(old_h, new_h)])
+    assert 0 < moved.sum() < len(moved)
+    counts = [len(phones) for _, phones, _, _ in before]
+    for variant in ("cagop_minus_dur", "gop", "center_gop"):
+        cfg = DetectorConfig(variant=variant, beta=0.0)
+        old, new = _score(before, cfg), _score(after, cfg)
+        rounding = 16 * np.finfo(float).eps * (variant == "cagop_minus_dur")
+        assert (new.score >= old.score - rounding * abs(old.score)
+                * np.repeat(moved, counts)).all(), variant
+        assert (new.score > old.score).any(), variant
+        assert (new.sentence_scores >= old.sentence_scores - rounding
+                * abs(old.sentence_scores) * moved).all(), variant
 
 
 def _balance(rng, extra=0.0):
