@@ -9,7 +9,6 @@ duration is within normal variation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -17,47 +16,37 @@ import numpy as np
 
 from .model import DataError
 
-DEFAULT_BUCKET_WIDTH = 1.0
-DEFAULT_BUCKET_RANGE = (2, 20)
+# Every table shares one speed axis: buckets BUCKET_WIDTH frames wide,
+# numbered BUCKET_RANGE[0] to BUCKET_RANGE[1].
+BUCKET_WIDTH = 1.0
+BUCKET_RANGE = (2, 20)
 MIN_CELL_COUNT = 5
 STD_WEIGHT = 1.5
 
 
-def _check_buckets(bucket_width: float, bucket_range: tuple[int, int]) -> None:
-    if not (math.isfinite(bucket_width) and bucket_width > 0):
-        raise DataError(
-            f"bucket_width must be finite and positive, got {bucket_width}"
-        )
-    if bucket_range[0] > bucket_range[1]:
-        raise DataError(f"bucket_range is inverted: {bucket_range}")
+def speed_bucket(speed):
+    """Round-half-up bucket index of a speed in frames (or array of them).
 
-
-def speed_bucket(
-    speed,
-    bucket_width: float = DEFAULT_BUCKET_WIDTH,
-    bucket_range: tuple[int, int] = DEFAULT_BUCKET_RANGE,
-):
-    """Clamped round-half-up bucket index of a speed in frames (or array)."""
-    _check_buckets(bucket_width, bucket_range)
+    Speeds below or above the axis fall in its first or last bucket.
+    """
     speed = np.asarray(speed, dtype=np.float64)
     if not np.isfinite(speed).all():
         raise DataError(f"speed must be finite, got {speed}")
     # floor(x + 0.5) rather than round(): no banker's rounding surprises
-    index = np.minimum(np.maximum(np.floor(speed / bucket_width + 0.5),
-                                  bucket_range[0]), bucket_range[1])
+    index = np.clip(np.floor(speed / BUCKET_WIDTH + 0.5), *BUCKET_RANGE)
     return index.astype(np.int64) if index.ndim else int(index)
 
 
 @dataclass(frozen=True)
 class BalanceTable:
+    """Tolerances per (phone, speed bucket) cell, each bucket in
+    ``BUCKET_RANGE``, with per-phone and global backoffs."""
+
     entries: Mapping[tuple[int, int], float]
     phone_backoff: Mapping[int, float]
     global_backoff: float
-    bucket_width: float = DEFAULT_BUCKET_WIDTH
-    bucket_range: tuple[int, int] = DEFAULT_BUCKET_RANGE
 
     def __post_init__(self):
-        _check_buckets(self.bucket_width, self.bucket_range)
         for t in list(self.entries.values()) + list(self.phone_backoff.values()):
             if t < 0 or not np.isfinite(t):
                 raise DataError(f"tolerance must be finite and >= 0, got {t}")
@@ -65,23 +54,23 @@ class BalanceTable:
             raise DataError(
                 f"global tolerance must be finite and >= 0, got {self.global_backoff}"
             )
-        # The backoff resolved once into a (phone x bucket) grid: a column
-        # per in-range bucket that has a cell, then one for every other
-        # bucket; phones past the largest one named read its last, global, row.
         named = [*self.phone_backoff, *(phone for phone, _ in self.entries)]
         if min(named, default=0) < 0:
             raise DataError(f"negative phone index {min(named)}")
-        lo, hi = self.bucket_range
-        cells = {key: t for key, t in self.entries.items() if lo <= key[1] <= hi}
-        buckets = np.array(sorted({b for _, b in cells}), np.int64)
-        grid = np.full((max(named, default=-1) + 2, buckets.size + 1),
+        lo, hi = BUCKET_RANGE
+        for phone, bucket in self.entries:
+            if not lo <= bucket <= hi:
+                raise DataError(f"bucket {bucket} of phone {phone} lies "
+                                f"outside {lo}-{hi}")
+        # The backoff resolved once into a (phone x bucket) grid; phones
+        # past the largest one named read its last, global, row.
+        grid = np.full((max(named, default=-1) + 2, hi - lo + 1),
                        self.global_backoff)
         for phone, tolerance in self.phone_backoff.items():
             grid[phone] = tolerance
-        for (phone, bucket), tolerance in cells.items():
-            grid[phone, np.searchsorted(buckets, bucket)] = tolerance
+        for (phone, bucket), tolerance in self.entries.items():
+            grid[phone, bucket - lo] = tolerance
         object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_buckets", buckets)
 
 
 def _tolerance(errors: Sequence[float]) -> float:
@@ -113,8 +102,6 @@ def fit_balance_table(
     lengths: Sequence[float],
     predicted: Sequence[float],
     speeds: Sequence[float],
-    bucket_width: float = DEFAULT_BUCKET_WIDTH,
-    bucket_range: tuple[int, int] = DEFAULT_BUCKET_RANGE,
     min_count: int = MIN_CELL_COUNT,
 ) -> BalanceTable:
     """Fit per-(phone, speed-bucket) tolerances with two-level backoff.
@@ -122,9 +109,10 @@ def fit_balance_table(
     The four columns hold one entry per aligned phone: its phone, aligned
     length, positive predicted duration, and its utterance's speed
     (``utterance_speeds``), which is also the speed scoring looks its
-    tolerances up by. Cells with fewer than min_count observations are
-    dropped; lookups for them fall back to the phone-level tolerance and
-    then to the global one.
+    tolerances up by; ``speed_bucket`` puts each speed on the one fixed
+    axis. Cells with fewer than min_count observations are dropped;
+    lookups for them fall back to the phone-level tolerance and then to
+    the global one.
     """
     phones = np.asarray(phones, dtype=np.int64)
     columns = [np.asarray(c, dtype=np.float64)
@@ -140,8 +128,8 @@ def fit_balance_table(
     if not (predicted > 0).all():
         raise DataError("predicted durations must be positive")
     errors = np.abs(lengths - predicted)
-    buckets = speed_bucket(speeds, bucket_width, bucket_range)
-    lo, width = bucket_range[0], bucket_range[1] - bucket_range[0] + 1
+    buckets = speed_bucket(speeds)
+    lo, width = BUCKET_RANGE[0], BUCKET_RANGE[1] - BUCKET_RANGE[0] + 1
     cells = _grouped_tolerances(phones * width + (buckets - lo), errors,
                                 min_count)
     return BalanceTable(
@@ -149,15 +137,12 @@ def fit_balance_table(
                  for cell, t in cells.items()},
         phone_backoff=_grouped_tolerances(phones, errors, 1),
         global_backoff=_tolerance(errors),
-        bucket_width=bucket_width,
-        bucket_range=bucket_range,
     )
 
 
 def lookup_tolerance(table: BalanceTable, phone: int, speed: float) -> float:
     """Cell tolerance, else phone backoff, else the global value."""
-    bucket = speed_bucket(speed, table.bucket_width, table.bucket_range)
-    cell = table.entries.get((phone, bucket))
+    cell = table.entries.get((phone, speed_bucket(speed)))
     if cell is not None:
         return cell
     phone_level = table.phone_backoff.get(phone)
@@ -170,11 +155,9 @@ def lookup_tolerances(
     table: BalanceTable, phones: np.ndarray, speeds: np.ndarray
 ) -> np.ndarray:
     """``lookup_tolerance`` of each (phone, speed) pair, by one index."""
-    grid, named = table._grid, table._buckets
-    buckets = speed_bucket(speeds, table.bucket_width, table.bucket_range)
-    columns = np.where(np.isin(buckets, named),
-                       np.searchsorted(named, buckets), named.size)
-    return grid[np.minimum(phones, len(grid) - 1), columns]
+    grid = table._grid
+    return grid[np.minimum(phones, len(grid) - 1),
+                speed_bucket(speeds) - BUCKET_RANGE[0]]
 
 
 def delta(d_align: float, d_pred: float, tolerance: float) -> float:

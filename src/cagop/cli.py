@@ -94,6 +94,8 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 _CONFIGS = {"desk": desk_config, "full": full_config, "tiny": tiny_config}
+# train-dur holds this share of the sequences out for validation
+VAL_FRACTION = 0.1
 
 
 class UsageError(Exception):
@@ -227,10 +229,6 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_train_dur(args) -> int:
-    if not 0.0 < args.val_fraction < 1.0:
-        raise DataError(
-            f"--val-fraction must be in (0, 1), got {args.val_fraction}"
-        )
     net_cfg = _CONFIGS[args.config](seed=args.seed)
     phone_set = read_phone_set(args.phones)
     segments = _duration_corpus(args.ctm, phone_set)
@@ -243,7 +241,7 @@ def _cmd_train_dur(args) -> int:
         raise DataError("need at least 2 sequences to split train/validation")
     splitter = np.random.default_rng(args.seed)
     order = splitter.permutation(len(samples))
-    n_val = max(1, int(round(len(samples) * args.val_fraction)))
+    n_val = max(1, int(round(len(samples) * VAL_FRACTION)))
     val = [samples[i] for i in order[:n_val]]
     tr = [samples[i] for i in order[n_val:]]
     params, log = train(
@@ -262,7 +260,7 @@ def _cmd_train_dur(args) -> int:
 
 def _cmd_predict_dur(args) -> int:
     phone_set = read_phone_set(args.phones)
-    segments = read_ctm_columns(args.ctm, phone_set).speech(phone_set)
+    segments = _duration_corpus(args.ctm, phone_set)
     predicted = _predict_durations(args.checkpoint, segments).tolist()
     write_duration_predictions(args.out, segments, predicted, phone_set)
     print(f"wrote duration predictions -> {args.out}")
@@ -418,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--config", choices=sorted(_CONFIGS), default="desk")
-    p.add_argument("--val-fraction", type=float, default=0.1)
     p.add_argument("--log")
     p.set_defaults(fn=_cmd_train_dur)
 

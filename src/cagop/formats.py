@@ -47,7 +47,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .balance import BalanceTable
+from .balance import BUCKET_RANGE, BUCKET_WIDTH, BalanceTable
 from .detector import ThresholdTable
 from .duration.net import (
     DurationNetConfig,
@@ -74,6 +74,9 @@ _CKPT_HEADER = struct.Struct("<IIIIdIdIIqI")
 GLOBAL_LABEL = "GLOBAL"
 PHONE_LEVEL_LABEL = "PHONE"
 NO_PHONE_LABEL = "-"
+# The first line of every balance table: its one speed-bucket axis.
+BALANCE_HEADER = (f"bucket_width={BUCKET_WIDTH!r} bucket_min={BUCKET_RANGE[0]}"
+                  f" bucket_max={BUCKET_RANGE[1]}")
 
 
 def _fmt(x: float) -> str:
@@ -560,10 +563,8 @@ def read_annotations(path) -> AnnotationSet:
 # balance tables and thresholds
 
 def write_balance_table(path, table: BalanceTable, phone_set: PhoneSet) -> None:
-    lo, hi = table.bucket_range
     _write_text(path, [
-        f"bucket_width={_fmt(table.bucket_width)} "
-        f"bucket_min={lo} bucket_max={hi}\n",
+        BALANCE_HEADER + "\n",
         *(f"{phone_set.label(phone)}\t{bucket}\t{_fmt(value)}\n"
           for (phone, bucket), value in sorted(table.entries.items())),
         *(f"{phone_set.label(phone)}\t{PHONE_LEVEL_LABEL}\t{_fmt(value)}\n"
@@ -574,10 +575,12 @@ def write_balance_table(path, table: BalanceTable, phone_set: PhoneSet) -> None:
 
 def read_balance_table(path, phone_set: PhoneSet) -> BalanceTable:
     lines = _read_lines(path)
-    width, lo, hi = _header(path, lines, [
+    if _header(path, lines, [
         ("bucket_width", _floats, "bucket_width"),
         ("bucket_min", _ints, "bucket min"), ("bucket_max", _ints, "bucket max"),
-    ])
+    ]) != [BUCKET_WIDTH, *BUCKET_RANGE]:
+        raise FormatError(f"bucket axis must be {BALANCE_HEADER!r}", path=path,
+                          line=1)
     numbers, rows, faults = _rows(lines[1:], 3, "label<TAB>bucket<TAB>T",
                                   first=2)
     numbers, labels, buckets, texts = _columns(numbers, rows, 3)
@@ -600,7 +603,6 @@ def read_balance_table(path, phone_set: PhoneSet) -> BalanceTable:
         phone_backoff={phones[k]: values[k] for k in phoned
                        if k not in bucket_of},
         global_backoff=values[buckets.index(GLOBAL_LABEL)],
-        bucket_width=width, bucket_range=(lo, hi),
     )
 
 

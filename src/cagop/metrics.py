@@ -43,15 +43,12 @@ def rankdata(values: Sequence[float]) -> np.ndarray:
     if values.ndim != 1:
         raise DataError("rankdata expects a 1-D input")
     order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # each run of equal values, firsts[k]..ends[k], shares its mean rank
+    firsts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[firsts[1:], values.size]
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        # positions i..j share one value; all get the mean rank
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (firsts + ends + 1), ends - firsts)
     return ranks
 
 

@@ -506,8 +506,6 @@ def _roundtrip_tables(rng, tmp_path, ps) -> int:
                 for _ in range(int(rng.integers(1, 4)))
             },
             global_backoff=abs(_random_float(rng)),
-            bucket_width=float(rng.choice([0.5, 1.0, 2.0])),
-            bucket_range=(2, int(rng.integers(10, 21))),
         )
         write_balance_table(tmp_path / "bal.tsv", balance, ps)
         assert read_balance_table(tmp_path / "bal.tsv", ps) == balance

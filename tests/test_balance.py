@@ -162,12 +162,6 @@ def test_bucket_rounds_to_nearest():
 def test_bucket_clamps_to_range():
     assert speed_bucket(0.3) == 2
     assert speed_bucket(57.0) == 20
-    assert speed_bucket(1.0, bucket_range=(1, 30)) == 1
-
-
-def test_bucket_width_scales_the_axis():
-    assert speed_bucket(10.0, bucket_width=2.0) == 5
-    assert speed_bucket(11.0, bucket_width=2.0) == 6
 
 
 @pytest.mark.parametrize("entries, backoff", [({(-1, 5): 1.0}, {}),
@@ -180,11 +174,9 @@ def test_table_rejects_negative_phones(entries, backoff):
 
 def test_bucket_of_an_array_is_the_bucket_of_each_speed():
     speeds = [0.3, 1.49, 1.5, 4.6, 5.4, 5.5, 19.49, 19.5, 57.0]
-    for width in (1.0, 0.5, 2.0):
-        got = speed_bucket(np.array(speeds), bucket_width=width)
-        assert got.dtype == np.int64
-        assert got.tolist() == [speed_bucket(s, bucket_width=width)
-                                for s in speeds]
+    got = speed_bucket(np.array(speeds))
+    assert got.dtype == np.int64
+    assert got.tolist() == [speed_bucket(s) for s in speeds]
     assert type(speed_bucket(5.0)) is int
 
 
@@ -196,15 +188,11 @@ def test_bucket_requires_a_finite_speed(speed):
         speed_bucket([4.0, speed])
 
 
-@pytest.mark.parametrize("width", [float("nan"), float("inf"), 0.0, -1.0])
-def test_table_requires_finite_positive_bucket_width(width):
-    with pytest.raises(DataError, match="bucket_width"):
-        BalanceTable({}, {}, 1.0, bucket_width=width)
-
-
-def test_table_rejects_inverted_bucket_range():
-    with pytest.raises(DataError, match="inverted"):
-        BalanceTable({}, {}, 1.0, bucket_range=(5, 4))
+@pytest.mark.parametrize("bucket", [1, 21, -3])
+def test_table_rejects_a_cell_outside_the_bucket_range(bucket):
+    with pytest.raises(DataError, match=f"bucket {bucket} of phone 1 lies "
+                                        "outside 2-20"):
+        BalanceTable({(1, 2): 1.0, (1, 20): 1.0, (1, bucket): 1.0}, {}, 1.0)
 
 
 def test_delta_zero_mismatch_is_minus_tolerance():

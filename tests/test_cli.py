@@ -494,17 +494,41 @@ def test_non_finite_beta_exits_two(pipeline, tmp_path, capsys, beta):
     assert not (tmp_path / "scores.tsv").exists()
 
 
-@pytest.mark.parametrize("fraction", ["nan", "-3", "0", "1"])
-def test_val_fraction_outside_unit_interval_exits_two(tmp_path, capsys, fraction):
-    # checked before any input is read: the CTM path does not exist
-    code = main(["train-dur", "--ctm", str(tmp_path / "absent.ctm"),
-                 "--phones", str(tmp_path / "absent.txt"),
-                 "--val-fraction", fraction,
-                 "--out", str(tmp_path / "dur.ckpt")])
+def test_duration_commands_reject_a_ctm_with_no_speech(pipeline, tmp_path,
+                                                     capsys):
+    ps = read_phone_set(pipeline["phones"])
+    silence = ps.label(ps.silence_index)
+    ctm = tmp_path / "silent.ctm"
+    ctm.write_text(f"u1\t{silence}\t0\t4\nu2\t{silence}\t0\t3\n")
+    out = tmp_path / "out"
+    common = ["--ctm", str(ctm), "--phones", str(pipeline["phones"]),
+              "--out", str(out)]
+    ckpt = ["--checkpoint", str(pipeline["ckpt"])]
+    for argv in (["train-dur"], ["predict-dur", *ckpt], ["fit-balance", *ckpt]):
+        assert main(argv + common) == 2, argv
+        assert capsys.readouterr().err == (
+            "error: alignment file has no non-silence phones\n"), argv
+        assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("header, rows", [
+    ("bucket_width=1.0 bucket_min=2 bucket_max=4611686018427387904", ""),
+    ("bucket_width=1.0 bucket_min=2 bucket_max=20", "B\t21\t1.0\n"),
+], ids=["other-axis", "cell-outside-axis"])
+def test_score_rejects_a_balance_table_off_the_bucket_axis(
+        pipeline, tmp_path, capsys, header, rows):
+    balance = tmp_path / "balance.tsv"
+    balance.write_text(f"{header}\n{rows}-\tGLOBAL\t1.0\n")
+    code = main(["score",
+                 "--posteriors", str(pipeline["post"]),
+                 "--ctm", str(pipeline["ctm"]),
+                 "--phones", str(pipeline["phones"]),
+                 "--balance", str(balance),
+                 "--checkpoint", str(pipeline["ckpt"]),
+                 "--out", str(tmp_path / "scores.tsv")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert f"--val-fraction must be in (0, 1), got {float(fraction)}" in err
+    assert f"error: {balance}: " in capsys.readouterr().err
+    assert not (tmp_path / "scores.tsv").exists()
 
 
 def test_needing_durations_without_tables_exits_one(pipeline, capsys):

@@ -321,15 +321,13 @@ def test_scoring_utterances_together_matches_one_at_a_time_bitwise():
 
 def test_dense_tolerances_equal_lookup_tolerance():
     table = BalanceTable(
-        entries={(1, 2): 0.5, (1, 7): 1.5, (2, 20): 2.5, (2, 30): 9.0,
-                 (7, 5): 8.0},
+        entries={(1, 2): 0.5, (1, 7): 1.5, (2, 20): 2.5, (7, 5): 8.0},
         phone_backoff={1: 1.0, 2: 2.0, 4: 4.5, 9: 9.5},
         global_backoff=3.0,
-        bucket_width=0.5,
     )
     # below the range, half-way points, inside, the edges, above the range
-    speeds = [0.1, 0.75, 1.0, 1.24, 1.25, 3.5, 3.74, 3.75, 9.9, 10.0, 10.25,
-              40.0]
+    speeds = [0.2, 1.5, 2.0, 2.49, 2.5, 4.5, 5.49, 7.0, 7.49, 7.5, 19.8, 20.0,
+              20.5, 80.0]
     # phones 10 and 11 lie past every phone the table names
     phones = np.repeat(np.arange(12), len(speeds))
     speed_col = np.tile(speeds, 12)
@@ -338,7 +336,7 @@ def test_dense_tolerances_equal_lookup_tolerance():
             for p, s in zip(phones, speed_col)]
     assert got.tolist() == want
     # every level of the backoff is exercised
-    assert {0.5, 1.5, 2.5, 1.0, 2.0, 4.5, 3.0} <= set(want)
+    assert {0.5, 1.5, 2.5, 8.0, 1.0, 2.0, 4.5, 3.0} <= set(want)
 
 
 def test_segment_past_the_last_frame_names_the_utterance():

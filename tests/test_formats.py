@@ -349,8 +349,7 @@ def balance_fixture():
             [phone] * n, rng.uniform(2, 12, size=n).tolist()
         ))
         predicted.append(rng.uniform(2, 12, size=n).tolist())
-    return fit_on_samples(samples, predicted, bucket_width=2.0,
-                          bucket_range=(2, 15))
+    return fit_on_samples(samples, predicted)
 
 
 def test_balance_table_roundtrip(tmp_path):
@@ -361,8 +360,8 @@ def test_balance_table_roundtrip(tmp_path):
     assert back.entries == dict(table.entries)
     assert back.phone_backoff == dict(table.phone_backoff)
     assert back.global_backoff == table.global_backoff
-    assert back.bucket_width == table.bucket_width
-    assert back.bucket_range == table.bucket_range
+    assert path.read_text().splitlines()[0] == (
+        "bucket_width=1.0 bucket_min=2 bucket_max=20")
 
 
 def test_balance_table_requires_global_row(tmp_path):
@@ -390,23 +389,29 @@ def test_balance_table_names_line_of_unknown_phone(tmp_path):
 
 
 def test_balance_table_grid_follows_its_cells_not_its_header(tmp_path):
+    # a header naming another axis is rejected before anything is sized by it
     top = 2**62
     path = tmp_path / "bal.tsv"
     path.write_text(f"bucket_width=1.0 bucket_min=0 bucket_max={top}\n"
-                    f"AA\t3\t0.5\nAA\t{top}\t7.0\nB\t{top + 1}\t9.0\n"
-                    "B\tPHONE\t2.0\n-\tGLOBAL\t1.5\n")
-    speeds = np.array([0.0, 2.4, 2.6, 3.0, 3.4, 1e6, 1e18, float(top), 1e19])
-    phones = np.repeat(np.arange(len(PS.phones)), len(speeds))
+                    f"AA\t3\t0.5\nAA\t{top}\t7.0\n-\tGLOBAL\t1.5\n")
     tracemalloc.start()
     try:
-        table = read_balance_table(path, PS)
-        got = lookup_tolerances(table, phones, np.tile(speeds, len(PS.phones)))
+        with pytest.raises(FormatError, match="bucket axis") as err:
+            read_balance_table(path, PS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert err.value.line == 1
+    path.write_text("bucket_width=1.0 bucket_min=2 bucket_max=20\n"
+                    "AA\t3\t0.5\nAA\t20\t7.0\nB\tPHONE\t2.0\n-\tGLOBAL\t1.5\n")
+    table = read_balance_table(path, PS)
+    speeds = np.array([0.0, 2.4, 2.6, 3.0, 3.4, 19.6, 1e6, 1e18, float(top)])
+    phones = np.repeat(np.arange(len(PS.phones)), len(speeds))
+    speeds = np.tile(speeds, len(PS.phones))
+    got = lookup_tolerances(table, phones, speeds)
     want = [lookup_tolerance(table, int(p), float(s))
-            for p, s in zip(phones, np.tile(speeds, len(PS.phones)))]
+            for p, s in zip(phones, speeds)]
     assert got.tolist() == want
     # the cells, the phone and global backoffs, and the clamped top bucket
     assert {0.5, 7.0, 2.0, 1.5} == set(want)

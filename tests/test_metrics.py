@@ -77,6 +77,8 @@ def test_ranks_match_scipy_with_ties():
     for _ in range(25):
         vals = rng.integers(0, 5, size=12).astype(float)
         assert np.array_equal(rankdata(vals), stats.rankdata(vals))
+    vals = rng.integers(0, 300, size=5000).astype(float)
+    assert np.array_equal(rankdata(vals), stats.rankdata(vals))
 
 
 def test_spearman_rank_invariance():

@@ -124,7 +124,7 @@ def test_a_larger_reference_posterior_at_the_same_entropies_never_lowers_ta():
 def _balance(rng, extra=0.0):
     """A table with cells, phone backoffs and a global value, each + extra."""
     return BalanceTable(
-        entries={(int(p), int(b)): rng.uniform(0.0, 3.0) + extra
+        entries={(int(p), int(b) + 1): rng.uniform(0.0, 3.0) + extra
                  for p, b in zip(rng.integers(0, 4, 12), rng.integers(1, 8, 12))},
         phone_backoff={int(p): rng.uniform(0.0, 3.0) + extra
                        for p in rng.integers(0, 4, 3)},

@@ -31,7 +31,7 @@ SCORE_USAGE = ("expected P<TAB>utt<TAB>pos<TAB>phone<TAB>start<TAB>frames"
 H = "#variant=gop\n"
 P = "P\tu1\t0\tAA\t0\t3\t-0.5\n"
 PGT = "frames=2 phones=2 shift_ms=30.0\n"
-BAL = "bucket_width=1.0 bucket_min=1 bucket_max=9\n"
+BAL = "bucket_width=1.0 bucket_min=2 bucket_max=20\n"
 G = "-\tGLOBAL\t1.0\n"
 LOG = "epoch\ttrain_loss\tval_mae\n"
 
@@ -141,6 +141,16 @@ CASES = [
      "bad bucket min 'm'"),
     ("balance", "bucket_width=1.0 bucket_min=1 bucket_max=n\n" + G, 1,
      "bad bucket max 'n'"),
+    ("balance", "bucket_width=1.0 bucket_min=1 bucket_max=9\n" + G, 1,
+     "bucket axis must be 'bucket_width=1.0 bucket_min=2 bucket_max=20'"),
+    ("balance", "bucket_width=2 bucket_min=2 bucket_max=20\n" + G, 1,
+     "bucket axis must be 'bucket_width=1.0 bucket_min=2 bucket_max=20'"),
+    ("balance", BAL + "AA\t1\t1.0\n" + G, None,
+     "bucket 1 of phone 1 lies outside 2-20"),
+    ("balance", BAL + "AA\t5\t1.0\nB\t21\t1.0\n" + G, None,
+     "bucket 21 of phone 2 lies outside 2-20"),
+    ("balance", BAL + "AA\t-1\t1.0\n" + G, None,
+     "bucket -1 of phone 1 lies outside 2-20"),
     ("thresholds", "AA\t-1.0\tx\n", 1, "expected label<TAB>threshold"),
     ("thresholds", "AA\tx\n", 1, "bad threshold 'x'"),
     ("thresholds", "AA\tinf\n", 1, "threshold must be finite, got 'inf'"),
